@@ -3,8 +3,8 @@
 #
 # Demonstrates the two-level estimation scheme on a simulate-then-fit
 # experiment where the truth is known:
-#   inner  -- (mu, alpha) at fixed decays is a concave problem solved by a
-#             projected quasi-Newton method with analytic gradients
+#   inner  -- (mu, alpha) at fixed decays splits into one concave problem
+#             per component, each solved by projected Newton steps
 #   outer  -- Nelder-Mead walks the shared decays on the profile likelihood
 #
 # Run:  python demos/03_fitting.py

@@ -2,11 +2,14 @@
 
 The estimation is split into two nested problems:
 
-* **inner** -- with the shared decays held fixed, the log-likelihood is
-  jointly concave in (mu, alpha) (log of an affine function minus an affine
-  function), so a projected quasi-Newton method (L-BFGS-B) with analytic
-  gradients finds the global optimum.  The nonnegativity projection can
-  land alpha entries exactly on 0, reproducing structural zeros.
+* **inner** -- with the shared decays held fixed, the log-likelihood
+  splits into one concave problem per component i,
+  ``sum_k log(mu_i + X_i[k] . a_i) - mu_i T - a_i . M`` in
+  ``(mu_i, a_i = alpha[:, i, :])`` with 1 + U*m parameters.  Each is
+  solved by a projected Newton method on its exact Hessian
+  ``Z_i^T diag(lambda^-2) Z_i`` with ``Z_i = [1, X_i]``.  The
+  box-constrained step lands alpha entries exactly on 0, reproducing
+  structural zeros.
 * **outer** -- Nelder-Mead simplex search over the log-decays, each vertex
   scored by the maximized (profile) inner log-likelihood.
 
@@ -24,11 +27,12 @@ import numpy as np
 from scipy import optimize
 
 from .core import HawkesModel, _sumexp_event_states, kernel_norms
-from .errors import DegenerateComponentWarning, FittingError, InvalidInputError
+from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence
 from .kernels import SumExpKernel
 
 MU_FLOOR = 1e-10
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -36,9 +40,12 @@ class FitConfig:
     """Estimation settings.
 
     ``decay_init`` seeds the outer decay search (canonically sorted
-    ascending); ``constraint_mode`` names the constraint handling for the
-    inner problem -- only ``"projection"`` (box bounds: mu >= 1e-10,
-    alpha >= 0) is implemented.
+    ascending).  ``inner_max_iter`` caps the Newton steps of each
+    component's inner solve; ``inner_tol`` is the contract's stationarity
+    target, a projected gradient of at most ``inner_tol * (1 + |l|)``.
+    ``constraint_mode`` names the constraint handling for the inner problem
+    -- only ``"projection"`` (box bounds: mu >= 1e-10, alpha >= 0, kept by
+    box-constrained Newton steps) is implemented.
     """
 
     num_decays: int = 3
@@ -75,9 +82,15 @@ class FitConfig:
 class FitResult:
     """Fitted model plus optimizer diagnostics.
 
-    ``optimizer_trace`` holds (iteration, objective) pairs: inner
-    log-likelihood iterates for :func:`fit_given_decays`, best profile
-    log-likelihood per simplex iteration for :func:`fit_full`.
+    ``inner_iterations`` is the largest Newton step count over the
+    components (of the best vertex, for :func:`fit_full`): it reaches
+    ``inner_max_iter`` only if a component hit the cap.  ``optimizer_trace``
+    holds (iteration, objective) pairs: for :func:`fit_given_decays`, per
+    Newton step k, the sum over components of each one's objective after
+    min(k, its last) steps, which is nondecreasing; for :func:`fit_full`,
+    the best profile log-likelihood per simplex iteration.  ``messages``
+    names pinned components and component solves that stopped at the cap
+    or without progress.
     """
 
     model: HawkesModel
@@ -152,26 +165,20 @@ def _design(seq: EventSequence, decays: np.ndarray):
     return X, M.reshape(U * m)
 
 
-def _neg_loglik_and_grad(theta, X, M, horizon, m, U):
-    """Negative log-likelihood and gradient in packed coordinates.
-
-    ``X`` holds one design matrix per component and ``M`` the matching
-    compensator weight vector; both may be column-rescaled as long as they
-    are rescaled together (the optimum is invariant).
-    """
-    mu = theta[:m]
-    block_len = U * m
+def _loglik_and_grad(X, Mvec, horizon, mu, alpha):
+    """Log-likelihood and gradient from the design of :func:`_design`."""
+    U, m, _ = alpha.shape
     ll = 0.0
-    grad = np.zeros_like(theta)
+    dmu = np.empty(m)
+    dalpha = np.empty_like(alpha)
     for i in range(m):
-        lo = m + i * block_len
-        block = theta[lo : lo + block_len]
-        lam = mu[i] + X[i] @ block
-        ll += np.log(lam).sum() - mu[i] * horizon - block @ M[i]
+        a = alpha[:, i, :].reshape(U * m)
+        lam = mu[i] + X[i] @ a
+        ll += np.log(lam).sum() - mu[i] * horizon - a @ Mvec
         inv = 1.0 / lam
-        grad[i] = inv.sum() - horizon
-        grad[lo : lo + block_len] = X[i].T @ inv - M[i]
-    return -ll, -grad
+        dmu[i] = inv.sum() - horizon
+        dalpha[:, i, :] = (X[i].T @ inv - Mvec).reshape(U, m)
+    return float(ll), dmu, dalpha
 
 
 def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
@@ -188,35 +195,73 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     if mu.shape != (m,) or alpha.shape != (U, m, m):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
     X, Mvec = _design(seq, decays)
-    theta = _pack(mu, alpha, m, U)
-    neg_l, neg_g = _neg_loglik_and_grad(theta, X, [Mvec] * m, seq.horizon, m, U)
-    dmu, dalpha = _unpack_grad(-neg_g, m, U)
-    return -neg_l, dmu, dalpha
+    return _loglik_and_grad(X, Mvec, seq.horizon, mu, alpha)
 
 
-def _pack(mu, alpha, m, U):
-    theta = np.empty(m + m * U * m)
-    theta[:m] = mu
-    for i in range(m):
-        theta[m + i * U * m : m + (i + 1) * U * m] = alpha[:, i, :].ravel()
-    return theta
+def _newton_component(Z, c, lower, x, max_steps, tol):
+    """Maximize ``sum(log(Z @ x)) - c @ x`` subject to ``x >= lower``.
 
-
-def _unpack(theta, m, U):
-    mu = theta[:m].copy()
-    alpha = np.empty((U, m, m))
-    for i in range(m):
-        alpha[:, i, :] = theta[m + i * U * m : m + (i + 1) * U * m].reshape(U, m)
-    return mu, alpha
-
-
-def _unpack_grad(grad, m, U):
-    return _unpack(grad, m, U)
+    Projected Newton on the exact Hessian ``H = W^T W``, ``W = Z / lambda``
+    row-wise.  Parameters on their bound with a nonpositive gradient are
+    held there, which pins those of all-zero (singular) columns of ``Z``.
+    On the rest, with ``H = L L^T``, the quadratic model's maximizer on the
+    box is ``lower + nnls(L^T, L^-1 (g + H (x - lower)))``; if ``H`` is not
+    positive definite a diagonally scaled projected-gradient step stands in.
+    Armijo backtracking runs along the segment to it.  Stops at a projected
+    gradient of at most ``tol * (1 + |f|)``, after a step that gains at most
+    1e-15 * |f|, or after ``max_steps`` steps.  Returns ``(x, history,
+    reason)``: the objective before and after every step, and why the solve
+    stopped short of ``tol`` (``None`` if it did not).
+    """
+    lam = Z @ x
+    f = np.log(lam).sum() - c @ x
+    history = [f]
+    stalled = False
+    W = np.empty_like(Z)
+    while True:
+        inv = 1.0 / lam
+        g = inv @ Z - c
+        free = (x > lower) | (g > 0)
+        if np.max(np.abs(g[free]), initial=0.0) <= tol * (1.0 + abs(f)):
+            return x, history, None
+        if stalled:
+            return x, history, "stopped without progress above the gradient tolerance"
+        if len(history) > max_steps:
+            return x, history, f"stopped at the {max_steps}-step cap"
+        np.multiply(Z, inv[:, None], out=W)
+        H = (W.T @ W)[np.ix_(free, free)]
+        target = x.copy()
+        try:
+            L = np.linalg.cholesky(H)
+            rhs = np.linalg.solve(L, g[free] + H @ (x - lower)[free])
+            target[free] = lower[free] + optimize.nnls(L.T, rhs)[0]
+        except np.linalg.LinAlgError:
+            target[free] = np.maximum(x[free] + g[free] / np.diag(H), lower[free])
+        # Gains are summed in log1p form, accurate where f cannot resolve them.
+        d = target - x
+        r = (Z @ d) / lam
+        cd = c @ d
+        slope = g @ d
+        t = 1.0
+        stalled = True
+        while slope > 0 and t > 1e-12:
+            gain = np.log1p(t * r).sum() - t * cd
+            if gain >= ARMIJO * t * slope:
+                stalled = gain <= 1e-15 * abs(f)
+                x = (1.0 - t) * x + t * target
+                lam = Z @ x
+                f += gain
+                history.append(f)
+                break
+            t *= 0.5
 
 
 def fit_given_decays(seq: EventSequence, decays, config: FitConfig | None = None) -> FitResult:
     """Maximize the log-likelihood over (mu, alpha) with decays held fixed.
 
+    Each component with events is solved on its own by
+    :func:`_newton_component`, cold-started at mu = 0.5 n_i / T, alpha = 0,
+    to a projected gradient of at most ``0.1 * inner_tol * (1 + |l_i|)``.
     Components with zero events are pinned (mu at the 1e-10 floor, their
     alpha row at 0) with a :class:`DegenerateComponentWarning`; columns
     describing their influence stay at 0 since the data carry no signal
@@ -247,85 +292,39 @@ def fit_given_decays(seq: EventSequence, decays, config: FitConfig | None = None
         warnings.warn(msg, DegenerateComponentWarning, stacklevel=2)
 
     X, Mvec = _design(seq, decays)
+    c = np.r_[horizon, Mvec]
+    lower = np.r_[MU_FLOOR, np.zeros(U * m)]
+    mu = np.full(m, MU_FLOOR)
+    alpha = np.zeros((U, m, m))
+    histories = [[-MU_FLOOR * horizon] for _ in degenerate]
+    for i in np.nonzero(counts)[0]:
+        Z = np.column_stack((np.ones(X[i].shape[0]), X[i]))
+        start = np.r_[max(0.5 * counts[i] / horizon, MU_FLOOR), lower[1:]]
+        theta, history, reason = _newton_component(
+            Z, c, lower, start, config.inner_max_iter, 0.1 * config.inner_tol
+        )
+        mu[i] = theta[0]
+        alpha[:, i, :] = theta[1:].reshape(U, m)
+        histories.append(history)
+        if reason is not None:
+            messages.append(f"component {i + 1}: inner solve {reason}")
 
-    # Column-normalize each component's design so the quasi-Newton solve is
-    # well conditioned across decay scales; the solver works on
-    # alpha * scale and the solution is mapped back afterwards.
-    scales = [
-        np.maximum(Xi.mean(axis=0), 1e-12) if Xi.shape[0] else np.ones(U * m)
-        for Xi in X
-    ]
-    Xs = [Xi / s for Xi, s in zip(X, scales)]
-    Ms = [Mvec / s for s in scales]
+    steps = max(len(h) for h in histories) - 1
+    trace = [(k, float(sum(h[min(k, len(h) - 1)] for h in histories))) for k in range(1, steps + 1)]
 
-    mu0 = np.maximum(0.5 * counts / horizon, MU_FLOOR)
-    alpha0 = np.zeros((U, m, m))
-    theta0 = _pack(mu0, alpha0, m, U)
-
-    bounds = [(MU_FLOOR, None)] * m + [(0.0, None)] * (m * U * m)
-    for i in degenerate:
-        bounds[i] = (MU_FLOOR, MU_FLOOR)
-        for pos in range(m + i * U * m, m + (i + 1) * U * m):
-            bounds[pos] = (0.0, 0.0)
-
-    fun = lambda th: _neg_loglik_and_grad(th, Xs, Ms, horizon, m, U)
-    last = {}
-
-    def tracked(th):
-        f, g = fun(th)
-        last["x"] = th.copy()
-        last["f"] = f
-        return f, g
-
-    trace = []
-    iteration = [0]
-
-    def callback(xk):
-        iteration[0] += 1
-        f = last["f"] if np.array_equal(last.get("x"), xk) else fun(xk)[0]
-        trace.append((iteration[0], -f))
-
-    # Stationarity target per the contract: projected-gradient infinity norm
-    # <= inner_tol * (1 + |l|) in the ORIGINAL coordinates; |l| is estimated
-    # at the start and the threshold mapped into scaled coordinates through
-    # the largest column scale.  ftol=0 turns off the relative-reduction
-    # stop so flat ridges are not mistaken for convergence.
-    f0, _ = fun(theta0)
-    max_scale = max(1.0, max(float(s.max()) for s in scales))
-    res = optimize.minimize(
-        tracked,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        callback=callback,
-        options={
-            "maxiter": config.inner_max_iter,
-            "ftol": 0.0,
-            "gtol": config.inner_tol * (1.0 + abs(f0)) / max_scale,
-            "maxls": 50,
-        },
-    )
-
-    mu_hat, scaled_alpha = _unpack(res.x, m, U)
-    alpha_hat = np.empty_like(scaled_alpha)
-    for i in range(m):
-        alpha_hat[:, i, :] = (scaled_alpha[:, i, :].reshape(-1) / scales[i]).reshape(U, m)
-
-    # Convergence verdict on the unscaled problem.
-    theta_hat = _pack(mu_hat, alpha_hat, m, U)
-    f_opt, g_opt = _neg_loglik_and_grad(theta_hat, X, [Mvec] * m, horizon, m, U)
-    lower = np.array([b[0] for b in bounds])
-    at_lower = theta_hat <= lower + 1e-15
-    projected = np.where(at_lower & (g_opt > 0), 0.0, g_opt)
-    converged = bool(np.max(np.abs(projected)) <= config.inner_tol * (1.0 + abs(f_opt)))
-    model = HawkesModel(mu_hat, SumExpKernel(alpha_hat, decays))
+    # Convergence verdict on the whole problem, per the contract.
+    log_lik, dmu, dalpha = _loglik_and_grad(X, Mvec, horizon, mu, alpha)
+    grad = np.r_[dmu, dalpha.ravel()]
+    at_bound = np.r_[mu <= MU_FLOOR, alpha.ravel() <= 0.0]
+    worst = np.max(np.abs(np.where(at_bound & (grad < 0), 0.0, grad)))
+    converged = bool(worst <= config.inner_tol * (1.0 + abs(log_lik)))
+    model = HawkesModel(mu, SumExpKernel(alpha, decays))
     return FitResult(
         model=model,
-        log_lik=float(-f_opt),
+        log_lik=log_lik,
         kernel_norm_matrix=kernel_norms(model),
         converged=converged,
-        inner_iterations=int(res.nit),
+        inner_iterations=steps,
         outer_iterations=0,
         optimizer_trace=trace,
         messages=tuple(messages),
@@ -370,7 +369,7 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
             if inner.log_lik > best["l"]:
                 best["l"] = inner.log_lik
                 best["result"] = inner
-        except Exception as exc:  # vertex scored as -inf profile likelihood
+        except (HawkesError, np.linalg.LinAlgError, FloatingPointError) as exc:  # -inf vertex
             failures.append(f"decays {decays.round(6).tolist()}: {exc}")
             value = np.inf
         cache[key] = value

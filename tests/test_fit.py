@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockhawkes import (
     EventSequence,
@@ -20,7 +24,7 @@ from blockhawkes import (
 )
 from blockhawkes.errors import DegenerateComponentWarning, InvalidInputError
 
-from conftest import random_sequence, random_sumexp_model
+from conftest import BENCH_ALPHA, BENCH_DECAYS, BENCH_MU, random_sequence, random_sumexp_model
 
 
 def simulate_univariate(mu=1.0, alpha=0.8, beta=1.2, horizon=1000.0, seed=0):
@@ -131,6 +135,95 @@ class TestFitGivenDecays:
         assert np.all(result.model.kernel.alpha[:, 2, :] == 0.0)
         assert result.messages
 
+    @pytest.mark.filterwarnings("ignore::blockhawkes.errors.StationarityWarning")
+    def test_structural_zero_columns_pinned(self):
+        # Component 1 fires only before component 2 does, and component 3
+        # never fires: the design columns for 2 -> 1 and 3 -> anything are
+        # all zero, which leaves the Hessian singular unless pinned.
+        rng = np.random.default_rng(12)
+        first = np.sort(rng.uniform(0.0, 25.0, 60))
+        second = np.sort(rng.uniform(25.0, 50.0, 60))
+        seq = EventSequence(
+            np.concatenate([first, second]), np.repeat([1, 2], 60), 50.0, 3
+        )
+        with pytest.warns(DegenerateComponentWarning):
+            result = fit_given_decays(seq, [0.5, 4.0])
+        alpha = result.model.kernel.alpha
+        assert result.converged
+        assert result.model.mu[2] == 1e-10
+        assert np.all(alpha[:, 2, :] == 0.0)
+        assert np.all(alpha[:, :, 2] == 0.0)
+        assert np.all(alpha[:, 0, 1] == 0.0)
+
+    def test_inner_trace_and_iteration_count(self):
+        _, seq = simulate_univariate(seed=9, horizon=400.0)
+        result = fit_given_decays(seq, [1.2])
+        values = [l for _, l in result.optimizer_trace]
+        assert result.converged and not result.messages
+        assert [k for k, _ in result.optimizer_trace] == list(range(1, result.inner_iterations + 1))
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert values[-1] == pytest.approx(result.log_lik, rel=1e-12)
+
+    def test_step_cap_reported(self):
+        _, seq = simulate_univariate(seed=9, horizon=400.0)
+        config = FitConfig(num_decays=1, decay_init=(1.2,), inner_max_iter=2)
+        result = fit_given_decays(seq, [1.2], config)
+        assert result.inner_iterations == 2
+        assert not result.converged
+        assert any("2-step cap" in msg for msg in result.messages)
+
+    # Log-likelihoods reached by the former L-BFGS-B inner solve at the same
+    # decays; the Newton solve must do at least as well.
+    @pytest.mark.parametrize("case, reference", [
+        ("bench", 6653.973131768578),
+        ("random", -355.5661872897672),
+    ])
+    def test_not_below_former_solver(self, case, reference):
+        if case == "bench":
+            model = HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS))
+            seq, decays = simulate(SimConfig(model, 20.0, seed=5)), [1.0, 8.0, 30.0]
+        else:
+            model = random_sumexp_model(np.random.default_rng(7), dim=2, num_decays=2)
+            seq, decays = simulate(SimConfig(model, 300.0, seed=11)), [0.7, 12.6]
+        result = fit_given_decays(seq, decays)
+        assert result.converged
+        assert result.log_lik >= reference - 1e-9 * abs(reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        num_decays=st.integers(min_value=1, max_value=2),
+        n=st.integers(min_value=5, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_kkt_at_inner_optimum(self, dim, num_decays, n, seed):
+        rng = np.random.default_rng(seed)
+        seq = random_sequence(rng, dim=dim, n=n, horizon=float(rng.uniform(5.0, 200.0)))
+        decays = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(1e3), num_decays)))
+        config = FitConfig(num_decays=num_decays, decay_init=tuple(decays))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = fit_given_decays(seq, decays, config)
+        mu, alpha = result.model.mu, result.model.kernel.alpha
+        assert np.all(mu >= 1e-10) and np.all(alpha >= 0.0)
+
+        l, dmu, dalpha = loglik_and_grad(seq, decays, mu, alpha)
+        pg = np.concatenate([
+            np.where((mu <= 1e-10) & (dmu < 0), 0.0, dmu),
+            np.where((alpha <= 0.0) & (dalpha < 0), 0.0, dalpha).ravel(),
+        ])
+        assert result.converged
+        assert np.max(np.abs(pg)) <= config.inner_tol * (1.0 + abs(l))
+
+        # Concavity bounds l(theta') by l + g.(theta' - theta); beyond that
+        # first-order term only rounding may favor a feasible perturbation.
+        for _ in range(20):
+            mu_p = np.maximum(mu + rng.normal(0.0, 0.1, mu.shape) * (mu + 0.1), 1e-10)
+            alpha_p = np.maximum(alpha + rng.normal(0.0, 0.1, alpha.shape) * (alpha + 0.1), 0.0)
+            l_p, _, _ = loglik_and_grad(seq, decays, mu_p, alpha_p)
+            shift = np.abs(mu_p - mu).sum() + np.abs(alpha_p - alpha).sum()
+            assert l >= l_p - np.max(np.abs(pg)) * shift - 1e-12 * (1.0 + abs(l))
+
     def test_reproducible(self):
         _, seq = simulate_univariate(seed=8, horizon=400.0)
         a = fit_given_decays(seq, [1.2])
@@ -202,6 +295,20 @@ class TestFitFull:
 
         monkeypatch.setattr(fit_module, "fit_given_decays", always_fails)
         with pytest.raises(FittingError, match="every simplex evaluation failed"):
+            fit_module.fit_full(seq, FitConfig(num_decays=1, decay_init=(1.0,)))
+
+    def test_inner_solver_bug_propagates(self, monkeypatch):
+        # Only typed toolkit and linear-algebra failures score a vertex as
+        # -inf; anything else is a defect and must surface.
+        from blockhawkes import fit as fit_module
+
+        _, seq = simulate_univariate(seed=16, horizon=100.0)
+
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic solver defect")
+
+        monkeypatch.setattr(fit_module, "_newton_component", broken)
+        with pytest.raises(TypeError, match="synthetic solver defect"):
             fit_module.fit_full(seq, FitConfig(num_decays=1, decay_init=(1.0,)))
 
     def test_two_decay_norm_recovery(self):
