@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -170,6 +171,11 @@ _JUMP_OPTIONS = {
 }
 
 
+def _jump_config(opts: dict) -> JumpConfig:
+    """The jump-detection settings among the effective options."""
+    return JumpConfig(**{f.name: opts[f.name] for f in fields(JumpConfig)})
+
+
 def cmd_extract_jumps(args) -> int:
     try:
         opts = _effective_options(args, _JUMP_OPTIONS)
@@ -177,14 +183,8 @@ def cmd_extract_jumps(args) -> int:
     except (ParseError, ConfigError, OSError) as exc:
         return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
     try:
-        config = JumpConfig(
-            window_hours=opts["window_hours"],
-            q_low=opts["q_low"],
-            q_high=opts["q_high"],
-            min_history=opts["min_history"],
-        )
         returns, gaps = log_returns(bars)
-        up, down = extract_jumps(returns, config)
+        up, down = extract_jumps(returns, _jump_config(opts))
         start = parse_timestamp(opts["start"]) if opts["start"] else bars[0].timestamp
         end = parse_timestamp(opts["end"]) if opts["end"] else bars[-1].timestamp
         seq, dropped = build_trivariate([], up, down, (start, end))
@@ -207,14 +207,8 @@ def cmd_build_events(args) -> int:
         return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
     try:
         cleaned, report = clean_blocks(blocks)
-        config = JumpConfig(
-            window_hours=opts["window_hours"],
-            q_low=opts["q_low"],
-            q_high=opts["q_high"],
-            min_history=opts["min_history"],
-        )
         returns, _ = log_returns(bars)
-        up, down = extract_jumps(returns, config)
+        up, down = extract_jumps(returns, _jump_config(opts))
         start = parse_timestamp(opts["start"]) if opts["start"] else cleaned[0].timestamp
         end = parse_timestamp(opts["end"]) if opts["end"] else cleaned[-1].timestamp
         seq, dropped = build_trivariate(cleaned, up, down, (start, end))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 from scipy import integrate
@@ -32,7 +33,7 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .events import EventSequence
-from .kernels import ExponentialKernel, KernelSpec, PowerLawKernel, SumExpKernel
+from .kernels import KernelSpec
 
 INTENSITY_FLOOR = 1e-300
 
@@ -58,6 +59,8 @@ class HawkesModel:
             raise InvalidInputError(f"mu must be a vector, got shape {mu.shape}")
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
             raise InvalidInputError("background rates must be finite and > 0")
+        if not isinstance(self.kernel, get_args(KernelSpec)):
+            raise UnsupportedKernelError(f"unknown kernel type {type(self.kernel).__name__}")
         if self.kernel.dim != mu.shape[0]:
             raise InvalidInputError(
                 f"kernel dimension {self.kernel.dim} != len(mu) {mu.shape[0]}"
@@ -90,19 +93,7 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
     if not 0.0 <= t <= seq.horizon:
         raise DomainError(f"t={t} outside the observation window [0, {seq.horizon}]")
     mask = seq.times < t
-    lags = t - seq.times[mask]
-    cols = seq.marks[mask] - 1
-    k = model.kernel
-    if isinstance(k, ExponentialKernel):
-        contrib = k.alpha[i - 1, cols] * np.exp(-k.beta[i - 1, cols] * lags)
-    elif isinstance(k, SumExpKernel):
-        contrib = np.zeros_like(lags)
-        for u in range(k.num_decays):
-            contrib += k.alpha[u, i - 1, cols] * np.exp(-k.decays[u] * lags)
-    elif isinstance(k, PowerLawKernel):
-        contrib = k.alpha[i - 1, cols] * (k.c[i - 1, cols] + lags) ** (-k.beta[i - 1, cols])
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(k).__name__}")
+    contrib = model.kernel.phi(i, seq.marks[mask], t - seq.times[mask])
     return float(model.mu[i - 1] + contrib.sum())
 
 
@@ -150,17 +141,18 @@ def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
 def intensity_recursive(model: HawkesModel, seq: EventSequence):
     """Intensities lambda_{d_k}(t_k) at every event, in O(n m U).
 
-    Requires a :class:`SumExpKernel` (shared decays are what make the
-    excitation a finite Markov state).  Returns ``(lambdas, end_state)``
-    where ``end_state[u, j]`` is the excitation state decayed to the
-    horizon; ``lambdas`` agrees with :func:`intensity_naive` at every event
-    time up to accumulation error.
+    Works for any exponential kernel, through its shared-decay form
+    ``kernel.sumexp()`` (shared decays are what make the excitation a
+    finite Markov state).  Returns ``(lambdas, end_state)`` where
+    ``end_state[u, j]`` is the excitation state of decay ``u`` of that form
+    decayed to the horizon; ``lambdas`` agrees with :func:`intensity_naive`
+    at every event time up to accumulation error.
     """
-    k = model.kernel
-    if not isinstance(k, SumExpKernel):
+    k = model.kernel.sumexp()
+    if k is None:
         raise UnsupportedKernelError(
-            "recursive evaluation needs shared decays (SumExpKernel); "
-            f"got {type(k).__name__}"
+            "recursive evaluation needs an exponential kernel; "
+            f"got {type(model.kernel).__name__}"
         )
     _check_pair(model, seq, 1)
     S, _, end_state = _sumexp_event_states(seq, k.decays)
@@ -174,35 +166,15 @@ def intensity_recursive(model: HawkesModel, seq: EventSequence):
 def compensator(model: HawkesModel, seq: EventSequence, i: int, t: float) -> float:
     """Integrated intensity Lambda_i(t) = int_0^t lambda_i(s) ds.
 
-    Closed form for the exponential families; for the power law the exact
-    per-event antiderivative
-    ``alpha/(beta-1) * (c^(1-beta) - (c + t - t_k)^(1-beta))``
-    is used.  Nondecreasing in t with Lambda_i(0) = 0.
+    Sums the closed-form per-event integrals ``kernel.phi_integral`` over
+    events before ``t``.  Nondecreasing in t with Lambda_i(0) = 0.
     """
     _check_pair(model, seq, i)
     t = float(t)
     if not 0.0 <= t <= seq.horizon:
         raise DomainError(f"t={t} outside the observation window [0, {seq.horizon}]")
     mask = seq.times < t
-    lags = t - seq.times[mask]
-    cols = seq.marks[mask] - 1
-    k = model.kernel
-    if isinstance(k, ExponentialKernel):
-        a = k.alpha[i - 1, cols]
-        b = k.beta[i - 1, cols]
-        total = np.sum(a / b * (1.0 - np.exp(-b * lags)))
-    elif isinstance(k, SumExpKernel):
-        total = 0.0
-        for u in range(k.num_decays):
-            b = k.decays[u]
-            total += np.sum(k.alpha[u, i - 1, cols] / b * (1.0 - np.exp(-b * lags)))
-    elif isinstance(k, PowerLawKernel):
-        a = k.alpha[i - 1, cols]
-        c = k.c[i - 1, cols]
-        b = k.beta[i - 1, cols]
-        total = np.sum(a / (b - 1.0) * (c ** (1.0 - b) - (c + lags) ** (1.0 - b)))
-    else:
-        raise UnsupportedKernelError(f"unknown kernel type {type(k).__name__}")
+    total = model.kernel.phi_integral(i, seq.marks[mask], t - seq.times[mask]).sum()
     return float(model.mu[i - 1] * t + total)
 
 
@@ -250,19 +222,19 @@ def compensator_quadrature(
 def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:
     """Log-likelihood: sum_k ln lambda_{d_k}(t_k) - sum_i Lambda_i(T).
 
-    Uses the O(n) recursive evaluator for sum-of-exponentials kernels and
-    direct summation otherwise.  Raises
+    Uses the O(n) recursive evaluator for any exponential kernel and direct
+    summation otherwise.  Raises
     :class:`~blockhawkes.errors.LikelihoodUndefinedError` if any event's
     intensity falls below the 1e-300 floor (surfacing optimizer
     pathologies instead of returning -inf).
     """
     _check_pair(model, seq, 1)
-    if isinstance(model.kernel, SumExpKernel):
-        lambdas, _ = intensity_recursive(model, seq)
-    else:
+    if model.kernel.sumexp() is None:
         lambdas = np.array(
             [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]
         )
+    else:
+        lambdas, _ = intensity_recursive(model, seq)
     if lambdas.size:
         bad = np.nonzero(lambdas < INTENSITY_FLOOR)[0]
         if bad.size:

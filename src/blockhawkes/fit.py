@@ -29,7 +29,7 @@ from scipy import optimize
 from .core import HawkesModel, _sumexp_event_states, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence
-from .kernels import SumExpKernel
+from .kernels import SumExpKernel, exp_integral
 
 MU_FLOOR = 1e-10
 ARMIJO = 1e-4
@@ -43,9 +43,6 @@ class FitConfig:
     ascending).  ``inner_max_iter`` caps the Newton steps of each
     component's inner solve; ``inner_tol`` is the contract's stationarity
     target, a projected gradient of at most ``inner_tol * (1 + |l|)``.
-    ``constraint_mode`` names the constraint handling for the inner problem
-    -- only ``"projection"`` (box bounds: mu >= 1e-10, alpha >= 0, kept by
-    box-constrained Newton steps) is implemented.
     """
 
     num_decays: int = 3
@@ -54,7 +51,6 @@ class FitConfig:
     outer_max_iter: int = 150
     inner_tol: float = 1e-6
     outer_tol: float = 1e-2
-    constraint_mode: str = "projection"
 
     def __post_init__(self):
         init = np.sort(np.asarray(self.decay_init, dtype=float))
@@ -70,11 +66,6 @@ class FitConfig:
             raise InvalidInputError("iteration budgets must be >= 0")
         if self.inner_tol <= 0 or self.outer_tol <= 0:
             raise InvalidInputError("tolerances must be > 0")
-        if self.constraint_mode != "projection":
-            raise InvalidInputError(
-                f"unsupported constraint_mode {self.constraint_mode!r}; "
-                "only 'projection' is implemented"
-            )
         object.__setattr__(self, "decay_init", tuple(init))
 
 
@@ -149,15 +140,14 @@ def _design(seq: EventSequence, decays: np.ndarray):
     Returns per-component design matrices X[i] of shape (n_i, U*m) with the
     recursion states at component-i events, and the flattened compensator
     weights Mvec[u*m + j] = sum over component-j events of
-    (1 - exp(-b_u (T - t_k))) / b_u.
+    the integral of exp(-b_u s) over [0, T - t_k].
     """
     S, _, _ = _sumexp_event_states(seq, decays)
     U, m = decays.size, seq.dim
     lags = seq.horizon - seq.times
     M = np.zeros((U, m))
     for u, b in enumerate(decays):
-        w = (1.0 - np.exp(-b * lags)) / b
-        M[u] = np.bincount(seq.marks - 1, weights=w, minlength=m)
+        M[u] = np.bincount(seq.marks - 1, weights=exp_integral(b, lags), minlength=m)
     X = []
     for i in range(m):
         rows = S[seq.marks == i + 1]

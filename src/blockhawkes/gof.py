@@ -24,7 +24,6 @@ from scipy import special
 from .core import HawkesModel, _sumexp_event_states, compensator
 from .errors import InvalidInputError, UndefinedSlopeError
 from .events import EventSequence
-from .kernels import SumExpKernel
 
 MODEL_LABELS = ("hawkes", "poisson")
 
@@ -58,29 +57,24 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     if model.dim != seq.dim:
         raise InvalidInputError(f"model dimension {model.dim} != sequence {seq.dim}")
     out = []
-    kernel = model.kernel
-    if isinstance(kernel, SumExpKernel):
+    kernel = model.kernel.sumexp()
+    if kernel is not None:
         S, C, _ = _sumexp_event_states(seq, kernel.decays)
-        # Lambda_i(t_k) = mu_i t_k + sum_{u,j} alpha[u,i,j] (C[k,j]-S[k,u,j])/b_u
         inv_b = 1.0 / kernel.decays
-        for i in range(1, model.dim + 1):
-            rows = seq.marks == i
-            if rows.sum() < 2:
-                out.append(np.empty(0))
-                continue
+    for i in range(1, model.dim + 1):
+        rows = seq.marks == i
+        if rows.sum() < 2:
+            out.append(np.empty(0))
+            continue
+        if kernel is None:
+            taus = np.array([compensator(model, seq, i, t) for t in seq.times[rows]])
+        else:
+            # Lambda_i(t_k) = mu_i t_k + sum_{u,j} alpha[u,i,j] (C[k,j]-S[k,u,j])/b_u
             weights = kernel.alpha[:, i - 1, :] * inv_b[:, None]  # (U, m)
             taus = model.mu[i - 1] * seq.times[rows] + np.einsum(
                 "kuj,uj->k", C[rows][:, None, :] - S[rows], weights
             )
-            out.append(np.diff(taus, prepend=0.0))
-    else:
-        for i in range(1, model.dim + 1):
-            times_i = seq.component_times(i)
-            if times_i.size < 2:
-                out.append(np.empty(0))
-                continue
-            taus = np.array([compensator(model, seq, i, t) for t in times_i])
-            out.append(np.diff(taus, prepend=0.0))
+        out.append(np.diff(taus, prepend=0.0))
     return out
 
 

@@ -10,8 +10,12 @@ supported:
 * :class:`PowerLawKernel`      phi_ij(t) = alpha_ij * (c_ij + t)^(-beta_ij),
   integrable only for beta_ij > 1
 
-Only the exponential families admit O(n) recursive likelihood evaluation;
-the power-law kernel is supported for evaluation and simulation.
+Each kernel answers ``phi``, its integral ``phi_integral`` over [0, lag],
+and ``sumexp()``, the equivalent :class:`SumExpKernel` or ``None``.  Only
+the exponential families have that finite Markov state and so admit O(n)
+recursive evaluation; :class:`ExponentialKernel` maps onto it with one
+shared decay per distinct beta.  The power-law kernel keeps the event
+history for evaluation and simulation.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ def _as_matrix(x, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be finite")
     a.flags.writeable = False
     return a
+
+
+def exp_integral(b, lags) -> np.ndarray:
+    """Integral of exp(-b s) over [0, lag]; exact even when b * lag is tiny."""
+    return -np.expm1(-b * lags) / b
 
 
 @dataclass(frozen=True)
@@ -57,14 +66,25 @@ class ExponentialKernel:
     def dim(self) -> int:
         return self.alpha.shape[0]
 
-    def phi(self, i: int, j: int, lags) -> np.ndarray:
-        """Evaluate phi_ij at nonnegative lags (1-based i, j)."""
+    def phi(self, i: int, j, lags) -> np.ndarray:
+        """Evaluate phi_ij at nonnegative lags (1-based i; j a mark or marks)."""
         lags = np.asarray(lags, dtype=float)
         return self.alpha[i - 1, j - 1] * np.exp(-self.beta[i - 1, j - 1] * lags)
+
+    def phi_integral(self, i: int, j, lags) -> np.ndarray:
+        """Integral of phi_ij over [0, lag]."""
+        lags = np.asarray(lags, dtype=float)
+        return self.alpha[i - 1, j - 1] * exp_integral(self.beta[i - 1, j - 1], lags)
 
     def norms(self) -> np.ndarray:
         """Integral of each phi_ij over [0, inf): alpha / beta."""
         return self.alpha / self.beta
+
+    def sumexp(self) -> SumExpKernel:
+        """The same kernel with one shared decay per distinct beta."""
+        decays = np.unique(self.beta)
+        alpha = np.where(self.beta == decays[:, None, None], self.alpha, 0.0)
+        return SumExpKernel(alpha, decays)
 
 
 @dataclass(frozen=True)
@@ -106,16 +126,26 @@ class SumExpKernel:
     def num_decays(self) -> int:
         return self.alpha.shape[0]
 
-    def phi(self, i: int, j: int, lags) -> np.ndarray:
+    def phi(self, i: int, j, lags) -> np.ndarray:
         lags = np.asarray(lags, dtype=float)
         out = np.zeros_like(lags, dtype=float)
         for u in range(self.num_decays):
             out += self.alpha[u, i - 1, j - 1] * np.exp(-self.decays[u] * lags)
         return out
 
+    def phi_integral(self, i: int, j, lags) -> np.ndarray:
+        lags = np.asarray(lags, dtype=float)
+        out = np.zeros_like(lags, dtype=float)
+        for u in range(self.num_decays):
+            out += self.alpha[u, i - 1, j - 1] * exp_integral(self.decays[u], lags)
+        return out
+
     def norms(self) -> np.ndarray:
         """sum_u alpha^u / beta^u."""
         return np.tensordot(1.0 / self.decays, self.alpha, axes=(0, 0))
+
+    def sumexp(self) -> SumExpKernel:
+        return self
 
 
 @dataclass(frozen=True)
@@ -146,14 +176,24 @@ class PowerLawKernel:
     def dim(self) -> int:
         return self.alpha.shape[0]
 
-    def phi(self, i: int, j: int, lags) -> np.ndarray:
+    def phi(self, i: int, j, lags) -> np.ndarray:
         lags = np.asarray(lags, dtype=float)
         a = self.alpha[i - 1, j - 1]
         return a * (self.c[i - 1, j - 1] + lags) ** (-self.beta[i - 1, j - 1])
 
+    def phi_integral(self, i: int, j, lags) -> np.ndarray:
+        """alpha/(beta-1) * (c^(1-beta) - (c + lag)^(1-beta))."""
+        lags = np.asarray(lags, dtype=float)
+        a, c, b = self.alpha[i - 1, j - 1], self.c[i - 1, j - 1], self.beta[i - 1, j - 1]
+        return a / (b - 1.0) * (c ** (1.0 - b) - (c + lags) ** (1.0 - b))
+
     def norms(self) -> np.ndarray:
         """alpha * c^(1-beta) / (beta - 1)."""
         return self.alpha * self.c ** (1.0 - self.beta) / (self.beta - 1.0)
+
+    def sumexp(self) -> None:
+        """No finite Markov state: evaluation keeps the event history."""
+        return None
 
 
 KernelSpec = Union[ExponentialKernel, SumExpKernel, PowerLawKernel]

@@ -22,7 +22,7 @@ import numpy as np
 from .core import HawkesModel, spectral_radius
 from .errors import InvalidInputError, SimulationTruncatedError, StabilityError
 from .events import EventSequence
-from .kernels import ExponentialKernel, PowerLawKernel, SumExpKernel
+from .kernels import PowerLawKernel, SumExpKernel
 
 
 @dataclass(frozen=True)
@@ -47,26 +47,6 @@ class SimConfig:
             raise InvalidInputError("max_events must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
-
-
-class _ExpState:
-    """Excitation sums S_ij(t) for per-pair exponential decays."""
-
-    def __init__(self, kernel: ExponentialKernel, mu: np.ndarray):
-        self.alpha = kernel.alpha
-        self.beta = kernel.beta
-        self.mu = mu
-        self.s = np.zeros_like(kernel.alpha)
-        self.last_t = 0.0
-
-    def intensities_at(self, t: float) -> np.ndarray:
-        decayed = self.s * np.exp(-self.beta * (t - self.last_t))
-        return self.mu + (self.alpha * decayed).sum(axis=1)
-
-    def register(self, t: float, mark: int):
-        self.s *= np.exp(-self.beta * (t - self.last_t))
-        self.s[:, mark - 1] += 1.0
-        self.last_t = t
 
 
 class _SumExpState:
@@ -102,12 +82,9 @@ class _PowerLawState:
         lam = self.mu.copy()
         if self.times:
             lags = t - np.asarray(self.times)
-            cols = np.asarray(self.marks) - 1
-            k = self.kernel
-            for i in range(k.dim):
-                lam[i] += np.sum(
-                    k.alpha[i, cols] * (k.c[i, cols] + lags) ** (-k.beta[i, cols])
-                )
+            marks = np.asarray(self.marks)
+            for i in range(lam.size):
+                lam[i] += np.sum(self.kernel.phi(i + 1, marks, lags))
         return lam
 
     def register(self, t: float, mark: int):
@@ -116,12 +93,10 @@ class _PowerLawState:
 
 
 def _make_state(model: HawkesModel):
-    k = model.kernel
-    if isinstance(k, ExponentialKernel):
-        return _ExpState(k, model.mu)
-    if isinstance(k, SumExpKernel):
-        return _SumExpState(k, model.mu)
-    return _PowerLawState(k, model.mu)
+    kernel = model.kernel.sumexp()
+    if kernel is None:
+        return _PowerLawState(model.kernel, model.mu)
+    return _SumExpState(kernel, model.mu)
 
 
 def simulate(config: SimConfig) -> EventSequence:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockhawkes import (
     EventSequence,
@@ -16,6 +18,7 @@ from blockhawkes import (
     log_likelihood,
     simulate,
     spectral_radius,
+    time_rescale,
 )
 from blockhawkes.errors import (
     DomainError,
@@ -30,6 +33,19 @@ from conftest import random_sequence, random_sumexp_model
 
 def single_exp_model(mu=1.0, alpha=2.0, beta=1.0):
     return HawkesModel([mu], ExponentialKernel([[alpha]], [[beta]]))
+
+
+class TestHawkesModel:
+    def test_kernel_is_kept_as_passed(self):
+        kernel = ExponentialKernel([[0.5]], [[2.0]])
+        assert HawkesModel([1.0], kernel).kernel is kernel
+
+    def test_unknown_kernel_type_rejected(self):
+        class ForeignKernel:
+            dim = 1
+
+        with pytest.raises(UnsupportedKernelError):
+            HawkesModel([1.0], ForeignKernel())
 
 
 class TestIntensityNaive:
@@ -98,8 +114,9 @@ class TestIntensityRecursive:
             np.testing.assert_allclose(lambdas, naive, rtol=1e-10, atol=1e-10)
 
     def test_requires_shared_decays(self):
+        model = HawkesModel([1.0], PowerLawKernel([[0.5]], [[1.0]], [[2.0]]))
         with pytest.raises(UnsupportedKernelError):
-            intensity_recursive(single_exp_model(), EventSequence([], [], 1.0, 1))
+            intensity_recursive(model, EventSequence([], [], 1.0, 1))
 
     def test_end_state_decayed_to_horizon(self):
         model = HawkesModel([1.0], SumExpKernel(np.array([[[2.0]]]), [1.5]))
@@ -128,6 +145,16 @@ class TestCompensator:
         grid = np.linspace(0, seq.horizon, 60)
         values = [compensator(model, seq, 2, t) for t in grid]
         assert np.all(np.diff(values) >= 0)
+
+    def test_tiny_decay_has_no_cancellation(self):
+        # (1 - exp(-b lag)) / b is exactly 0 once b * lag < 1.1e-16.
+        seq = EventSequence([1.0, 2.0, 4.0], [1, 1, 1], 10.0, 1)
+        for kernel in (
+            SumExpKernel(np.array([[[0.5]]]), [1e-20]),
+            ExponentialKernel([[0.5]], [[1e-20]]),
+        ):
+            model = HawkesModel([1.0], kernel)
+            np.testing.assert_allclose(compensator(model, seq, 1, 10.0), 21.5, rtol=1e-14)
 
     def test_closed_form_matches_quadrature_sumexp(self):
         rng = np.random.default_rng(17)
@@ -209,6 +236,46 @@ class TestLogLikelihood:
         with pytest.raises(LikelihoodUndefinedError) as err:
             log_likelihood(model, seq)
         assert err.value.event_index == 0
+
+
+class TestPerPairExponentialPath:
+    """ExponentialKernel runs on the shared-decay recursion; the naive
+    per-pair sums (intensity_naive, compensator) are the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        distinct_betas=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=0, max_value=250),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_recursive_paths_match_naive_oracle(self, dim, distinct_betas, n, seed):
+        rng = np.random.default_rng(seed)
+        # A small pool of decays makes ties among the pairs likely.
+        pool = np.exp(rng.uniform(np.log(0.1), np.log(50.0), distinct_betas))
+        beta = rng.choice(pool, (dim, dim))
+        alpha = rng.uniform(0.0, 1.0, (dim, dim)) * beta / dim
+        model = HawkesModel(rng.uniform(0.3, 2.0, dim), ExponentialKernel(alpha, beta))
+        seq = random_sequence(rng, dim=dim, n=n, horizon=float(rng.uniform(5.0, 100.0)))
+
+        naive = np.array(
+            [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]
+        )
+        lambdas, _ = intensity_recursive(model, seq)
+        np.testing.assert_allclose(lambdas, naive, rtol=1e-10)
+
+        slow = np.log(naive).sum() - sum(
+            compensator(model, seq, i, seq.horizon) for i in range(1, dim + 1)
+        )
+        np.testing.assert_allclose(log_likelihood(model, seq), slow, rtol=1e-10)
+
+        for i, rescaled in enumerate(time_rescale(model, seq), start=1):
+            times_i = seq.component_times(i)
+            if times_i.size < 2:
+                assert rescaled.size == 0
+                continue
+            taus = [compensator(model, seq, i, t) for t in times_i]
+            np.testing.assert_allclose(np.cumsum(rescaled), taus, rtol=1e-10)
 
 
 class TestKernelNorms:

@@ -45,12 +45,14 @@ class TestFitConfig:
         with pytest.raises(InvalidInputError):
             FitConfig(num_decays=2, decay_init=(1.0, 1.0))
 
-    def test_unknown_constraint_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            FitConfig(constraint_mode="penalty")
-
 
 class TestGradient:
+    def test_tiny_decay_compensator_weights_exact(self):
+        # (1 - exp(-b lag)) / b is exactly 0 once b * lag < 1.1e-16.
+        seq = EventSequence([1.0, 2.0, 4.0], [1, 1, 1], 10.0, 1)
+        ll, _, dalpha = loglik_and_grad(seq, [1e-20], [1.0], [[[0.5]]])
+        np.testing.assert_allclose(ll, np.log(1.5) + np.log(2.0) - 21.5, rtol=1e-14)
+        np.testing.assert_allclose(dalpha, [[[1.0 / 1.5 + 1.0 - 23.0]]], rtol=1e-14)
     def test_matches_central_differences(self):
         rng = np.random.default_rng(41)
         seq = random_sequence(rng, dim=2, n=200, horizon=80.0)

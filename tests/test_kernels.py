@@ -22,6 +22,20 @@ class TestExponential:
         with pytest.raises(InvalidInputError):
             ExponentialKernel([[1.0]], [[0.0]])
 
+    def test_sumexp_form_is_the_same_kernel(self):
+        # Tied betas share one decay of the shared-decay form.
+        k = ExponentialKernel([[1.0, 2.0], [0.5, 4.0]], [[2.0, 4.0], [2.0, 8.0]])
+        s = k.sumexp()
+        np.testing.assert_array_equal(s.decays, [2.0, 4.0, 8.0])
+        np.testing.assert_allclose(s.norms(), k.norms(), rtol=1e-15)
+        lags = np.array([0.0, 0.3, 2.0])
+        for i in (1, 2):
+            for j in (1, 2):
+                np.testing.assert_allclose(s.phi(i, j, lags), k.phi(i, j, lags), rtol=1e-15)
+                np.testing.assert_allclose(
+                    s.phi_integral(i, j, lags), k.phi_integral(i, j, lags), rtol=1e-15
+                )
+
 
 class TestSumExp:
     def test_phi_is_sum_of_terms(self):
@@ -43,6 +57,10 @@ class TestSumExp:
         sum_k = SumExpKernel(alpha[None, :, :], [beta])
         exp_k = ExponentialKernel(alpha, np.full((2, 2), beta))
         np.testing.assert_allclose(sum_k.norms(), exp_k.norms())
+
+    def test_sumexp_form_is_itself(self):
+        k = SumExpKernel(np.array([[[1.0]]]), [2.0])
+        assert k.sumexp() is k
 
     def test_decays_must_increase(self):
         with pytest.raises(InvalidInputError, match="increasing"):
