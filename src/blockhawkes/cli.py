@@ -243,17 +243,10 @@ def cmd_fit(args) -> int:
         seq = read_events_csv(args.events_csv, horizon=opts["horizon"], dim=opts["dim"])
     except (ParseError, ConfigError, OSError, InvalidInputError) as exc:
         return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
-    decay_init = tuple(opts["decay_init"])
-    if len(decay_init) != opts["num_decays"]:
-        return _fail(
-            EXIT_PARSE,
-            f"--decay-init holds {len(decay_init)} values but --num-decays is "
-            f"{opts['num_decays']}; pass matching values",
-        )
     try:
         config = FitConfig(
             num_decays=opts["num_decays"],
-            decay_init=decay_init,
+            decay_init=tuple(opts["decay_init"]),
             inner_max_iter=opts["inner_max_iter"],
             outer_max_iter=opts["outer_max_iter"],
             inner_tol=opts["inner_tol"],

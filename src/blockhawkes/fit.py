@@ -29,7 +29,7 @@ from scipy import optimize
 from .core import HawkesModel, _sumexp_event_states, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence
-from .kernels import SumExpKernel, exp_integral
+from .kernels import SumExpKernel
 
 MU_FLOOR = 1e-10
 ARMIJO = 1e-4
@@ -139,20 +139,14 @@ def _design(seq: EventSequence, decays: np.ndarray):
 
     Returns per-component design matrices X[i] of shape (n_i, U*m) with the
     recursion states at component-i events, and the flattened compensator
-    weights Mvec[u*m + j] = sum over component-j events of
-    the integral of exp(-b_u s) over [0, T - t_k].
+    weights Mvec[u*m + j], the integrated state at the horizon: the sum
+    over component-j events of the integral of exp(-b_u s) over
+    [0, T - t_k].  Both come from one :func:`_sumexp_event_states` call.
     """
-    S, _, _ = _sumexp_event_states(seq, decays)
+    S, I = _sumexp_event_states(seq, decays)
     U, m = decays.size, seq.dim
-    lags = seq.horizon - seq.times
-    M = np.zeros((U, m))
-    for u, b in enumerate(decays):
-        M[u] = np.bincount(seq.marks - 1, weights=exp_integral(b, lags), minlength=m)
-    X = []
-    for i in range(m):
-        rows = S[seq.marks == i + 1]
-        X.append(np.ascontiguousarray(rows.reshape(rows.shape[0], U * m)))
-    return X, M.reshape(U * m)
+    X = [S[..., :-1][..., seq.marks == i + 1].reshape(U * m, -1).T for i in range(m)]
+    return X, I[..., -1].flatten()
 
 
 def _loglik_and_grad(X, Mvec, horizon, mu, alpha):
@@ -246,7 +240,9 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
             t *= 0.5
 
 
-def fit_given_decays(seq: EventSequence, decays, config: FitConfig | None = None) -> FitResult:
+def fit_given_decays(
+    seq: EventSequence, decays, config: FitConfig | None = None, *, warn: bool = True
+) -> FitResult:
     """Maximize the log-likelihood over (mu, alpha) with decays held fixed.
 
     Each component with events is solved on its own by
@@ -255,8 +251,11 @@ def fit_given_decays(seq: EventSequence, decays, config: FitConfig | None = None
     Components with zero events are pinned (mu at the 1e-10 floor, their
     alpha row at 0) with a :class:`DegenerateComponentWarning`; columns
     describing their influence stay at 0 since the data carry no signal
-    about them.  Non-convergence within the iteration budget returns the
-    best iterate with ``converged=False`` rather than raising.
+    about them.  A fitted kernel-norm spectral radius >= 1 gives a
+    :class:`StationarityWarning`.  ``warn=False`` leaves both warnings to
+    the caller; :func:`fit_full` passes it at every vertex.
+    Non-convergence within the iteration budget returns the best iterate
+    with ``converged=False`` rather than raising.
     """
     decays = np.sort(np.asarray(decays, dtype=float))
     if decays.ndim != 1 or decays.size == 0:
@@ -279,7 +278,8 @@ def fit_given_decays(seq: EventSequence, decays, config: FitConfig | None = None
         labels = [int(i + 1) for i in degenerate]
         msg = f"components {labels} have no events; mu and alpha rows pinned to floors"
         messages.append(msg)
-        warnings.warn(msg, DegenerateComponentWarning, stacklevel=2)
+        if warn:
+            warnings.warn(msg, DegenerateComponentWarning, stacklevel=2)
 
     X, Mvec = _design(seq, decays)
     c = np.r_[horizon, Mvec]
@@ -312,7 +312,7 @@ def fit_given_decays(seq: EventSequence, decays, config: FitConfig | None = None
     return FitResult(
         model=model,
         log_lik=log_lik,
-        kernel_norm_matrix=kernel_norms(model),
+        kernel_norm_matrix=kernel_norms(model) if warn else model.kernel.norms(),
         converged=converged,
         inner_iterations=steps,
         outer_iterations=0,
@@ -332,7 +332,10 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
     stay positive through the log parameterization.  The search stops when
     the simplex diameter (in log-decay space) drops below ``outer_tol`` or
     after ``outer_max_iter`` iterations; ``outer_max_iter=0`` returns the
-    inner fit at ``decay_init`` with ``converged=False``.
+    inner fit at ``decay_init`` with ``converged=False``.  The vertices do
+    not warn: a :class:`DegenerateComponentWarning` and a
+    :class:`StationarityWarning` are emitted at most once, for the returned
+    model.
     """
     if config is None:
         config = FitConfig()
@@ -354,7 +357,7 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         if key in cache:
             return cache[key]
         try:
-            inner = fit_given_decays(seq, decays, config)
+            inner = fit_given_decays(seq, decays, config, warn=False)
             value = -inner.log_lik
             if inner.log_lik > best["l"]:
                 best["l"] = inner.log_lik
@@ -400,10 +403,12 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         )
 
     final = best["result"]
+    if np.any(seq.counts() == 0):  # the pinning note leads the messages
+        warnings.warn(final.messages[0], DegenerateComponentWarning, stacklevel=2)
     return FitResult(
         model=final.model,
         log_lik=final.log_lik,
-        kernel_norm_matrix=final.kernel_norm_matrix,
+        kernel_norm_matrix=kernel_norms(final.model),
         converged=bool(res.success) and final.converged,
         inner_iterations=final.inner_iterations,
         outer_iterations=int(res.nit),

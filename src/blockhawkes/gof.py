@@ -59,8 +59,7 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     out = []
     kernel = model.kernel.sumexp()
     if kernel is not None:
-        S, C, _ = _sumexp_event_states(seq, kernel.decays)
-        inv_b = 1.0 / kernel.decays
+        _, I = _sumexp_event_states(seq, kernel.decays)
     for i in range(1, model.dim + 1):
         rows = seq.marks == i
         if rows.sum() < 2:
@@ -69,10 +68,9 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
         if kernel is None:
             taus = np.array([compensator(model, seq, i, t) for t in seq.times[rows]])
         else:
-            # Lambda_i(t_k) = mu_i t_k + sum_{u,j} alpha[u,i,j] (C[k,j]-S[k,u,j])/b_u
-            weights = kernel.alpha[:, i - 1, :] * inv_b[:, None]  # (U, m)
+            # Lambda_i(t_k) = mu_i t_k + sum_{u,j} alpha[u,i,j] I[u,j,k]
             taus = model.mu[i - 1] * seq.times[rows] + np.einsum(
-                "kuj,uj->k", C[rows][:, None, :] - S[rows], weights
+                "ujk,uj->k", I[..., :-1][..., rows], kernel.alpha[:, i - 1, :]
             )
         out.append(np.diff(taus, prepend=0.0))
     return out

@@ -126,10 +126,10 @@ def simulate(config: SimConfig) -> EventSequence:
     times: list[float] = []
     marks: list[int] = []
     t = 0.0
+    # Dominating rate: total intensity just after the last accepted or
+    # rejected point (valid: intensity is nonincreasing between events).
+    bound = float(state.intensities_at(t).sum())
     while True:
-        # Dominating rate: total intensity just after the last accepted or
-        # rejected point (valid: intensity is nonincreasing between events).
-        bound = float(state.intensities_at(t).sum())
         t = t + rng.exponential(1.0 / bound)
         if t > horizon:
             break
@@ -147,4 +147,7 @@ def simulate(config: SimConfig) -> EventSequence:
             times.append(t)
             marks.append(mark)
             state.register(t, mark)
+            bound = float(state.intensities_at(t).sum())
+        else:
+            bound = total  # a rejection leaves the state unchanged
     return EventSequence(np.array(times), np.array(marks), horizon, m)

@@ -113,6 +113,29 @@ class TestIntensityRecursive:
             )
             np.testing.assert_allclose(lambdas, naive, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("decay_horizon", [7.1e4, 1e7, 1e8])
+    def test_exact_at_extreme_decay_horizon_products(self, decay_horizon):
+        # Clusters a few decay lengths wide, spread over the paper's 1416 h
+        # window; the excitation dominates mu at nearly every event, so any
+        # loss of precision in the states shows in the intensities.
+        horizon = 1416.0
+        b = decay_horizon / horizon
+        rng = np.random.default_rng(0)
+        centers = rng.uniform(0.0, horizon - 1.0, (300, 1))
+        times = np.sort((centers + np.cumsum(rng.exponential(1.0 / b, (300, 5)), axis=1)).ravel())
+        seq = EventSequence(times, rng.integers(1, 3, times.size), horizon, 2)
+        alpha = np.array([[[0.4, 0.3], [0.2, 0.5]]]) * b
+        model = HawkesModel([0.01, 0.02], SumExpKernel(alpha, [b]))
+
+        lambdas, _ = intensity_recursive(model, seq)
+        naive = np.array(
+            [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]
+        )
+        np.testing.assert_allclose(lambdas, naive, rtol=1e-10, atol=0)
+        for i, rescaled in enumerate(time_rescale(model, seq), start=1):
+            taus = [compensator(model, seq, i, t) for t in seq.component_times(i)]
+            np.testing.assert_allclose(np.cumsum(rescaled), taus, rtol=1e-10, atol=0)
+
     def test_requires_shared_decays(self):
         model = HawkesModel([1.0], PowerLawKernel([[0.5]], [[1.0]], [[2.0]]))
         with pytest.raises(UnsupportedKernelError):

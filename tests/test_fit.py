@@ -21,8 +21,9 @@ from blockhawkes import (
     model_from_dict,
     model_to_dict,
     simulate,
+    spectral_radius,
 )
-from blockhawkes.errors import DegenerateComponentWarning, InvalidInputError
+from blockhawkes.errors import DegenerateComponentWarning, InvalidInputError, StationarityWarning
 
 from conftest import BENCH_ALPHA, BENCH_DECAYS, BENCH_MU, random_sequence, random_sumexp_model
 
@@ -284,6 +285,19 @@ class TestFitFull:
         assert abs(result.model.mu[0] - truth_mu) / truth_mu <= 0.15
         assert abs(k.alpha[0, 0, 0] - truth_alpha) / truth_alpha <= 0.15
         assert abs(k.decays[0] - truth_beta) / truth_beta <= 0.15
+
+    def test_warns_once_for_the_returned_model(self):
+        rng = np.random.default_rng(2)
+        times = np.sort(rng.uniform(0, 50, 120))
+        marks = rng.integers(1, 3, 120)  # component 3 never fires
+        seq = EventSequence(times, marks, 50.0, 3)
+        with pytest.warns(DegenerateComponentWarning) as record:
+            result = fit_full(seq, FitConfig(num_decays=1, decay_init=(1.0,)))
+        assert result.outer_iterations > 1
+        categories = [w.category for w in record]
+        assert categories.count(DegenerateComponentWarning) == 1
+        rho = spectral_radius(result.kernel_norm_matrix)
+        assert categories.count(StationarityWarning) == int(rho >= 1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf vertices in scipy's fatol check
     def test_all_vertex_failure_raises(self, monkeypatch):

@@ -50,12 +50,23 @@ class TestTimeRescale:
     def test_fast_path_matches_direct_compensator(self):
         rng = np.random.default_rng(62)
         model = random_sumexp_model(rng, dim=2, num_decays=3)
-        seq = random_sequence(rng, dim=2, n=250, horizon=90.0)
-        fast = time_rescale(model, seq)
-        for i in (1, 2):
-            times_i = seq.component_times(i)
-            taus = np.array([compensator(model, seq, i, t) for t in times_i])
-            np.testing.assert_allclose(fast[i - 1], np.diff(taus, prepend=0.0), rtol=1e-9, atol=1e-9)
+        cases = [
+            (model, random_sequence(rng, dim=2, n=250, horizon=90.0)),
+            # b * lag ~ 1e-20: a compensator formed as (count - S) / b loses the
+            # kernel part here.  Cumulative rescaled times are (1, 2.5, 6.5).
+            (
+                HawkesModel([1.0], SumExpKernel(np.array([[[0.5]]]), [1e-20])),
+                EventSequence([1.0, 2.0, 4.0], [1, 1, 1], 10.0, 1),
+            ),
+        ]
+        for model, seq in cases:
+            fast = time_rescale(model, seq)
+            for i in range(1, seq.dim + 1):
+                times_i = seq.component_times(i)
+                taus = np.array([compensator(model, seq, i, t) for t in times_i])
+                np.testing.assert_allclose(
+                    fast[i - 1], np.diff(taus, prepend=0.0), rtol=1e-9, atol=1e-9
+                )
 
     def test_sparse_component_gives_empty(self):
         seq = EventSequence([1.0, 2.0, 3.0], [1, 1, 2], 5.0, 2)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from blockhawkes import (
 )
 from blockhawkes.errors import InvalidInputError, SimulationTruncatedError, StabilityError
 
+from conftest import BENCH_ALPHA, BENCH_DECAYS, BENCH_MU
+
 
 def poisson_model(mu=2.0):
     return HawkesModel([mu], SumExpKernel(np.zeros((1, 1, 1)), [1.0]))
@@ -27,6 +31,24 @@ class TestDeterminism:
         b = simulate(config)
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.marks, b.marks)
+
+    def test_outputs_pinned(self):
+        # SHA-256 of the times and marks for fixed seeds, one model per
+        # simulator state; any change to the thinning draws moves it.
+        exponential = ExponentialKernel([[0.3, 0.1], [0.0, 0.4]], [[1.0, 2.0], [1.5, 3.0]])
+        cases = [
+            (HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS)), 20.0, (1, 2)),
+            (HawkesModel([0.8, 0.5], exponential), 200.0, (3,)),
+            (HawkesModel([1.0], PowerLawKernel([[0.5]], [[1.0]], [[2.0]])), 100.0, (4,)),
+        ]
+        digest = hashlib.sha256()
+        for model, horizon, seeds in cases:
+            for seed in seeds:
+                seq = simulate(SimConfig(model, horizon, seed=seed))
+                digest.update(np.asarray(seq.times, dtype="<f8").tobytes())
+                digest.update(np.asarray(seq.marks, dtype="<i8").tobytes())
+        expected = "6bcc69568c91460bcd9fa15adeac2e7fe3b15bf61421342e5b95177adb83543e"
+        assert digest.hexdigest() == expected
 
     def test_different_seeds_differ(self):
         model = poisson_model()
