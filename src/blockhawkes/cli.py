@@ -2,9 +2,9 @@
 
 Subcommands cover the whole pipeline: ``clean-blocks``, ``extract-jumps``,
 ``build-events``, ``fit``, ``gof`` and ``simulate``.  Every JSON output
-embeds a run manifest (tool version, effective-config digest, input file
-digests, UTC timestamp); outputs are byte-identical across repeated runs
-except for that timestamp.
+embeds a run manifest (tool version, python/numpy/scipy versions,
+effective-config digest, input file digests, UTC timestamp); outputs are
+byte-identical across repeated runs except for that timestamp.
 
 Exit codes: 0 success, 2 input parse/config error, 3 numeric or fitting
 failure, 4 model-validity error.
@@ -20,11 +20,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import spectral_radius
@@ -74,6 +76,11 @@ def _manifest(command: str, effective: dict, inputs) -> dict:
     return {
         "command": command,
         "tool_version": __version__,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config_digest": hashlib.sha256(canonical.encode()).hexdigest(),
         "input_digests": {str(p): _sha256_file(p) for p in inputs},

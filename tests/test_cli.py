@@ -1,6 +1,9 @@
 import json
+import platform
+import re
 
 import numpy as np
+import scipy
 
 from blockhawkes import (
     HawkesModel,
@@ -40,7 +43,7 @@ class TestCleanBlocksCommand:
         assert main(["clean-blocks", str(in_csv), str(out_csv), str(report_json)]) == 0
         report = json.loads(report_json.read_text())
         assert report["counts"] == {"duplicates_dropped": 2, "reordered": 14, "ties": 0}
-        assert "manifest" in report
+        assert set(report["manifest"]["versions"]) == {"python", "numpy", "scipy"}
 
     def test_rerun_on_clean_output_is_identity(self, tmp_path):
         in_csv = tmp_path / "blocks.csv"
@@ -187,6 +190,13 @@ class TestFitCommand:
         assert main(argv[:2] + [str(out2)] + argv[2:]) == 0
         a = json.loads(out1.read_text())
         b = json.loads(out2.read_text())
+        assert a["manifest"]["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        assert stamp.sub("", out1.read_text()) == stamp.sub("", out2.read_text())
         a["manifest"].pop("timestamp")
         b["manifest"].pop("timestamp")
         assert a == b

@@ -1,3 +1,4 @@
+import hashlib
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from blockhawkes import BlockRecord, JumpConfig, PriceBar, build_trivariate, clean_blocks, extract_jumps, log_returns
 from blockhawkes.errors import ConfigError, InvalidInputError, ParseError
-from blockhawkes.ingest import parse_timestamp, read_blocks_csv, read_price_csv, write_blocks_csv
+from blockhawkes.ingest import (
+    _weibull_quantile,
+    parse_timestamp,
+    read_blocks_csv,
+    read_price_csv,
+    write_blocks_csv,
+)
 
 from conftest import messy_block_fixture
 
@@ -35,6 +42,28 @@ class TestTimestampParsing:
     def test_garbage_rejected(self):
         with pytest.raises(InvalidInputError):
             parse_timestamp("yesterday")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1642670761", datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)),
+            (" 1642670761 ", datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)),
+            ("-60", datetime(1969, 12, 31, 23, 59, tzinfo=UTC)),
+            # Eight digits are Unix seconds, never a basic-format date.
+            ("20220101", datetime(1970, 8, 23, 0, 41, 41, tzinfo=UTC)),
+            ("2022-01-20T09:26:01Z", datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)),
+            ("2022-01-20T11:26:01+02:00", datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)),
+            ("2022-01-20 04:26:01-05:00", datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)),
+            ("2022-01-20 09:26:01", datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)),
+            ("2022-01-20T09:26:01.250000", datetime(2022, 1, 20, 9, 26, 1, 250000, tzinfo=UTC)),
+            ("20220120T092601", datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)),
+            ("2022-01-20", datetime(2022, 1, 20, tzinfo=UTC)),
+        ],
+    )
+    def test_formats(self, text, expected):
+        parsed = parse_timestamp(text)
+        assert parsed == expected
+        assert parsed.utcoffset() == timedelta(0)
 
 
 class TestCleanBlocks:
@@ -127,6 +156,11 @@ class TestLogReturns:
         with pytest.raises(InvalidInputError):
             PriceBar(T0, 0.0)
 
+    @pytest.mark.parametrize("vwap", [float("nan"), float("inf")])
+    def test_non_finite_vwap_rejected_at_construction(self, vwap):
+        with pytest.raises(InvalidInputError):
+            PriceBar(T0, vwap)
+
     @settings(max_examples=40, deadline=None)
     @given(
         scale=st.floats(min_value=1e-3, max_value=1e3),
@@ -142,7 +176,118 @@ class TestLogReturns:
         )
 
 
+def quantile_loop_oracle(returns, config):
+    """The reference extraction: a fresh ``np.quantile`` of the sliced history per return."""
+    stamps = [t for t, _ in returns]
+    seconds = np.array([(t - stamps[0]).total_seconds() for t in stamps])
+    values = np.array([r for _, r in returns])
+    window = config.window_hours * 3600.0
+    up, down = [], []
+    start = 0
+    for k in range(len(returns)):
+        while seconds[start] < seconds[k] - window:
+            start += 1
+        history = values[start:k]
+        if history.size < config.min_history:
+            continue
+        lo, hi = np.quantile(history, [config.q_low, config.q_high], method="weibull")
+        if values[k] > hi:
+            up.append(stamps[k])
+        elif values[k] < lo:
+            down.append(stamps[k])
+    return up, down
+
+
+def pinned_returns():
+    """17,279 returns of a fixed-seed 17,280-bar series: 200 grid slots
+    missing, volatility regimes, values rounded to 1e-5 so ties occur."""
+    rng = np.random.default_rng(17280)
+    n_bars = 17_280
+    slots = np.sort(rng.choice(n_bars + 200, n_bars, replace=False))
+    regime = np.repeat(rng.choice([0.5, 1.0, 3.0], n_bars // 96 + 1), 96)[: n_bars - 1]
+    values = np.round(regime * rng.normal(0.0, 1e-3, n_bars - 1), 5)
+    return [(T0 + timedelta(minutes=5 * int(s)), float(v)) for s, v in zip(slots[1:], values)]
+
+
+def jumps_digest(up, down):
+    text = "\n".join(t.isoformat() for t in up) + "\n--\n" + "\n".join(t.isoformat() for t in down)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+quantile_levels = st.one_of(st.sampled_from([0.0, 0.1, 0.9, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestWeibullQuantile:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+            min_size=1,
+            max_size=60,
+        ),
+        quantile_levels,
+    )
+    def test_matches_numpy_bit_for_bit(self, sample, q):
+        ordered = sorted(sample)
+        expected = np.quantile(np.array(ordered), q, method="weibull")
+        assert _weibull_quantile(ordered, q) == expected
+
+
 class TestExtractJumps:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([300, 600]), st.integers(1, 1800)),
+                st.one_of(st.integers(-2, 2).map(lambda i: i * 1e-3), st.floats(-1e-2, 1e-2)),
+            ),
+            min_size=1,
+            max_size=150,
+        ),
+        window_hours=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 4.0)),
+        qs=st.tuples(quantile_levels, quantile_levels).filter(lambda q: q[0] != q[1]),
+        min_history=st.integers(1, 50),
+    )
+    def test_matches_quantile_loop(self, data, window_hours, qs, min_history):
+        # Random gaps make the window hold a varying number of returns; grid
+        # gaps and whole-hour windows put history points on the window edge.
+        offsets = np.cumsum([gap for gap, _ in data])
+        returns = [(T0 + timedelta(seconds=int(s)), v) for s, (_, v) in zip(offsets, data)]
+        config = JumpConfig(window_hours, min(qs), max(qs), min_history)
+        assert extract_jumps(returns, config) == quantile_loop_oracle(returns, config)
+
+    def test_window_closed_at_its_start(self):
+        # The history of t is [t - 1 h, t): the 1.0 at exactly t - 1 h still
+        # caps the 0.5 at t = 60 min; five minutes later it has left.
+        values = [1.0] + [0.0] * 11 + [0.5, 0.75]
+        returns = [(T0 + timedelta(minutes=5 * k), v) for k, v in enumerate(values)]
+        up, down = extract_jumps(returns, JumpConfig(1.0, 0.0, 1.0, 1))
+        assert up == [returns[13][0]]
+
+    def test_pinned_series_digest(self):
+        returns = pinned_returns()
+        up, down = extract_jumps(returns, JumpConfig())
+        assert (len(up), len(down)) == (1789, 1779)
+        assert jumps_digest(up, down) == (
+            "67e1bca9c6160cd800ce1db25a0b5beeb593822ed2fbc940becde0f340b47342"
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [JumpConfig(1.0, 0.0, 1.0, 1), JumpConfig(24.0, 0.05, 0.97)],
+        ids=["1h-minmax", "24h-asymmetric"],
+    )
+    def test_pinned_series_matches_quantile_loop(self, config):
+        returns = pinned_returns()[:4000]
+        assert extract_jumps(returns, config) == quantile_loop_oracle(returns, config)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_return_rejected(self, bad):
+        returns = [(T0 + timedelta(minutes=5 * k), 1e-3 * (k % 7 - 3)) for k in range(40)]
+        returns[20] = (returns[20][0], bad)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            extract_jumps(returns, JumpConfig())
+
     def test_constant_returns_flag_nothing(self):
         returns = [(T0 + timedelta(minutes=5 * k), 0.001) for k in range(100)]
         up, down = extract_jumps(returns, JumpConfig())
