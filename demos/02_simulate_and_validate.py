@@ -1,11 +1,12 @@
 # =============================================================================
 # Simulation and the random time change theorem
 #
-# Simulates a self-exciting process by Ogata thinning, then shows the core
-# validation idea used throughout the toolkit: mapping event times through
-# the TRUE model's compensator turns them into a unit-rate Poisson process,
-# so the rescaled interarrivals must look Exp(1).  A mis-specified model
-# fails that check visibly.
+# Simulates a self-exciting process by its branching structure (immigrants,
+# then one generation of offspring at a time), then shows the core validation
+# idea used throughout the toolkit: mapping event times through the TRUE
+# model's compensator turns them into a unit-rate Poisson process, so the
+# rescaled interarrivals must look Exp(1).  A mis-specified model fails that
+# check visibly.
 #
 # Run:  python demos/02_simulate_and_validate.py
 # =============================================================================

@@ -3,7 +3,7 @@
 Models block arrivals and price-jump events as a mutually exciting point
 process: ingestion of raw block/price data, exact likelihood evaluation,
 maximum-likelihood fitting with a profile search over shared decays,
-Ogata-thinning simulation, and time-rescaling goodness-of-fit analysis.
+branching-structure simulation, and time-rescaling goodness-of-fit analysis.
 """
 
 __version__ = "0.1.0"

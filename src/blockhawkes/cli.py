@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option_flags(p, _GOF_OPTIONS)
     p.set_defaults(func=cmd_gof)
 
-    p = sub.add_parser("simulate", help="Ogata-thinning simulation")
+    p = sub.add_parser("simulate", help="branching-structure simulation")
     p.add_argument("model_json")
     p.add_argument("out_events_csv")
     p.add_argument("--config")

@@ -37,6 +37,8 @@ def parse_timestamp(text: str) -> datetime:
             return datetime.fromtimestamp(int(text), tz=timezone.utc)
         except ValueError:
             pass
+        except (OverflowError, OSError):
+            raise InvalidInputError(f"Unix timestamp {text!r} out of range")
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:

@@ -11,11 +11,12 @@ supported:
   integrable only for beta_ij > 1
 
 Each kernel answers ``phi``, its integral ``phi_integral`` over [0, lag],
-and ``sumexp()``, the equivalent :class:`SumExpKernel` or ``None``.  Only
-the exponential families have that finite Markov state and so admit O(n)
-recursive evaluation; :class:`ExponentialKernel` maps onto it with one
+``draw_lags`` from phi_ij normalised to a density (the simulator's offspring
+lags), and ``sumexp()``, the equivalent :class:`SumExpKernel` or ``None``.
+Only the exponential families have that finite Markov state and so admit
+O(n) recursive evaluation; :class:`ExponentialKernel` maps onto it with one
 shared decay per distinct beta.  The power-law kernel keeps the event
-history for evaluation and simulation.
+history for evaluation.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ class ExponentialKernel:
         """Integral of phi_ij over [0, lag]."""
         lags = np.asarray(lags, dtype=float)
         return self.alpha[i - 1, j - 1] * exp_integral(self.beta[i - 1, j - 1], lags)
+
+    def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
+        """One draw from phi_ij / ||phi_ij||, Exp(beta_ij), per (i, j) pair."""
+        return self.sumexp().draw_lags(rng, i, j)
 
     def norms(self) -> np.ndarray:
         """Integral of each phi_ij over [0, inf): alpha / beta."""
@@ -140,6 +145,18 @@ class SumExpKernel:
             out += self.alpha[u, i - 1, j - 1] * exp_integral(self.decays[u], lags)
         return out
 
+    def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
+        """One draw from phi_ij / ||phi_ij|| per (i, j) pair (1-based marks that broadcast).
+
+        A mixture of Exp(beta^u) with weights alpha^u_ij / beta^u: one uniform
+        picks u, then a standard exponential is divided by beta^u.
+        """
+        i, j = np.broadcast_arrays(np.asarray(i) - 1, np.asarray(j) - 1)
+        cum = np.cumsum(np.moveaxis(self.alpha, 0, -1)[i, j] / self.decays, axis=-1)
+        pick = rng.random(i.shape)[..., None] * cum[..., -1:]
+        u = np.sum(cum[..., :-1] <= pick, axis=-1)
+        return rng.standard_exponential(i.shape) / self.decays[u]
+
     def norms(self) -> np.ndarray:
         """sum_u alpha^u / beta^u."""
         return np.tensordot(1.0 / self.decays, self.alpha, axes=(0, 0))
@@ -186,6 +203,16 @@ class PowerLawKernel:
         lags = np.asarray(lags, dtype=float)
         a, c, b = self.alpha[i - 1, j - 1], self.c[i - 1, j - 1], self.beta[i - 1, j - 1]
         return a / (b - 1.0) * (c ** (1.0 - b) - (c + lags) ** (1.0 - b))
+
+    def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
+        """One draw from phi_ij / ||phi_ij|| per (i, j) pair (1-based marks that broadcast).
+
+        The inverse CDF at a uniform V, c * ((1 - V)^(-1/(beta - 1)) - 1), in
+        expm1/log1p form so that short lags keep their relative precision.
+        """
+        i, j = np.broadcast_arrays(np.asarray(i) - 1, np.asarray(j) - 1)
+        v = rng.random(i.shape)
+        return self.c[i, j] * np.expm1(-np.log1p(-v) / (self.beta[i, j] - 1.0))
 
     def norms(self) -> np.ndarray:
         """alpha * c^(1-beta) / (beta - 1)."""

@@ -1,16 +1,20 @@
-"""Exact simulation of multivariate Hawkes processes by Ogata thinning.
+"""Exact simulation of multivariate Hawkes processes by their branching structure.
 
-Because every supported kernel is nonincreasing in the lag, the total
-intensity only decays between events; the current total intensity is
-therefore a valid dominating rate, and it is refreshed after every accepted
-event and after every rejected candidate.
+A linear Hawkes process started empty at 0 is a cluster process (Hawkes &
+Oakes 1974): component i has Poisson(mu_i) immigrants per hour, and each
+type-j event has Poisson(||phi_ij||) type-i children at lags drawn from
+phi_ij / ||phi_ij||.  ``simulate`` draws it one generation at a time with
+whole-generation numpy calls, exact in law (Moller & Rasmussen 2005); the
+lags come from the kernel's ``draw_lags``, so no kernel family is named here.
 
-Reproducibility: one ``numpy.random.Generator`` (PCG64) is created from the
-config seed and consumed in a fixed order (waiting time, acceptance
-uniform, component choice), so equal configs give bitwise-equal output on
-any platform.  For independent replicates, derive child seeds with
-``numpy.random.SeedSequence(master_seed).spawn(n)`` or pass distinct seeds;
-runs with distinct seeds may execute concurrently.
+Draw order: one Poisson immigrant count per component, then one uniform time
+per immigrant.  Then, per generation, each as one array call: a Poisson
+count of children per parent (mean sum_i ||phi_ij||), one uniform per child
+picking its type i with probability ||phi_ij|| / sum_i ||phi_ij|| (the same
+law as independent counts per type), then the kernel's lag draws.  One
+PCG64 generator seeded from the config is consumed in that order, so equal
+configs give bitwise-equal output.  For independent replicates, pass
+distinct seeds, e.g. from ``numpy.random.SeedSequence(master).spawn(n)``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 from .core import HawkesModel, spectral_radius
 from .errors import InvalidInputError, SimulationTruncatedError, StabilityError
 from .events import EventSequence
-from .kernels import PowerLawKernel, SumExpKernel
 
 
 @dataclass(frozen=True)
@@ -49,58 +52,8 @@ class SimConfig:
             raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
 
 
-class _SumExpState:
-    """Excitation sums S^u_j(t) for shared decays."""
-
-    def __init__(self, kernel: SumExpKernel, mu: np.ndarray):
-        self.alpha = kernel.alpha
-        self.decays = kernel.decays
-        self.mu = mu
-        self.s = np.zeros((kernel.num_decays, kernel.dim))
-        self.last_t = 0.0
-
-    def intensities_at(self, t: float) -> np.ndarray:
-        decayed = self.s * np.exp(-self.decays * (t - self.last_t))[:, None]
-        return self.mu + np.einsum("uij,uj->i", self.alpha, decayed)
-
-    def register(self, t: float, mark: int):
-        self.s *= np.exp(-self.decays * (t - self.last_t))[:, None]
-        self.s[:, mark - 1] += 1.0
-        self.last_t = t
-
-
-class _PowerLawState:
-    """Power-law excitation has no finite Markov state; keep the history."""
-
-    def __init__(self, kernel: PowerLawKernel, mu: np.ndarray):
-        self.kernel = kernel
-        self.mu = mu
-        self.times: list[float] = []
-        self.marks: list[int] = []
-
-    def intensities_at(self, t: float) -> np.ndarray:
-        lam = self.mu.copy()
-        if self.times:
-            lags = t - np.asarray(self.times)
-            marks = np.asarray(self.marks)
-            for i in range(lam.size):
-                lam[i] += np.sum(self.kernel.phi(i + 1, marks, lags))
-        return lam
-
-    def register(self, t: float, mark: int):
-        self.times.append(t)
-        self.marks.append(mark)
-
-
-def _make_state(model: HawkesModel):
-    kernel = model.kernel.sumexp()
-    if kernel is None:
-        return _PowerLawState(model.kernel, model.mu)
-    return _SumExpState(kernel, model.mu)
-
-
 def simulate(config: SimConfig) -> EventSequence:
-    """Draw one realisation of the model on [0, horizon].
+    """Draw one realisation of the model on [0, horizon], in (time, mark) order.
 
     Raises
     ------
@@ -108,46 +61,52 @@ def simulate(config: SimConfig) -> EventSequence:
         If the kernel-norm spectral radius is >= 1 and ``allow_unstable``
         is not set.
     SimulationTruncatedError
-        If ``max_events`` is exceeded; the partial sequence rides on the
-        exception's ``partial`` attribute.
+        If the realisation has more than ``max_events`` events.  Its
+        ``partial`` holds the first ``max_events`` of them, an exact
+        realisation on [0, t_(max_events)].  Children later than the running
+        ``max_events``-th time are not drawn on (their offspring come later
+        still), which bounds the work even for a supercritical model.
     """
     model = config.model
-    rho = spectral_radius(model.kernel.norms())
+    kernel = model.kernel
+    norms = kernel.norms()
+    rho = spectral_radius(norms)
     if rho >= 1.0 and not config.allow_unstable:
         raise StabilityError(
             f"kernel-norm spectral radius {rho:.4f} >= 1; pass allow_unstable=True "
             "to simulate a supercritical model anyway"
         )
     rng = np.random.default_rng(int(config.seed))
-    state = _make_state(model)
     m = model.dim
     horizon = float(config.horizon)
+    limit = config.max_events
+    type_cum = np.cumsum(norms, axis=0)
 
-    times: list[float] = []
-    marks: list[int] = []
-    t = 0.0
-    # Dominating rate: total intensity just after the last accepted or
-    # rejected point (valid: intensity is nonincreasing between events).
-    bound = float(state.intensities_at(t).sum())
-    while True:
-        t = t + rng.exponential(1.0 / bound)
-        if t > horizon:
-            break
-        lam = state.intensities_at(t)  # left limit: all registered events are < t
-        total = float(lam.sum())
-        if rng.random() * bound <= total:
-            mark = int(rng.choice(m, p=lam / total)) + 1
-            if len(times) >= config.max_events:
-                partial = EventSequence(np.array(times), np.array(marks), horizon, m)
-                raise SimulationTruncatedError(
-                    f"simulation exceeded max_events={config.max_events} "
-                    f"at t={t:.4f} of horizon {horizon}",
-                    partial,
-                )
-            times.append(t)
-            marks.append(mark)
-            state.register(t, mark)
-            bound = float(state.intensities_at(t).sum())
-        else:
-            bound = total  # a rejection leaves the state unchanged
-    return EventSequence(np.array(times), np.array(marks), horizon, m)
+    marks = np.repeat(np.arange(1, m + 1), rng.poisson(model.mu * horizon))
+    times = horizon * rng.random(marks.size)
+    gen_times, gen_marks = [times], [marks]
+    kept, cutoff = times.size, horizon
+    while times.size:
+        if kept > limit:  # offspring of the first `limit` events suffice
+            cutoff = np.partition(np.concatenate(gen_times), limit - 1)[limit - 1]
+        parent = np.repeat(np.arange(times.size), rng.poisson(type_cum[-1, marks - 1]))
+        cum = type_cum[:, marks[parent] - 1]
+        pick = rng.random(parent.size) * cum[-1]
+        child_marks = np.sum(cum[:-1] <= pick, axis=0) + 1
+        child_times = times[parent] + kernel.draw_lags(rng, child_marks, marks[parent])
+        keep = child_times <= cutoff
+        times, marks = child_times[keep], child_marks[keep]
+        gen_times.append(times)
+        gen_marks.append(marks)
+        kept += times.size
+
+    times, marks = np.concatenate(gen_times), np.concatenate(gen_marks)
+    order = np.lexsort((marks, times))
+    times, marks = times[order], marks[order]
+    if times.size > limit:
+        raise SimulationTruncatedError(
+            f"simulation exceeded max_events={limit} before the horizon {horizon}; "
+            f"the partial sequence is exact on [0, {times[limit - 1]:.4f}]",
+            EventSequence(times[:limit], marks[:limit], horizon, m),
+        )
+    return EventSequence(times, marks, horizon, m)

@@ -69,6 +69,13 @@ class TestCleanBlocksCommand:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_out_of_range_unix_seconds_exit_2_with_line(self, tmp_path, capsys):
+        in_csv = tmp_path / "blocks.csv"
+        in_csv.write_text("height,timestamp,tx_count\n1,99999999999999999999,5\n")
+        code = main(["clean-blocks", str(in_csv), str(tmp_path / "o.csv"), str(tmp_path / "r.json")])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestExtractJumpsCommand:
     def test_defaults_match_reference_settings(self):

@@ -43,6 +43,10 @@ class TestTimestampParsing:
         with pytest.raises(InvalidInputError):
             parse_timestamp("yesterday")
 
+    def test_out_of_range_unix_seconds_rejected(self):
+        with pytest.raises(InvalidInputError):
+            parse_timestamp("99999999999999999999")
+
     @pytest.mark.parametrize(
         "text, expected",
         [

@@ -94,3 +94,54 @@ class TestPowerLaw:
             PowerLawKernel([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(InvalidInputError):
             PowerLawKernel([[1.0]], [[0.0]], [[2.0]])
+
+
+class TestDrawLags:
+    """Each kernel's lag draws follow phi_ij / ||phi_ij||, pair by pair."""
+
+    KERNELS = {
+        "sumexp": SumExpKernel(
+            [[[0.6, 0.0], [0.2, 0.3]], [[0.4, 1.5], [0.0, 2.0]], [[3.0, 0.5], [1.0, 0.0]]],
+            [0.5, 4.0, 30.0],
+        ),
+        "exponential": ExponentialKernel([[0.3, 0.1], [0.2, 0.4]], [[1.0, 2.0], [1.5, 3.0]]),
+        "power_law": PowerLawKernel([[0.3, 0.2], [0.1, 0.4]], [[1.0, 0.5], [2.0, 1.0]],
+                                    [[2.0, 2.5], [3.0, 1.8]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_empirical_cdf_matches_normalised_integral(self, name):
+        from scipy.stats import kstest
+
+        kernel = self.KERNELS[name]
+        rng = np.random.default_rng(2024)
+        marks = np.array([1, 2])
+        i, j = (a.ravel() for a in np.meshgrid(marks, marks, indexing="ij"))
+        n = 4000
+        lags = kernel.draw_lags(rng, np.repeat(i, n), np.repeat(j, n)).reshape(i.size, n)
+        norms = kernel.norms()
+        for k in range(i.size):
+            assert np.all(lags[k] >= 0.0)
+
+            def cdf(x, a=i[k], b=j[k]):
+                return kernel.phi_integral(a, b, x) / norms[a - 1, b - 1]
+
+            assert kstest(lags[k], cdf).pvalue > 1e-3, (i[k], j[k])
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_scalar_marks_and_shape(self, name):
+        kernel = self.KERNELS[name]
+        lags = kernel.draw_lags(np.random.default_rng(1), 2, np.array([1, 2, 2]))
+        assert lags.shape == (3,)
+        a = kernel.draw_lags(np.random.default_rng(5), 1, np.array([2, 1]))
+        b = kernel.draw_lags(np.random.default_rng(5), 1, np.array([2, 1]))
+        np.testing.assert_array_equal(a, b)
+
+    def test_power_law_short_lags_keep_precision(self):
+        # V tiny: the lag is c * V / (beta - 1) to first order, not rounded to 0.
+        class Tiny:
+            def random(self, shape):
+                return np.full(shape, 1e-18)
+
+        k = PowerLawKernel([[1.0]], [[2.0]], [[3.0]])
+        np.testing.assert_allclose(k.draw_lags(Tiny(), 1, np.array([1])), [1e-18], rtol=1e-12)

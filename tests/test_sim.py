@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from blockhawkes import (
     EventSequence,
@@ -17,6 +18,7 @@ from blockhawkes import (
 from blockhawkes.errors import InvalidInputError, SimulationTruncatedError, StabilityError
 
 from conftest import BENCH_ALPHA, BENCH_DECAYS, BENCH_MU
+from thinning_oracle import thinning_simulate
 
 
 def poisson_model(mu=2.0):
@@ -32,9 +34,10 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.marks, b.marks)
 
-    def test_outputs_pinned(self):
+    @staticmethod
+    def pinned_digest(simulator):
         # SHA-256 of the times and marks for fixed seeds, one model per
-        # simulator state; any change to the thinning draws moves it.
+        # kernel family; any change to the draws moves it.
         exponential = ExponentialKernel([[0.3, 0.1], [0.0, 0.4]], [[1.0, 2.0], [1.5, 3.0]])
         cases = [
             (HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS)), 20.0, (1, 2)),
@@ -44,11 +47,20 @@ class TestDeterminism:
         digest = hashlib.sha256()
         for model, horizon, seeds in cases:
             for seed in seeds:
-                seq = simulate(SimConfig(model, horizon, seed=seed))
+                seq = simulator(SimConfig(model, horizon, seed=seed))
                 digest.update(np.asarray(seq.times, dtype="<f8").tobytes())
                 digest.update(np.asarray(seq.marks, dtype="<i8").tobytes())
+        return digest.hexdigest()
+
+    def test_outputs_pinned(self):
+        # Recorded on the branching simulator; the thinning simulator it
+        # replaced gave the digest pinned in the next test.
+        expected = "1fe708d74e9511bbd4915aa88ec830d39f4cf3b05bef78185687c8fea86de8fd"
+        assert self.pinned_digest(simulate) == expected
+
+    def test_thinning_oracle_is_the_former_simulator(self):
         expected = "6bcc69568c91460bcd9fa15adeac2e7fe3b15bf61421342e5b95177adb83543e"
-        assert digest.hexdigest() == expected
+        assert self.pinned_digest(thinning_simulate) == expected
 
     def test_different_seeds_differ(self):
         model = poisson_model()
@@ -113,6 +125,60 @@ class TestLaw:
         assert abs(counts / (6 * 500.0) - 2.0) / 2.0 < 0.1
 
 
+class TestAgainstThinning:
+    """Branching and thinning draws agree in law, seed set against seed set.
+
+    For each kernel family: two-sample KS tests on the per-component counts,
+    on the per-seed KS p-values of the rescaled residuals, and on the
+    residuals pooled over seeds.  The pooled residuals are compared with
+    the thinning draws' and not with Exp(1): on a 40 h window the censored
+    last interarrival of each component is missing, which biases them.
+    """
+
+    MODELS = {
+        "sumexp": HawkesModel(
+            [0.5, 0.4, 0.3],
+            SumExpKernel(
+                [[[0.2, 0.1, 0.0], [0.0, 0.15, 0.2], [0.1, 0.0, 0.1]],
+                 [[1.6, 0.0, 0.8], [0.8, 0.8, 0.0], [0.0, 1.6, 0.8]]],
+                [1.0, 8.0],
+            ),
+        ),
+        "exponential": HawkesModel(
+            [0.8, 0.5], ExponentialKernel([[0.3, 0.1], [0.0, 0.4]], [[1.0, 2.0], [1.5, 3.0]])
+        ),
+        "power_law": HawkesModel(
+            [0.6, 0.4],
+            PowerLawKernel([[0.3, 0.2], [0.1, 0.4]], [[1.0, 0.5], [2.0, 1.0]],
+                           [[2.0, 2.5], [3.0, 1.8]]),
+        ),
+    }
+    SEEDS = range(300)
+    HORIZON = 40.0
+
+    @classmethod
+    def draws(cls, simulator, model):
+        counts, pvalues, residuals = [], [], []
+        for seed in cls.SEEDS:
+            seq = simulator(SimConfig(model, cls.HORIZON, seed=seed))
+            counts.append(seq.counts())
+            rescaled = time_rescale(model, seq)
+            pvalues.append([ks_exp1(r)[1] if r.size >= 2 else np.nan for r in rescaled])
+            residuals.extend(rescaled)
+        return np.array(counts), np.array(pvalues), np.concatenate(residuals)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_same_law_as_thinning(self, name):
+        model = self.MODELS[name]
+        counts, pvalues, residuals = self.draws(simulate, model)
+        ref_counts, ref_pvalues, ref_residuals = self.draws(thinning_simulate, model)
+        for i in range(model.dim):
+            assert ks_2samp(counts[:, i], ref_counts[:, i]).pvalue > 1e-3, i
+            p, ref_p = pvalues[:, i], ref_pvalues[:, i]
+            assert ks_2samp(p[~np.isnan(p)], ref_p[~np.isnan(ref_p)]).pvalue > 1e-3, i
+        assert ks_2samp(residuals, ref_residuals).pvalue > 1e-3
+
+
 class TestGuards:
     def test_unstable_model_refused(self):
         model = HawkesModel([1.0], SumExpKernel(np.array([[[1.5]]]), [1.0]))
@@ -130,6 +196,47 @@ class TestGuards:
         partial = err.value.partial
         assert len(partial) == 20
         assert partial.horizon == 1000.0
+
+    def test_supercritical_truncation_stops_at_the_prefix(self):
+        # The mean intensity grows like exp(0.5 t), so the realisation on
+        # [0, 200 h] has of order e^100 events; the cut-off at the running
+        # max_events-th time is what lets this finish.
+        model = HawkesModel([1.0], SumExpKernel(np.array([[[1.5]]]), [1.0]))
+        config = SimConfig(model, 200.0, seed=3, max_events=1000, allow_unstable=True)
+        with pytest.raises(SimulationTruncatedError) as err:
+            simulate(config)
+        partial = err.value.partial
+        assert len(partial) == 1000
+        assert np.all(np.diff(partial.times) >= 0.0)
+        assert partial.times[-1] < 200.0
+        assert partial.horizon == 200.0
+
+    def test_truncated_prefix_has_the_law_of_the_full_prefix(self):
+        # The partial's last time and mark counts against those of the first
+        # 60 events of untruncated runs (other seeds), two-sample KS.
+        model = HawkesModel(
+            [0.6, 0.4], ExponentialKernel([[0.3, 0.2], [0.1, 0.4]], [[1.0, 2.0], [1.5, 3.0]])
+        )
+        k, cut, full = 60, [], []
+        for seed in range(300):
+            with pytest.raises(SimulationTruncatedError) as err:
+                simulate(SimConfig(model, 200.0, seed=seed, max_events=k))
+            cut.append((err.value.partial.times[-1], np.sum(err.value.partial.marks == 1)))
+            seq = simulate(SimConfig(model, 200.0, seed=1000 + seed))
+            full.append((seq.times[k - 1], np.sum(seq.marks[:k] == 1)))
+        cut, full = np.array(cut), np.array(full)
+        assert ks_2samp(cut[:, 0], full[:, 0]).pvalue > 1e-3
+        assert ks_2samp(cut[:, 1], full[:, 1]).pvalue > 1e-3
+
+    def test_max_events_at_the_count_changes_nothing(self):
+        model = HawkesModel([1.0], SumExpKernel(np.array([[[0.5]]]), [1.0]))
+        full = simulate(SimConfig(model, 300.0, seed=8))
+        exact = simulate(SimConfig(model, 300.0, seed=8, max_events=len(full)))
+        np.testing.assert_array_equal(exact.times, full.times)
+        np.testing.assert_array_equal(exact.marks, full.marks)
+        with pytest.raises(SimulationTruncatedError) as err:
+            simulate(SimConfig(model, 300.0, seed=8, max_events=len(full) - 1))
+        assert len(err.value.partial) == len(full) - 1
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
