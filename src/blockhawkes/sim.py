@@ -8,7 +8,9 @@ whole-generation numpy calls, exact in law (Moller & Rasmussen 2005); the
 lags come from the kernel's ``draw_lags``, so no kernel family is named here.
 
 Draw order: one Poisson immigrant count per component, then one uniform time
-per immigrant.  Then, per generation, each as one array call: a Poisson
+per immigrant (when there are more than ``max_events + 1``, only the first
+``max_events + 1`` in time order are drawn: the time of the last by its Beta
+order-statistic law, their marks as a random subset).  Then, per generation, each as one array call: a Poisson
 count of children per parent (mean sum_i ||phi_ij||), one uniform per child
 picking its type i with probability ||phi_ij|| / sum_i ||phi_ij|| (the same
 law as independent counts per type), then the kernel's lag draws.  One
@@ -82,8 +84,17 @@ def simulate(config: SimConfig) -> EventSequence:
     limit = config.max_events
     type_cum = np.cumsum(norms, axis=0)
 
-    marks = np.repeat(np.arange(1, m + 1), rng.poisson(model.mu * horizon))
-    times = horizon * rng.random(marks.size)
+    counts = rng.poisson(model.mu * horizon)
+    n, first = int(counts.sum()), limit + 1
+    if n <= first:
+        marks = np.repeat(np.arange(1, m + 1), counts)
+        times = horizon * rng.random(n)
+    else:  # only the first `limit + 1` immigrants can matter: draw just those
+        last = horizon * rng.beta(first, n - first + 1)  # their latest time
+        marks = np.searchsorted(np.cumsum(counts), rng.choice(n, first, replace=False),
+                                side="right") + 1
+        times = last * rng.random(first)
+        times[-1] = last  # the subset comes in random order
     gen_times, gen_marks = [times], [marks]
     kept, cutoff = times.size, horizon
     while times.size:

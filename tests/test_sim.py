@@ -228,6 +228,25 @@ class TestGuards:
         assert ks_2samp(cut[:, 0], full[:, 0]).pvalue > 1e-3
         assert ks_2samp(cut[:, 1], full[:, 1]).pvalue > 1e-3
 
+    @pytest.mark.parametrize("k", [1, 50])
+    def test_long_horizon_draws_only_the_first_immigrants(self, k):
+        # 3e12 immigrants are never materialised.  For a Poisson model the
+        # partial's last time is Gamma(k, 1/3) and its mark-1 count
+        # Binomial(k, 2/3), over 300 seeds.
+        from scipy.stats import gamma, kstest
+
+        model = HawkesModel([2.0, 1.0], SumExpKernel(np.zeros((1, 2, 2)), [1.0]))
+        last, ones = [], []
+        for seed in range(300):
+            with pytest.raises(SimulationTruncatedError) as err:
+                simulate(SimConfig(model, 1e12, seed=seed, max_events=k))
+            partial = err.value.partial
+            assert len(partial) == k
+            last.append(partial.times[-1])
+            ones.append(np.sum(partial.marks == 1))
+        assert kstest(last, gamma(k, scale=1 / 3).cdf).pvalue > 1e-3
+        assert abs(np.mean(ones) - k * 2 / 3) < 4 * np.sqrt(k * (2 / 9) / 300)
+
     def test_max_events_at_the_count_changes_nothing(self):
         model = HawkesModel([1.0], SumExpKernel(np.array([[[0.5]]]), [1.0]))
         full = simulate(SimConfig(model, 300.0, seed=8))
