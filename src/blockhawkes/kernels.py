@@ -78,7 +78,7 @@ class ExponentialKernel:
         return self.alpha[i - 1, j - 1] * exp_integral(self.beta[i - 1, j - 1], lags)
 
     def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
-        """One draw from phi_ij / ||phi_ij||, Exp(beta_ij), per (i, j) pair."""
+        """One lag per (i, j) pair from phi_ij / ||phi_ij||, that is Exp(beta_ij)."""
         return self.sumexp().draw_lags(rng, i, j)
 
     def norms(self) -> np.ndarray:
@@ -146,7 +146,7 @@ class SumExpKernel:
         return out
 
     def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
-        """One draw from phi_ij / ||phi_ij|| per (i, j) pair (1-based marks that broadcast).
+        """One lag per (i, j) pair from phi_ij / ||phi_ij|| (1-based marks, broadcast).
 
         A mixture of Exp(beta^u) with weights alpha^u_ij / beta^u: one uniform
         picks u, then a standard exponential is divided by beta^u.
@@ -205,7 +205,7 @@ class PowerLawKernel:
         return a / (b - 1.0) * (c ** (1.0 - b) - (c + lags) ** (1.0 - b))
 
     def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
-        """One draw from phi_ij / ||phi_ij|| per (i, j) pair (1-based marks that broadcast).
+        """One lag per (i, j) pair from phi_ij / ||phi_ij|| (1-based marks, broadcast).
 
         The inverse CDF at a uniform V, c * ((1 - V)^(-1/(beta - 1)) - 1), in
         expm1/log1p form so that short lags keep their relative precision.

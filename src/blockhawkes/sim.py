@@ -8,15 +8,14 @@ whole-generation numpy calls, exact in law (Moller & Rasmussen 2005); the
 lags come from the kernel's ``draw_lags``, so no kernel family is named here.
 
 Draw order: one Poisson immigrant count per component, then one uniform time
-per immigrant (when there are more than ``max_events + 1``, only the first
-``max_events + 1`` in time order are drawn: the time of the last by its Beta
-order-statistic law, their marks as a random subset).  Then, per generation, each as one array call: a Poisson
+per immigrant.  Then, per generation, each as one array call: a Poisson
 count of children per parent (mean sum_i ||phi_ij||), one uniform per child
 picking its type i with probability ||phi_ij|| / sum_i ||phi_ij|| (the same
-law as independent counts per type), then the kernel's lag draws.  One
-PCG64 generator seeded from the config is consumed in that order, so equal
-configs give bitwise-equal output.  For independent replicates, pass
-distinct seeds, e.g. from ``numpy.random.SeedSequence(master).spawn(n)``.
+law as independent counts per type), then the kernel's lag draws.  Past
+``max_events + 1`` immigrants, only the first ``max_events + 1`` in time
+order are drawn.  One PCG64 generator seeded from the config is consumed in
+that order, so equal configs give bitwise-equal output.  For independent
+replicates, pass distinct seeds, e.g. ``SeedSequence(master).spawn(n)``.
 """
 
 from __future__ import annotations
@@ -65,13 +64,12 @@ def simulate(config: SimConfig) -> EventSequence:
     SimulationTruncatedError
         If the realisation has more than ``max_events`` events.  Its
         ``partial`` holds the first ``max_events`` of them, an exact
-        realisation on [0, t_(max_events)].  Children later than the running
-        ``max_events``-th time are not drawn on (their offspring come later
-        still), which bounds the work even for a supercritical model.
+        realisation on [0, t_(max_events)].  Events later than the running
+        ``max_events + 1``-th time are dropped before they have offspring,
+        which bounds the work even for a supercritical model.
     """
     model = config.model
-    kernel = model.kernel
-    norms = kernel.norms()
+    norms = model.kernel.norms()
     rho = spectral_radius(norms)
     if rho >= 1.0 and not config.allow_unstable:
         raise StabilityError(
@@ -91,27 +89,29 @@ def simulate(config: SimConfig) -> EventSequence:
         times = horizon * rng.random(n)
     else:  # only the first `limit + 1` immigrants can matter: draw just those
         last = horizon * rng.beta(first, n - first + 1)  # their latest time
-        marks = np.searchsorted(np.cumsum(counts), rng.choice(n, first, replace=False),
-                                side="right") + 1
+        marks = np.searchsorted(counts.cumsum(), rng.choice(n, first, replace=False), "right") + 1
         times = last * rng.random(first)
         times[-1] = last  # the subset comes in random order
-    gen_times, gen_marks = [times], [marks]
+    events = [(times, marks)]
     kept, cutoff = times.size, horizon
     while times.size:
-        if kept > limit:  # offspring of the first `limit` events suffice
-            cutoff = np.partition(np.concatenate(gen_times), limit - 1)[limit - 1]
+        if kept > limit:  # only the first `limit + 1` events and their offspring matter
+            all_times, all_marks = map(np.concatenate, zip(*events))
+            cutoff = np.partition(all_times, limit)[limit]
+            early, keep = all_times <= cutoff, times <= cutoff
+            events, kept = [(all_times[early], all_marks[early])], early.sum()
+            times, marks = times[keep], marks[keep]
         parent = np.repeat(np.arange(times.size), rng.poisson(type_cum[-1, marks - 1]))
         cum = type_cum[:, marks[parent] - 1]
         pick = rng.random(parent.size) * cum[-1]
         child_marks = np.sum(cum[:-1] <= pick, axis=0) + 1
-        child_times = times[parent] + kernel.draw_lags(rng, child_marks, marks[parent])
+        child_times = times[parent] + model.kernel.draw_lags(rng, child_marks, marks[parent])
         keep = child_times <= cutoff
         times, marks = child_times[keep], child_marks[keep]
-        gen_times.append(times)
-        gen_marks.append(marks)
+        events.append((times, marks))
         kept += times.size
 
-    times, marks = np.concatenate(gen_times), np.concatenate(gen_marks)
+    times, marks = map(np.concatenate, zip(*events))
     order = np.lexsort((marks, times))
     times, marks = times[order], marks[order]
     if times.size > limit:

@@ -211,6 +211,24 @@ class TestGuards:
         assert partial.times[-1] < 200.0
         assert partial.horizon == 200.0
 
+    def test_generation_size_bounded_after_the_cut_off(self):
+        # Once max_events is passed, only events before the running
+        # (max_events + 1)-th time have children, so a generation holds about
+        # (max_events + 1) * norm children however supercritical the model.
+        drawn = []
+
+        class Counting(SumExpKernel):
+            def draw_lags(self, rng, i, j):
+                drawn.append(np.size(i))
+                return super().draw_lags(rng, i, j)
+
+        model = HawkesModel([1.0], Counting(np.array([[[100.0]]]), [1.0]))
+        for seed in (0, 1):
+            drawn.clear()
+            with pytest.raises(SimulationTruncatedError):
+                simulate(SimConfig(model, 1.0, seed=seed, max_events=1000, allow_unstable=True))
+            assert 0 < max(drawn) <= 2 * 100 * 1001
+
     def test_truncated_prefix_has_the_law_of_the_full_prefix(self):
         # The partial's last time and mark counts against those of the first
         # 60 events of untruncated runs (other seeds), two-sample KS.
