@@ -12,7 +12,13 @@ failure, 4 model-validity error.
 Configuration precedence is flags > config file > defaults.  The config
 file (``--config``) is a flat ``key = value`` document, one option per
 line, ``#`` comments allowed; keys are the long flag names with
-underscores (e.g. ``window_hours = 3``).
+underscores (e.g. ``window_hours = 3``).  Booleans are written
+``1/true/yes/on`` or ``0/false/no/off``.
+
+The options of ``build-events``, ``fit`` and ``simulate``, and their
+defaults, are the defaulted fields of ``JumpConfig``, ``FitConfig`` and
+``SimConfig``, plus the few options each command owns.  ``extract-jumps``
+is ``build-events`` without a blocks file; its window defaults to the bars'.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -133,7 +139,28 @@ def _parse_decays(text: str):
 
 
 def _true(text: str) -> bool:
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+    word = str(text).strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+
+
+def _options(cls, **own) -> dict:
+    """Option table of ``cls``'s defaulted fields (converter from the
+    default's type), followed by the command's ``own`` options."""
+    converters = {bool: _true, tuple: _parse_decays}
+    spec = {
+        f.name: (converters.get(type(f.default), type(f.default)), f.default)
+        for f in fields(cls) if f.default is not MISSING
+    }
+    return {**spec, **own}
+
+
+def _config(cls, opts: dict, **given):
+    """``cls`` built from the effective options that name its fields."""
+    return cls(**{f.name: opts[f.name] for f in fields(cls) if f.name in opts}, **given)
 
 
 def _fail(code: int, message: str, bad_lines=None) -> int:
@@ -168,60 +195,34 @@ def cmd_clean_blocks(args) -> int:
     return EXIT_OK
 
 
-_JUMP_OPTIONS = {
-    "window_hours": (float, 3.0),
-    "q_low": (float, 0.10),
-    "q_high": (float, 0.90),
-    "min_history": (int, 12),
-    "start": (str, None),
-    "end": (str, None),
-}
-
-
-def _jump_config(opts: dict) -> JumpConfig:
-    """The jump-detection settings among the effective options."""
-    return JumpConfig(**{f.name: opts[f.name] for f in fields(JumpConfig)})
-
-
-def cmd_extract_jumps(args) -> int:
-    try:
-        opts = _effective_options(args, _JUMP_OPTIONS)
-        bars = read_price_csv(args.price_csv)
-    except (ParseError, ConfigError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
-    try:
-        returns, gaps = log_returns(bars)
-        up, down = extract_jumps(returns, _jump_config(opts))
-        start = parse_timestamp(opts["start"]) if opts["start"] else bars[0].timestamp
-        end = parse_timestamp(opts["end"]) if opts["end"] else bars[-1].timestamp
-        seq, dropped = build_trivariate([], up, down, (start, end))
-    except (ConfigError, InvalidInputError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    write_events_csv(seq, args.out_events_csv)
-    print(
-        f"{len(up)} up / {len(down)} down jumps from {len(returns)} returns "
-        f"({len(gaps)} grid gaps, {dropped} outside window)"
-    )
-    return EXIT_OK
+_JUMP_OPTIONS = _options(JumpConfig, start=(str, None), end=(str, None))
 
 
 def cmd_build_events(args) -> int:
+    """``build-events``; ``extract-jumps`` is the same with no blocks file."""
     try:
         opts = _effective_options(args, _JUMP_OPTIONS)
-        blocks = read_blocks_csv(args.blocks_csv)
+        blocks = None if args.blocks_csv is None else read_blocks_csv(args.blocks_csv)
         bars = read_price_csv(args.price_csv)
     except (ParseError, ConfigError, OSError) as exc:
         return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
     try:
-        cleaned, report = clean_blocks(blocks)
-        returns, _ = log_returns(bars)
-        up, down = extract_jumps(returns, _jump_config(opts))
-        start = parse_timestamp(opts["start"]) if opts["start"] else cleaned[0].timestamp
-        end = parse_timestamp(opts["end"]) if opts["end"] else cleaned[-1].timestamp
+        cleaned, report = ([], None) if blocks is None else clean_blocks(blocks)
+        returns, gaps = log_returns(bars)
+        up, down = extract_jumps(returns, _config(JumpConfig, opts))
+        span = cleaned or bars
+        start = parse_timestamp(opts["start"]) if opts["start"] else span[0].timestamp
+        end = parse_timestamp(opts["end"]) if opts["end"] else span[-1].timestamp
         seq, dropped = build_trivariate(cleaned, up, down, (start, end))
     except (ConfigError, InvalidInputError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     write_events_csv(seq, args.out_events_csv)
+    if report is None:
+        print(
+            f"{len(up)} up / {len(down)} down jumps from {len(returns)} returns "
+            f"({len(gaps)} grid gaps, {dropped} outside window)"
+        )
+        return EXIT_OK
     counts = seq.counts()
     print(
         f"events: {counts[0]} blocks, {counts[1]} up jumps, {counts[2]} down jumps "
@@ -231,17 +232,9 @@ def cmd_build_events(args) -> int:
     return EXIT_OK
 
 
-_FIT_OPTIONS = {
-    "horizon": (float, None),
-    "dim": (int, None),
-    "num_decays": (int, 3),
-    "decay_init": (_parse_decays, (0.5, 5.0, 50.0)),
-    "inner_max_iter": (int, 500),
-    "outer_max_iter": (int, 150),
-    "inner_tol": (float, 1e-6),
-    "outer_tol": (float, 1e-2),
-    "poisson_baseline": (_true, False),
-}
+_FIT_OPTIONS = _options(
+    FitConfig, horizon=(float, None), dim=(int, None), poisson_baseline=(_true, False)
+)
 
 
 def cmd_fit(args) -> int:
@@ -251,14 +244,7 @@ def cmd_fit(args) -> int:
     except (ParseError, ConfigError, OSError, InvalidInputError) as exc:
         return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
     try:
-        config = FitConfig(
-            num_decays=opts["num_decays"],
-            decay_init=tuple(opts["decay_init"]),
-            inner_max_iter=opts["inner_max_iter"],
-            outer_max_iter=opts["outer_max_iter"],
-            inner_tol=opts["inner_tol"],
-            outer_tol=opts["outer_tol"],
-        )
+        config = _config(FitConfig, opts)
     except InvalidInputError as exc:
         return _fail(EXIT_PARSE, str(exc))
     try:
@@ -327,12 +313,7 @@ def cmd_gof(args) -> int:
     return EXIT_OK
 
 
-_SIM_OPTIONS = {
-    "horizon": (float, None),
-    "seed": (int, None),
-    "max_events": (int, 1_000_000),
-    "allow_unstable": (_true, False),
-}
+_SIM_OPTIONS = _options(SimConfig, horizon=(float, None), seed=(int, None))
 
 
 def cmd_simulate(args) -> int:
@@ -345,14 +326,7 @@ def cmd_simulate(args) -> int:
     if opts["horizon"] is None or opts["seed"] is None:
         return _fail(EXIT_PARSE, "--horizon and --seed are required")
     try:
-        model = model_from_dict(doc)
-        config = SimConfig(
-            model=model,
-            horizon=opts["horizon"],
-            seed=opts["seed"],
-            max_events=opts["max_events"],
-            allow_unstable=opts["allow_unstable"],
-        )
+        config = _config(SimConfig, opts, model=model_from_dict(doc))
     except (InvalidInputError, HawkesError) as exc:
         return _fail(EXIT_MODEL, f"invalid model or simulation config: {exc}")
     try:
@@ -370,15 +344,23 @@ def cmd_simulate(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_option_flags(parser, spec):
-    for key, (converter, _) in spec.items():
-        flag = "--" + key.replace("_", "-")
-        if converter is _true:
-            parser.add_argument(flag, action="store_const", const=True, default=None)
-        elif converter is _parse_decays:
-            parser.add_argument(flag, type=_parse_decays, default=None, metavar="V1,V2,...")
-        else:
-            parser.add_argument(flag, type=converter, default=None)
+def _add_command(sub, name, summary, func, positionals, spec=None, **defaults):
+    """Subcommand with the given positionals, plus ``--config`` and one flag
+    per option when it has an option table ``spec``."""
+    p = sub.add_parser(name, help=summary)
+    for positional in positionals.split():
+        p.add_argument(positional)
+    if spec is not None:
+        p.add_argument("--config")
+        for key, (converter, _) in spec.items():
+            flag = "--" + key.replace("_", "-")
+            if converter is _true:
+                p.add_argument(flag, action="store_const", const=True, default=None)
+            elif converter is _parse_decays:
+                p.add_argument(flag, type=_parse_decays, default=None, metavar="V1,V2,...")
+            else:
+                p.add_argument(flag, type=converter, default=None)
+    p.set_defaults(func=func, **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,51 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("clean-blocks", help="deduplicate and re-order block timestamps")
-    p.add_argument("in_csv")
-    p.add_argument("out_csv")
-    p.add_argument("report_json")
-    p.set_defaults(func=cmd_clean_blocks)
-
-    p = sub.add_parser("extract-jumps", help="rolling-quantile price-jump events")
-    p.add_argument("price_csv")
-    p.add_argument("out_events_csv")
-    p.add_argument("--config")
-    _add_option_flags(p, _JUMP_OPTIONS)
-    p.set_defaults(func=cmd_extract_jumps)
-
-    p = sub.add_parser("build-events", help="blocks + prices -> trivariate events CSV")
-    p.add_argument("blocks_csv")
-    p.add_argument("price_csv")
-    p.add_argument("out_events_csv")
-    p.add_argument("--config")
-    _add_option_flags(p, _JUMP_OPTIONS)
-    p.set_defaults(func=cmd_build_events)
-
-    p = sub.add_parser("fit", help="maximum-likelihood Hawkes fit")
-    p.add_argument("events_csv")
-    p.add_argument("out_json")
-    p.add_argument("--config")
-    _add_option_flags(p, _FIT_OPTIONS)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("gof", help="time-rescaling goodness-of-fit report")
-    p.add_argument("events_csv")
-    p.add_argument("model_json")
-    p.add_argument("out_json")
-    p.add_argument("out_qq_csv")
-    p.add_argument("--config")
-    _add_option_flags(p, _GOF_OPTIONS)
-    p.set_defaults(func=cmd_gof)
-
-    p = sub.add_parser("simulate", help="branching-structure simulation")
-    p.add_argument("model_json")
-    p.add_argument("out_events_csv")
-    p.add_argument("--config")
-    _add_option_flags(p, _SIM_OPTIONS)
-    p.set_defaults(func=cmd_simulate)
-
+    _add_command(sub, "clean-blocks", "deduplicate and re-order block timestamps",
+                 cmd_clean_blocks, "in_csv out_csv report_json")
+    _add_command(sub, "extract-jumps", "rolling-quantile price-jump events", cmd_build_events,
+                 "price_csv out_events_csv", _JUMP_OPTIONS, blocks_csv=None)
+    _add_command(sub, "build-events", "blocks + prices -> trivariate events CSV",
+                 cmd_build_events, "blocks_csv price_csv out_events_csv", _JUMP_OPTIONS)
+    _add_command(sub, "fit", "maximum-likelihood Hawkes fit", cmd_fit,
+                 "events_csv out_json", _FIT_OPTIONS)
+    _add_command(sub, "gof", "time-rescaling goodness-of-fit report", cmd_gof,
+                 "events_csv model_json out_json out_qq_csv", _GOF_OPTIONS)
+    _add_command(sub, "simulate", "branching-structure simulation", cmd_simulate,
+                 "model_json out_events_csv", _SIM_OPTIONS)
     return parser
 
 

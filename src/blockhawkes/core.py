@@ -73,13 +73,20 @@ class HawkesModel:
         return self.mu.shape[0]
 
 
-def _check_pair(model: HawkesModel, seq: EventSequence, i: int):
+def _check_pair(model: HawkesModel, seq: EventSequence, i: int, t=None):
+    """Check that model and sequence match and ``i`` is a component; if
+    given, check that ``t`` lies in [0, horizon] and return it as a float."""
     if model.dim != seq.dim:
         raise InvalidInputError(
             f"model dimension {model.dim} != sequence dimension {seq.dim}"
         )
     if not 1 <= i <= model.dim:
         raise InvalidInputError(f"component {i} not in 1..{model.dim}")
+    if t is not None:
+        t = float(t)
+        if not 0.0 <= t <= seq.horizon:
+            raise DomainError(f"t={t} outside the observation window [0, {seq.horizon}]")
+    return t
 
 
 def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) -> float:
@@ -88,10 +95,7 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
     Sums phi_{i,d_k}(t - t_k) over events strictly before ``t`` (left-limit
     convention) and adds the background rate.
     """
-    _check_pair(model, seq, i)
-    t = float(t)
-    if not 0.0 <= t <= seq.horizon:
-        raise DomainError(f"t={t} outside the observation window [0, {seq.horizon}]")
+    t = _check_pair(model, seq, i, t)
     mask = seq.times < t
     contrib = model.kernel.phi(i, seq.marks[mask], t - seq.times[mask])
     return float(model.mu[i - 1] + contrib.sum())
@@ -165,10 +169,7 @@ def compensator(model: HawkesModel, seq: EventSequence, i: int, t: float) -> flo
     Sums the closed-form per-event integrals ``kernel.phi_integral`` over
     events before ``t``.  Nondecreasing in t with Lambda_i(0) = 0.
     """
-    _check_pair(model, seq, i)
-    t = float(t)
-    if not 0.0 <= t <= seq.horizon:
-        raise DomainError(f"t={t} outside the observation window [0, {seq.horizon}]")
+    t = _check_pair(model, seq, i, t)
     mask = seq.times < t
     total = model.kernel.phi_integral(i, seq.marks[mask], t - seq.times[mask]).sum()
     return float(model.mu[i - 1] * t + total)
@@ -187,10 +188,7 @@ def compensator_quadrature(
     Serves as the independent cross-check for the closed forms.  Event times
     are passed as break points since the intensity jumps there.
     """
-    _check_pair(model, seq, i)
-    t = float(t)
-    if not 0.0 <= t <= seq.horizon:
-        raise DomainError(f"t={t} outside the observation window [0, {seq.horizon}]")
+    t = _check_pair(model, seq, i, t)
     if t == 0.0:
         return 0.0
     interior = seq.times[(seq.times > 0.0) & (seq.times < t)]

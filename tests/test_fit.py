@@ -47,6 +47,14 @@ class TestFitConfig:
         with pytest.raises(InvalidInputError):
             FitConfig(num_decays=2, decay_init=(1.0, 1.0))
 
+    def test_no_decays_rejected(self):
+        with pytest.raises(InvalidInputError, match="num_decays"):
+            FitConfig(num_decays=0, decay_init=())
+        seq = EventSequence([1.0, 2.0], [1, 1], 5.0, 1)
+        for decays in ([], [[1.0, 2.0]], 1.0, [1.0, -2.0], [2.0, 2.0], [np.inf]):
+            with pytest.raises(InvalidInputError):
+                fit_given_decays(seq, decays)
+
 
 class TestGradient:
     def test_tiny_decay_compensator_weights_exact(self):
