@@ -4,6 +4,10 @@ All times are decimal hours since the start of the observation window.
 Marks are 1-based component labels (1..dim); for the blockchain dataset the
 convention is 1 = block arrival, 2 = positive price jump, 3 = negative
 price jump.
+
+:func:`read_csv` and :func:`write_csv` own the CSV row rules of every file
+the toolkit reads or writes (events, blocks, prices, Q-Q): the header check,
+skipping whitespace-only rows, and one ParseError for all malformed rows.
 """
 
 from __future__ import annotations
@@ -94,14 +98,45 @@ class EventSequence:
         return self.times[self.marks == i]
 
 
+def read_csv(path, header, parse_row):
+    """Yield ``parse_row(row)`` for each data row of the CSV file ``path``.
+
+    The first row must equal ``header`` (cells stripped).  A row whose parse
+    raises ``ValueError``, ``IndexError`` or ``InvalidInputError`` is skipped
+    if all its cells are whitespace and collected otherwise; once the file is
+    read, the collected rows are raised as one :class:`ParseError` with
+    their 1-based line numbers.
+    """
+    bad = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or [h.strip() for h in found] != list(header):
+            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                yield parse_row(row)
+            except (ValueError, IndexError, InvalidInputError):
+                # Blankness is tested only here, so parsed rows pay nothing for it.
+                if any(cell.strip() for cell in row):
+                    bad.append((lineno, ",".join(row)))
+    if bad:
+        raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` (iterables of cells) to ``path``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_events_csv(seq: EventSequence, path) -> None:
     """Write the interchange CSV: header ``time_hours,mark``, times with
     9+ significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_CSV_HEADER)
-        for t, d in zip(seq.times, seq.marks):
-            writer.writerow([f"{t:.12g}", int(d)])
+    rows = zip(seq.times.tolist(), seq.marks.tolist())
+    write_csv(path, EVENTS_CSV_HEADER, ((f"{t:.12g}", d) for t, d in rows))
 
 
 def read_events_csv(path, horizon: float | None = None, dim: int | None = None) -> EventSequence:
@@ -110,32 +145,17 @@ def read_events_csv(path, horizon: float | None = None, dim: int | None = None) 
     The file carries no window metadata, so ``horizon`` defaults to the last
     event time and ``dim`` to the largest mark seen.
     """
-    times, marks, bad = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(EVENTS_CSV_HEADER):
-            raise ParseError(f"{path}: expected header 'time_hours,mark', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                t = float(row[0])
-                d = int(row[1])
-            except (ValueError, IndexError):
-                bad.append((lineno, ",".join(row)))
-                continue
-            times.append(t)
-            marks.append(d)
-    if bad:
-        raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
-    if not times:
+    rows = read_csv(path, EVENTS_CSV_HEADER, lambda row: (float(row[0]), int(row[1])))
+    events = np.fromiter(rows, dtype=[("time", float), ("mark", np.int64)])
+    if not events.size:
         raise ParseError(f"{path}: no events")
+    times, marks = events["time"], events["mark"]
     if horizon is None:
-        horizon = max(times)
+        # Python's max skips a NaN after the first time, which EventSequence then reports.
+        horizon = max(times.tolist())
     if dim is None:
-        dim = max(marks)
-    return EventSequence(np.array(times), np.array(marks), horizon, dim)
+        dim = marks.max()
+    return EventSequence(times, marks, horizon, dim)
 
 
 def merge_components(streams: list[np.ndarray], horizon: float) -> EventSequence:

@@ -13,7 +13,6 @@ models directly comparable on one dataset.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from scipy import special
 
 from .core import HawkesModel, _sumexp_event_states, compensator
 from .errors import InvalidInputError, UndefinedSlopeError
-from .events import EventSequence
+from .events import EventSequence, write_csv
 
 MODEL_LABELS = ("hawkes", "poisson")
 
@@ -195,10 +194,7 @@ def write_qq_csv(report: GofReport, path) -> list:
         if comp.degenerate:
             continue
         target = base.with_name(f"{base.stem}_c{comp.component}{suffix}")
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theoretical_quantile", "empirical_quantile"])
-            for theo, emp in comp.qq_pairs:
-                writer.writerow([f"{theo:.12g}", f"{emp:.12g}"])
+        rows = ((f"{theo:.12g}", f"{emp:.12g}") for theo, emp in comp.qq_pairs.tolist())
+        write_csv(target, ("theoretical_quantile", "empirical_quantile"), rows)
         written.append(str(target))
     return written

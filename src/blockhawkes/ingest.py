@@ -8,21 +8,22 @@ into one :class:`~blockhawkes.events.EventSequence` with marks
 1 = block arrival, 2 = positive jump, 3 = negative jump.
 
 All timestamps are UTC; naive inputs are interpreted as UTC.  Event times
-are converted to decimal hours since the window start.
+are converted to decimal hours since the window start.  The block and price
+CSV files go through ``events.read_csv``/``write_csv``, which own the row rules.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError
-from .events import EventSequence, merge_components
+from .events import EventSequence, merge_components, read_csv, write_csv
 
 BLOCKS_CSV_HEADER = ("height", "timestamp", "tx_count")
 PRICE_CSV_HEADER = ("timestamp", "vwap")
@@ -107,18 +108,10 @@ class CleaningReport:
     ties: list = field(default_factory=list)
 
     def counts(self) -> dict:
-        return {
-            "duplicates_dropped": len(self.duplicates_dropped),
-            "reordered": len(self.reordered),
-            "ties": len(self.ties),
-        }
+        return {name: len(entries) for name, entries in asdict(self).items()}
 
     def to_dict(self) -> dict:
-        return {
-            "duplicates_dropped": self.duplicates_dropped,
-            "reordered": self.reordered,
-            "ties": self.ties,
-        }
+        return asdict(self)
 
 
 def clean_blocks(records) -> tuple:
@@ -127,63 +120,41 @@ def clean_blocks(records) -> tuple:
     Among records sharing an identical timestamp the one with the larger
     transaction count survives (ties keep the lower height and are logged);
     survivors are then sorted by timestamp.  ``reordered`` logs every
-    record whose rank changed in that sort.  Output timestamps are strictly
-    increasing and the operation is idempotent.
+    record whose rank changed in that sort, in input order; drops are
+    logged by group, in order of each timestamp's first appearance.  Output
+    timestamps are strictly increasing and the operation is idempotent.
     """
     records = list(records)
     if not records:
         raise InvalidInputError("clean_blocks needs at least one record")
     report = CleaningReport()
-
-    by_ts: dict = {}
-    for idx, rec in enumerate(records):
-        by_ts.setdefault(rec.timestamp, []).append((idx, rec))
-
-    keep_flags = [False] * len(records)
-    for ts, group in by_ts.items():
-        if len(group) == 1:
-            keep_flags[group[0][0]] = True
-            continue
-        best_count = max(rec.tx_count for _, rec in group)
-        contenders = [(idx, rec) for idx, rec in group if rec.tx_count == best_count]
-        kept_idx, kept = min(contenders, key=lambda pair: pair[1].height)
-        keep_flags[kept_idx] = True
-        for idx, rec in group:
-            if idx == kept_idx:
-                continue
-            report.duplicates_dropped.append(
-                {
-                    "height": rec.height,
-                    "timestamp": _format_timestamp(ts),
-                    "tx_count": rec.tx_count,
-                    "kept_height": kept.height,
-                }
-            )
+    groups: dict = {}
+    for k, rec in enumerate(records):
+        groups.setdefault(rec.timestamp, []).append(k)
+    survivors = []
+    for group in groups.values():
+        best = group[0] if len(group) == 1 else min(
+            group, key=lambda k: (-records[k].tx_count, records[k].height))
+        survivors.append(best)
+        kept = records[best]
+        for rec in (records[k] for k in group if k != best):
+            stamp = _format_timestamp(rec.timestamp)
+            report.duplicates_dropped.append({"height": rec.height, "timestamp": stamp,
+                                              "tx_count": rec.tx_count,
+                                              "kept_height": kept.height})
             if rec.tx_count == kept.tx_count:
-                report.ties.append(
-                    {
-                        "timestamp": _format_timestamp(ts),
-                        "kept_height": kept.height,
-                        "dropped_height": rec.height,
-                    }
-                )
-
-    survivors = [rec for rec, keep in zip(records, keep_flags) if keep]
-    order = sorted(range(len(survivors)), key=lambda k: survivors[k].timestamp)
-    cleaned = [survivors[k] for k in order]
-    new_rank_of = {old: new for new, old in enumerate(order)}
-    for old_rank, rec in enumerate(survivors):
-        new_rank = new_rank_of[old_rank]
-        if new_rank != old_rank:
-            report.reordered.append(
-                {
-                    "height": rec.height,
-                    "timestamp": _format_timestamp(rec.timestamp),
-                    "from_rank": old_rank,
-                    "to_rank": new_rank,
-                }
-            )
-    return cleaned, report
+                report.ties.append({"timestamp": stamp, "kept_height": kept.height,
+                                    "dropped_height": rec.height})
+    survivors.sort()
+    order = sorted(survivors, key=lambda k: records[k].timestamp)
+    new_rank = {k: rank for rank, k in enumerate(order)}
+    for old_rank, k in enumerate(survivors):
+        if new_rank[k] != old_rank:
+            rec = records[k]
+            report.reordered.append({"height": rec.height,
+                                     "timestamp": _format_timestamp(rec.timestamp),
+                                     "from_rank": old_rank, "to_rank": new_rank[k]})
+    return [records[k] for k in order], report
 
 
 def log_returns(bars, grid_seconds: float = 300.0) -> tuple:
@@ -324,57 +295,28 @@ def build_trivariate(blocks, up_times, down_times, window) -> tuple:
 # CSV input/output
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(path, header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None or [h.strip() for h in found] != list(header):
-            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found}")
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if any(row)]
-    return rows
-
-
 def read_blocks_csv(path) -> list:
     """Read ``height,timestamp,tx_count`` rows into BlockRecords."""
-    rows = _read_csv_rows(path, BLOCKS_CSV_HEADER)
-    records, bad = [], []
-    for lineno, row in rows:
-        try:
-            records.append(
-                BlockRecord(int(row[0]), parse_timestamp(row[1]), int(row[2]))
-            )
-        except (ValueError, IndexError, InvalidInputError):
-            bad.append((lineno, ",".join(row)))
-    if bad:
-        raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
+    records = list(read_csv(path, BLOCKS_CSV_HEADER, lambda row: BlockRecord(
+        int(row[0]), parse_timestamp(row[1]), int(row[2]))))
     if not records:
         raise ParseError(f"{path}: no block records")
-    heights = [r.height for r in records]
-    if len(set(heights)) != len(heights):
-        dupes = sorted({h for h in heights if heights.count(h) > 1})
+    heights = Counter(r.height for r in records)
+    if len(heights) != len(records):
+        dupes = sorted(h for h, count in heights.items() if count > 1)
         raise ParseError(f"{path}: duplicate heights {dupes[:10]}")
     return records
 
 
 def write_blocks_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BLOCKS_CSV_HEADER)
-        for rec in records:
-            writer.writerow([rec.height, _format_timestamp(rec.timestamp), rec.tx_count])
+    write_csv(path, BLOCKS_CSV_HEADER, (
+        (rec.height, _format_timestamp(rec.timestamp), rec.tx_count) for rec in records))
 
 
 def read_price_csv(path) -> list:
     """Read ``timestamp,vwap`` rows into PriceBars (vwap must be > 0)."""
-    rows = _read_csv_rows(path, PRICE_CSV_HEADER)
-    bars, bad = [], []
-    for lineno, row in rows:
-        try:
-            bars.append(PriceBar(parse_timestamp(row[0]), float(row[1])))
-        except (ValueError, IndexError, InvalidInputError):
-            bad.append((lineno, ",".join(row)))
-    if bad:
-        raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
+    bars = list(read_csv(path, PRICE_CSV_HEADER,
+                         lambda row: PriceBar(parse_timestamp(row[0]), float(row[1]))))
     if not bars:
         raise ParseError(f"{path}: no price bars")
     return bars

@@ -449,3 +449,44 @@ class TestOptionTables:
         keep = both.marks > 1
         np.testing.assert_array_equal(alone.times, both.times[keep])
         np.testing.assert_array_equal(alone.marks, both.marks[keep])
+
+
+class TestPinnedOutputs:
+    """sha256 of every file the ingest commands and ``gof`` write, on the
+    messy block fixture and a fixed-seed bar series.  The clean-blocks
+    report is hashed with its manifest (which holds a timestamp) removed."""
+
+    PINNED = {
+        "clean.json": "6592311520feddf4a1694733670fbe7176edeb6946f808e99b55c7de07ef8865",
+        "blocks.csv": "ba68a53b292a9091ce5a6311dad766da5ce45a206f134203514647e0bdbfce9d",
+        "events.csv": "ddd28915b3e5bf30930b4f5bd6ba7ceb8bae30d11efd202bcfe66bb855c8b99a",
+        "jumps.csv": "07c203aad46ab956d01455a9fef77857e393668819f128d6c4d6f3524f62f3f3",
+        "qq_c1.csv": "48941aa0d98622a1701c8166950ca20c65b3bbd41e522d005b196bb230a60dde",
+        "qq_c2.csv": "636e68158a1b7f2f1abb6c586e8032834b860a79c79c142d7506f026c6e21d0e",
+        "qq_c3.csv": "2988fcf897bda60cad95add8b931d57bffc04c4a4d19a4c1c31245eeae0dc884",
+    }
+
+    def test_output_digests(self, tmp_path):
+        write_blocks_csv(messy_block_fixture(), tmp_path / "raw.csv")
+        rng = np.random.default_rng(720)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, 721) * rng.choice([0.5, 2.0], 721)))
+        start = T0.replace(month=1, day=20, hour=8)
+        write_price_csv_from_bars(bars_from_prices(prices, start=start), tmp_path / "price.csv")
+        window = ["--start", "2022-01-20T08:00:00Z", "--end", "2022-01-22T20:00:00Z"]
+        write_model_json(tmp_path / "model.json", [2.0, 1.0, 1.0], np.full((1, 3, 3), 0.2), [3.0])
+        d = {name: str(tmp_path / name) for name in ("raw.csv", "price.csv", "model.json", *self.PINNED)}
+        for argv in (
+            ["clean-blocks", d["raw.csv"], d["blocks.csv"], d["clean.json"]],
+            ["build-events", d["blocks.csv"], d["price.csv"], d["events.csv"], *window],
+            ["extract-jumps", d["price.csv"], d["jumps.csv"]],
+            ["gof", d["events.csv"], d["model.json"], str(tmp_path / "gof.json"),
+             str(tmp_path / "qq.csv"), "--horizon", "60", "--dim", "3"],
+        ):
+            assert main(argv) == 0, argv[0]
+        report = json.loads((tmp_path / "clean.json").read_text())
+        del report["manifest"]
+        (tmp_path / "clean.json").write_text(json.dumps(report, sort_keys=True))
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
+        }
+        assert digests == self.PINNED

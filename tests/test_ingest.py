@@ -1,4 +1,6 @@
 import hashlib
+import re
+import time
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -6,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockhawkes import BlockRecord, JumpConfig, PriceBar, build_trivariate, clean_blocks, extract_jumps, log_returns
+from blockhawkes import (
+    BlockRecord,
+    JumpConfig,
+    PriceBar,
+    build_trivariate,
+    clean_blocks,
+    extract_jumps,
+    log_returns,
+    read_events_csv,
+)
 from blockhawkes.errors import ConfigError, InvalidInputError, ParseError
 from blockhawkes.ingest import (
     _weibull_quantile,
@@ -106,6 +117,52 @@ class TestCleanBlocks:
         stamps = [r.timestamp for r in cleaned]
         assert all(a < b for a, b in zip(stamps, stamps[1:]))
         assert len(cleaned) + report.counts()["duplicates_dropped"] == len(messy_block_fixture())
+
+    def test_messy_fixture_report_pinned(self):
+        # The exact report, entry order included: drops by group in order of
+        # first appearance, reorders in input order.
+        _, report = clean_blocks(messy_block_fixture())
+        swaps = [(8, 9), (11, 12), (14, 15), (25, 26), (28, 29), (31, 32), (34, 35)]
+        assert report.to_dict() == {
+            "duplicates_dropped": [
+                {"height": 719601, "timestamp": "2022-01-20T09:05:00Z", "tx_count": 985,
+                 "kept_height": 719505},
+                {"height": 719701, "timestamp": "2022-01-20T09:20:00Z", "tx_count": 1130,
+                 "kept_height": 719520},
+            ],
+            "reordered": [
+                {"height": 719500 + b, "timestamp": f"2022-01-20T09:{b:02d}:00Z",
+                 "from_rank": a, "to_rank": b}
+                for a, b in swaps for a, b in ((a, b), (b, a))
+            ],
+            "ties": [],
+        }
+
+    def test_record_passed_twice_dropped_once(self):
+        # One object twice (a tie with itself), and an earlier-stamped tie
+        # group that first appears later in the input.
+        ts = datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)
+        same = BlockRecord(7, ts, 500)
+        records = [same, BlockRecord(5, ts - timedelta(minutes=1), 300), same,
+                   BlockRecord(4, ts - timedelta(minutes=1), 300)]
+        cleaned, report = clean_blocks(records)
+        assert cleaned == [records[3], same]
+        stamp, earlier = "2022-01-20T09:26:01Z", "2022-01-20T09:25:01Z"
+        assert report.to_dict() == {
+            "duplicates_dropped": [
+                {"height": 7, "timestamp": stamp, "tx_count": 500, "kept_height": 7},
+                {"height": 5, "timestamp": earlier, "tx_count": 300, "kept_height": 4},
+            ],
+            "reordered": [
+                {"height": 7, "timestamp": stamp, "from_rank": 0, "to_rank": 1},
+                {"height": 4, "timestamp": earlier, "from_rank": 1, "to_rank": 0},
+            ],
+            "ties": [
+                {"timestamp": stamp, "kept_height": 7, "dropped_height": 7},
+                {"timestamp": earlier, "kept_height": 4, "dropped_height": 5},
+            ],
+        }
+        assert report.counts() == {"duplicates_dropped": 2, "reordered": 2, "ties": 2}
 
     def test_idempotent(self):
         cleaned, _ = clean_blocks(messy_block_fixture())
@@ -420,3 +477,35 @@ class TestCsvIo:
         path.write_text("timestamp,vwap\n")
         with pytest.raises(ParseError, match="no price bars"):
             read_price_csv(path)
+
+    def test_duplicate_height_check_is_linear(self, tmp_path):
+        # 40,000 rows, one height repeated; a per-height count made this quadratic.
+        path = tmp_path / "blocks.csv"
+        rows = [f"{k},{1642670761 + 60 * k},900" for k in range(40_000)]
+        rows[-1] = "7,1645070761,900"
+        path.write_text("height,timestamp,tx_count\n" + "\n".join(rows) + "\n")
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=re.escape("duplicate heights [7]")):
+            read_blocks_csv(path)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "reader, header, good",
+        [
+            (read_events_csv, "time_hours,mark", "0.5,1"),
+            (read_blocks_csv, "height,timestamp,tx_count", "1,2022-01-01 00:00:00,5"),
+            (read_price_csv, "timestamp,vwap", "2022-01-01 00:00:00,100.0"),
+        ],
+        ids=["events", "blocks", "price"],
+    )
+    def test_one_blank_row_rule(self, tmp_path, reader, header, good):
+        # Rows whose cells are all whitespace are skipped by every reader;
+        # any other unparseable row is reported with its 1-based line number.
+        path = tmp_path / "in.csv"
+        blanks = ["", " ", ",,", " ,\t"]
+        path.write_text("\n".join([header, good, *blanks, good.replace("1", "2", 1)]) + "\n")
+        assert len(reader(path)) == 2
+        path.write_text("\n".join([header, good, *blanks, "x,y,z"]) + "\n")
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert err.value.bad_lines == [(7, "x,y,z")]
