@@ -7,9 +7,9 @@ Conventions
   [0, seq.horizon].
 * Left-limit intensities: lambda_i(t) sums kernel contributions of events
   strictly before t, so an event never excites itself.
-* Simultaneous events of distinct components are processed in (time, mark)
-  order by the recursive evaluator; each event's jump is applied after its
-  own intensity has been read.
+* Simultaneous events of distinct components are stored in (time, mark)
+  order, and none excites another: like every event, each reads only the
+  events strictly before its time.
 
 All functions are pure: they never mutate their inputs and hold no shared
 state, so concurrent calls are safe.
@@ -106,15 +106,17 @@ def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
 
     Returns ``(S, I)`` of shape (U, m, n + 1); column k < n is event k in
     (time, mark) order and column n the horizon.  S[u, j, k] sums
-    exp(-decays[u] (t_k - t_l)) over component-(j+1) events l processed
-    before event k, and I[u, j, k] is the integral of that sum over [0, t_k].
+    exp(-decays[u] (t_k - t_l)) over component-(j+1) events l with
+    t_l < t_k, and I[u, j, k] is the integral of that sum over [0, t_k].
 
     S[k+1] = exp(-b g_k) (S[k] + e_{d_k}), with g_k = t_{k+1} - t_k (the last
     gap runs to the horizon), is solved per decay by a doubling
     (Hillis-Steele) scan: ceil(log2(n + 1)) vectorized passes that only
     multiply by factors <= 1 and add nonnegative terms, with no logs and no
     division, so the states are exact to rounding at any b * T.  I is the
-    running sum of exp_integral(b, g_k) (S[k] + e_{d_k}).
+    running sum of exp_integral(b, g_k) (S[k] + e_{d_k}); a zero gap adds 0
+    to it.  The recursion runs through tied events at lag 0, so once I is
+    summed each event reads S at the first event of its tie group.
     """
     decays = np.asarray(decays, dtype=float)[:, None]
     n, U, m = len(seq), decays.size, seq.dim
@@ -136,6 +138,11 @@ def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
     np.add(S[..., :-1], jumps, out=I[..., 1:])
     I[..., 1:] *= exp_integral(decays, gaps)[:, None, :]
     np.cumsum(I[..., 1:], axis=-1, out=I[..., 1:])
+    tied = np.flatnonzero(gaps[:-1] == 0.0) + 1
+    if tied.size:
+        first = np.arange(n)
+        first[tied] = 0
+        S[..., tied] = S[..., np.maximum.accumulate(first)[tied]]
     return S, I
 
 

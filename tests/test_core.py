@@ -113,6 +113,33 @@ class TestIntensityRecursive:
             )
             np.testing.assert_allclose(lambdas, naive, rtol=1e-10, atol=1e-10)
 
+    def test_tied_events_do_not_excite_each_other(self):
+        model = HawkesModel([1.0, 1.0], SumExpKernel(np.full((1, 2, 2), 0.5), [1.0]))
+        seq = EventSequence([1.0, 1.0, 2.0], [1, 2, 1], 3.0, 2)
+        lambdas, end_state = intensity_recursive(model, seq)
+        np.testing.assert_allclose(lambdas, [1.0, 1.0, 1.0 + np.exp(-1.0)])
+        np.testing.assert_allclose(end_state, [[np.exp(-2.0) + np.exp(-1.0), np.exp(-2.0)]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        num_decays=st.integers(min_value=1, max_value=3),
+        n=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_naive_with_ties_and_events_at_zero(self, dim, num_decays, n, seed):
+        # Times on a coarse grid that includes 0, so most draws hold ties,
+        # some across several components, and events at the window start.
+        rng = np.random.default_rng(seed)
+        times = rng.integers(0, max(2, n // 3), n) * 0.5
+        marks = rng.integers(1, dim + 1, n)
+        keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
+        seq = EventSequence(times[keep], marks[keep], float(times.max()) + 1.0, dim)
+        model = random_sumexp_model(rng, dim=dim, num_decays=num_decays)
+        lambdas, _ = intensity_recursive(model, seq)
+        naive = [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]
+        np.testing.assert_allclose(lambdas, naive, rtol=1e-12)
+
     @pytest.mark.parametrize("decay_horizon", [7.1e4, 1e7, 1e8])
     def test_exact_at_extreme_decay_horizon_products(self, decay_horizon):
         # Clusters a few decay lengths wide, spread over the paper's 1416 h
