@@ -102,38 +102,56 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
 
 
 def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
-    """Exact excitation states and their time integrals for shared decays.
+    """Exact excitation states for shared decays, their time integrals and
+    their decay derivatives.
 
-    Returns ``(S, I)`` of shape (U, m, n + 1); column k < n is event k in
+    Returns ``(S, I, R)`` of shape (U, m, n + 1); column k < n is event k in
     (time, mark) order and column n the horizon.  S[u, j, k] sums
-    exp(-decays[u] (t_k - t_l)) over component-(j+1) events l with
-    t_l < t_k, and I[u, j, k] is the integral of that sum over [0, t_k].
+    exp(-b_u (t_k - t_l)) over component-(j+1) events l with t_l < t_k,
+    I[u, j, k] is its integral over [0, t_k], and R = -dS/db_u sums
+    (t_k - t_l) exp(-b_u (t_k - t_l)) over the same events.
 
     S[k+1] = exp(-b g_k) (S[k] + e_{d_k}), with g_k = t_{k+1} - t_k (the last
     gap runs to the horizon), is solved per decay by a doubling
     (Hillis-Steele) scan: ceil(log2(n + 1)) vectorized passes that only
-    multiply by factors <= 1 and add nonnegative terms, with no logs and no
-    division, so the states are exact to rounding at any b * T.  I is the
-    running sum of exp_integral(b, g_k) (S[k] + e_{d_k}); a zero gap adds 0
-    to it.  The recursion runs through tied events at lag 0, so once I is
-    summed each event reads S at the first event of its tie group.
+    multiply by factors <= 1 and add nonnegative terms, so the states are
+    exact to rounding at any b * T.  R[k+1] = exp(-b g_k) (R[k] + g_k (S[k]
+    + e_{d_k})) rides in the same passes, each adding F (D s + r) of the
+    span before, with F its decay and D its length, so R is as exact.  I
+    sums exp_integral(b, g_k) (S[k] + e_{d_k}).  Tied events pass through
+    the recursion at lag 0, so once I is summed each reads S and R at the
+    first event of its tie group.
     """
     decays = np.asarray(decays, dtype=float)[:, None]
     n, U, m = len(seq), decays.size, seq.dim
     jumps = np.arange(1, m + 1)[:, None] == seq.marks  # (m, n) one-hot marks
     gaps = np.diff(seq.times, append=seq.horizon)
+    clock = np.append(seq.times, seq.horizon)  # the time of each column
     factor = np.exp(-decays * gaps)  # (U, n)
     S = np.zeros((U, m, n + 1))
     np.multiply(factor[:, None, :], jumps, out=S[..., 1:])  # own jumps, decayed
+    R = S * np.r_[0.0, gaps]
+    shifts = 2 ** np.arange(int(n).bit_length())  # 1, 2, 4, ... <= n
+    spans = [clock[shift:] - clock[:-shift] for shift in shifts]
+    work = np.empty((m, n))
     # One decay at a time keeps each pass's arrays small enough for the cache.
-    for s, carry in zip(S, np.pad(factor, ((0, 0), (1, 0)))):
+    for s, r, carry in zip(S, R, np.pad(factor, ((0, 0), (1, 0)))):
         # Before each pass s[:, k] holds the jumps of events k-shift..k-1
-        # decayed to t_k, and carry[k] the decay from t_{k-shift} to t_k.
-        shift = 1
-        while shift <= n:
-            s[:, shift:] += carry[shift:] * s[:, :-shift]
-            carry[shift:] *= carry[:-shift]
-            shift *= 2
+        # decayed to t_k, r[:, k] the same times their lags, and carry[k]
+        # the decay from t_{k-shift} to t_k; once all carries are 0, the
+        # passes left would add exact zeros.
+        for shift, span in zip(shifts, spans):
+            decay = carry[shift:]
+            if not decay.any():
+                break
+            w = work[:, : n + 1 - shift]
+            np.multiply(span, s[:, :-shift], out=w)
+            w += r[:, :-shift]
+            w *= decay
+            r[:, shift:] += w
+            np.multiply(decay, s[:, :-shift], out=w)
+            s[:, shift:] += w
+            decay *= carry[:-shift]
     I = np.zeros((U, m, n + 1))
     np.add(S[..., :-1], jumps, out=I[..., 1:])
     I[..., 1:] *= exp_integral(decays, gaps)[:, None, :]
@@ -142,8 +160,10 @@ def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
     if tied.size:
         first = np.arange(n)
         first[tied] = 0
-        S[..., tied] = S[..., np.maximum.accumulate(first)[tied]]
-    return S, I
+        first = np.maximum.accumulate(first)[tied]
+        S[..., tied] = S[..., first]
+        R[..., tied] = R[..., first]
+    return S, I, R
 
 
 def intensity_recursive(model: HawkesModel, seq: EventSequence):
@@ -164,7 +184,7 @@ def intensity_recursive(model: HawkesModel, seq: EventSequence):
             f"got {type(model.kernel).__name__}"
         )
     _check_pair(model, seq, 1)
-    S, _ = _sumexp_event_states(seq, k.decays)
+    S, _, _ = _sumexp_event_states(seq, k.decays)
     rows = seq.marks - 1
     excitation = np.einsum("ujk,ukj->k", S[..., :-1], k.alpha[:, rows, :])
     return model.mu[rows] + excitation, S[..., -1].copy()

@@ -139,13 +139,20 @@ def write_events_csv(seq: EventSequence, path) -> None:
     write_csv(path, EVENTS_CSV_HEADER, ((f"{t:.12g}", d) for t, d in rows))
 
 
+def _parse_event(row):
+    mark = int(row[1])
+    if mark.bit_length() > 63:  # would overflow the int64 mark column
+        raise ValueError(f"mark {mark} out of range")
+    return float(row[0]), mark
+
+
 def read_events_csv(path, horizon: float | None = None, dim: int | None = None) -> EventSequence:
     """Read the interchange CSV written by :func:`write_events_csv`.
 
     The file carries no window metadata, so ``horizon`` defaults to the last
     event time and ``dim`` to the largest mark seen.
     """
-    rows = read_csv(path, EVENTS_CSV_HEADER, lambda row: (float(row[0]), int(row[1])))
+    rows = read_csv(path, EVENTS_CSV_HEADER, _parse_event)
     events = np.fromiter(rows, dtype=[("time", float), ("mark", np.int64)])
     if not events.size:
         raise ParseError(f"{path}: no events")

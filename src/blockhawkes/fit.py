@@ -10,8 +10,10 @@ The estimation is split into two nested problems:
   ``Z_i^T diag(lambda^-2) Z_i`` with ``Z_i = [1, X_i]``.  The
   box-constrained step lands alpha entries exactly on 0, reproducing
   structural zeros.
-* **outer** -- Nelder-Mead simplex search over the log-decays, each vertex
-  scored by the maximized (profile) inner log-likelihood.
+* **outer** -- L-BFGS-B over the log-decays on the maximized (profile)
+  inner log-likelihood, whose gradient comes free at the inner optimum by
+  the envelope theorem: b_u dl/db_u at fixed (mu, alpha).  Decays left with
+  almost no kernel norm, where it vanishes, are re-seeded between descents.
 
 A homogeneous-Poisson baseline fit is provided for model comparison.
 Fitting consumes no randomness: fixed data and config give identical
@@ -21,7 +23,7 @@ results.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -29,10 +31,20 @@ from scipy import optimize
 from .core import HawkesModel, _sumexp_event_states, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence
-from .kernels import SumExpKernel
+from .kernels import SumExpKernel, exp_first_moment
 
 MU_FLOOR = 1e-10
 ARMIJO = 1e-4
+
+# A decay with at most RESEED_SHARE of the kernel norm has a profile gradient
+# of about 0: on pipeline_cli events files descents stalled there 1.5-4.7 nats
+# below the optimum that moving it next to another decay reached.  Candidates,
+# one profile evaluation each: every other decay times RESEED_STEP ** +-1, and
+# RESEED_GRID per hour.  At most RESEED_ROUNDS rounds.
+RESEED_SHARE = 0.05
+RESEED_STEP = 1.25
+RESEED_GRID = np.logspace(-1.0, 2.0, 7)
+RESEED_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,8 @@ class FitConfig:
     ascending).  ``inner_max_iter`` caps the Newton steps of each
     component's inner solve; ``inner_tol`` is the contract's stationarity
     target, a projected gradient of at most ``inner_tol * (1 + |l|)``.
+    ``outer_max_iter`` caps the decay search's L-BFGS-B iterations, and
+    ``outer_tol`` bounds its projected gradient, in nats per unit log-decay.
     """
 
     num_decays: int = 3
@@ -78,13 +92,15 @@ class FitResult:
 
     ``inner_iterations`` is the largest Newton step count over the
     components (of the best vertex, for :func:`fit_full`): it reaches
-    ``inner_max_iter`` only if a component hit the cap.  ``optimizer_trace``
-    holds (iteration, objective) pairs: for :func:`fit_given_decays`, per
-    Newton step k, the sum over components of each one's objective after
-    min(k, its last) steps, which is nondecreasing; for :func:`fit_full`,
-    the best profile log-likelihood per simplex iteration.  ``messages``
-    names pinned components and component solves that stopped at the cap
-    or without progress.
+    ``inner_max_iter`` only if a component hit the cap.  ``decay_gradient``
+    is the profile gradient dl/d log b_u at the fitted decays.
+    ``optimizer_trace`` holds (iteration, objective) pairs: for
+    :func:`fit_given_decays`, per Newton step k, the sum over components of
+    each one's objective after min(k, its last) steps, which is
+    nondecreasing; for :func:`fit_full`, the best profile log-likelihood
+    after each profile evaluation.  ``messages`` names pinned components,
+    component solves stopped at the cap or without progress, and failed
+    profile evaluations.
     """
 
     model: HawkesModel
@@ -94,6 +110,7 @@ class FitResult:
     inner_iterations: int
     outer_iterations: int
     optimizer_trace: list
+    decay_gradient: np.ndarray
     messages: tuple = ()
 
 
@@ -138,18 +155,21 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 # ---------------------------------------------------------------------------
 
 def _design(seq: EventSequence, decays: np.ndarray):
-    """Sufficient statistics of the inner problem.
+    """Sufficient statistics of the inner problem and of the decay gradient.
 
     Returns per-component design matrices X[i] of shape (n_i, U*m) with the
-    recursion states at component-i events, and the flattened compensator
-    weights Mvec[u*m + j], the integrated state at the horizon: the sum
-    over component-j events of the integral of exp(-b_u s) over
-    [0, T - t_k].  Both come from one :func:`_sumexp_event_states` call.
+    recursion states at component-i events; the flattened compensator
+    weights Mvec[u*m + j], the integrated state at the horizon (the sum over
+    component-j events of exp_integral(b_u, T - t_k)); the lag-weighted
+    states R at every event, shape (U*m, n); and D[u, j] = -dMvec[u*m +
+    j]/db_u, the same sum of exp_first_moment(b_u, T - t_k).
     """
-    S, I = _sumexp_event_states(seq, decays)
+    S, I, R = _sumexp_event_states(seq, decays)
     U, m = decays.size, seq.dim
     X = [S[..., :-1][..., seq.marks == i + 1].reshape(U * m, -1).T for i in range(m)]
-    return X, I[..., -1].flatten()
+    moments = exp_first_moment(decays[:, None], seq.horizon - seq.times)
+    D = np.stack([np.bincount(seq.marks - 1, weights=row, minlength=m) for row in moments])
+    return X, I[..., -1].flatten(), R[..., :-1].reshape(U * m, -1), D
 
 
 def _loglik_and_grad(X, Mvec, horizon, mu, alpha):
@@ -181,8 +201,19 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     m, U = seq.dim, decays.size
     if mu.shape != (m,) or alpha.shape != (U, m, m):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
-    X, Mvec = _design(seq, decays)
+    X, Mvec, _, _ = _design(seq, decays)
     return _loglik_and_grad(X, Mvec, seq.horizon, mu, alpha)
+
+
+def _decay_gradient(X, R, D, marks, decays, mu, alpha):
+    """dl/d log b_u at fixed (mu, alpha), from :func:`_design`: b_u sum_ij
+    alpha[u,i,j] (D[u,j] - sum over component-i events k of R[u,j,k] / lambda_k)."""
+    U, m, _ = alpha.shape
+    inv = np.zeros((marks.size, m))
+    for i in range(m):
+        inv[marks == i + 1, i] = 1.0 / (mu[i] + X[i] @ alpha[:, i, :].reshape(U * m))
+    V = (R @ inv).reshape(U, m, m).transpose(0, 2, 1)  # V[u, i, j]
+    return decays * np.sum(alpha * (D[:, None, :] - V), axis=(1, 2))
 
 
 def _newton_component(Z, c, lower, x, max_steps, tol):
@@ -256,7 +287,7 @@ def fit_given_decays(
     describing their influence stay at 0 since the data carry no signal
     about them.  A fitted kernel-norm spectral radius >= 1 gives a
     :class:`StationarityWarning`.  ``warn=False`` leaves both warnings to
-    the caller; :func:`fit_full` passes it at every vertex.
+    the caller; :func:`fit_full` passes it at every profile evaluation.
     Non-convergence within the iteration budget returns the best iterate
     with ``converged=False`` rather than raising.
     """
@@ -280,7 +311,7 @@ def fit_given_decays(
         if warn:
             warnings.warn(msg, DegenerateComponentWarning, stacklevel=2)
 
-    X, Mvec = _design(seq, decays)
+    X, Mvec, R, D = _design(seq, decays)
     c = np.r_[horizon, Mvec]
     lower = np.r_[MU_FLOOR, np.zeros(U * m)]
     mu = np.full(m, MU_FLOOR)
@@ -316,25 +347,30 @@ def fit_given_decays(
         inner_iterations=steps,
         outer_iterations=0,
         optimizer_trace=trace,
+        decay_gradient=_decay_gradient(X, R, D, seq.marks, decays, mu, alpha),
         messages=tuple(messages),
     )
 
 
 # ---------------------------------------------------------------------------
-# Outer problem: Nelder-Mead over log-decays, profile likelihood objective
+# Outer problem: L-BFGS-B over log-decays, profile likelihood objective
 # ---------------------------------------------------------------------------
 
 def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
-    """Full fit: simplex search over shared decays on the profile likelihood.
+    """Full fit: gradient search over shared decays on the profile likelihood.
 
-    Each simplex vertex triggers an inner :func:`fit_given_decays`; decays
-    stay positive through the log parameterization.  The search stops when
-    the simplex diameter (in log-decay space) drops below ``outer_tol`` or
-    after ``outer_max_iter`` iterations; ``outer_max_iter=0`` returns the
-    inner fit at ``decay_init`` with ``converged=False``.  The vertices do
-    not warn: a :class:`DegenerateComponentWarning` and a
-    :class:`StationarityWarning` are emitted at most once, for the returned
-    model.
+    L-BFGS-B descends from ``decay_init`` over the log-decays, one inner
+    :func:`fit_given_decays` (with its envelope gradient) per profile
+    evaluation, to a projected gradient of at most ``outer_tol``; a stalled
+    objective never stops it.  Then a decay with at most RESEED_SHARE of the
+    kernel norm moves to the best of its candidate places and the search
+    descends again, until a round gains nothing.  ``outer_max_iter`` caps
+    the L-BFGS-B iterations over all descents; 0 returns the inner fit at
+    ``decay_init`` with ``converged=False``.  The best profile point is
+    returned, ``converged`` if its projected gradient is at most
+    ``outer_tol`` and its inner fit converged.  A failed evaluation ends its
+    descent and is named in ``messages``.  A DegenerateComponentWarning and
+    a StationarityWarning come at most once, for the returned model.
     """
     if config is None:
         config = FitConfig()
@@ -342,77 +378,59 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
 
     if config.outer_max_iter == 0:
         inner = fit_given_decays(seq, decay0, config)
-        inner.converged = False
-        inner.optimizer_trace = [(0, inner.log_lik)]
-        return inner
+        return replace(inner, converged=False, optimizer_trace=[(0, inner.log_lik)])
 
-    cache = {}  # one-decay simplices revisit points: ~1 call in 5 on univariate fits
-    best = {"l": -np.inf, "result": None}
-    failures = []
+    best = None
+    trace, failures = [], []
 
     def profile(x):
-        decays = np.sort(np.exp(x))
-        key = decays.tobytes()
-        if key in cache:
-            return cache[key]
+        nonlocal best
+        order = np.argsort(x)
+        decays = np.exp(x[order])
         try:
             inner = fit_given_decays(seq, decays, config, warn=False)
-            value = -inner.log_lik
-            if inner.log_lik > best["l"]:
-                best["l"] = inner.log_lik
-                best["result"] = inner
-        except (HawkesError, np.linalg.LinAlgError, FloatingPointError) as exc:  # -inf vertex
+        except (HawkesError, np.linalg.LinAlgError, FloatingPointError) as exc:
             failures.append(f"decays {decays.round(6).tolist()}: {exc}")
-            value = np.inf
-        cache[key] = value
-        return value
+            return np.inf, np.zeros_like(x)
+        if best is None or inner.log_lik > best.log_lik:
+            best = inner
+        trace.append((len(trace) + 1, best.log_lik))
+        return -inner.log_lik, -inner.decay_gradient[np.argsort(order)]
 
-    x0 = np.log(decay0)
-    simplex = np.vstack([x0] + [
-        np.log(decay0 * (1.0 + 0.05 * (np.arange(decay0.size) == j)))
-        for j in range(decay0.size)
-    ])
-
-    trace = []
-    iteration = [0]
-
-    def callback(xk):
-        iteration[0] += 1
-        trace.append((iteration[0], best["l"]))
-
-    res = optimize.minimize(
-        profile,
-        x0,
-        method="Nelder-Mead",
-        callback=callback,
-        options={
-            "initial_simplex": simplex,
-            "xatol": config.outer_tol,
-            "fatol": np.inf,
-            "maxiter": config.outer_max_iter,
-            "maxfev": 100 * config.outer_max_iter + 100,
-            "adaptive": False,
-        },
-    )
-
-    if best["result"] is None:
-        raise FittingError(
-            "every simplex evaluation failed; first failure: "
-            + (failures[0] if failures else "unknown")
+    x, iterations, before = np.log(decay0), 0, -np.inf
+    for round_ in range(RESEED_ROUNDS + 1):
+        res = optimize.minimize(
+            profile, x, jac=True, method="L-BFGS-B",
+            options={"maxiter": config.outer_max_iter - iterations,
+                     "gtol": config.outer_tol, "ftol": 0.0},
         )
+        iterations += res.nit
+        if best is None:
+            raise FittingError(f"every profile evaluation failed; first failure: {failures[0]}")
+        if best.log_lik <= before or round_ == RESEED_ROUNDS or iterations >= config.outer_max_iter:
+            break
+        before = best.log_lik
+        decays = best.model.kernel.decays
+        norms = best.model.kernel.alpha.sum(axis=(1, 2)) / decays
+        weak = int(np.argmin(norms))
+        if norms[weak] > RESEED_SHARE * norms.sum():
+            break
+        others = np.delete(decays, weak)
+        places = np.concatenate([others * RESEED_STEP, others / RESEED_STEP, RESEED_GRID])
+        starts = np.tile(np.log(decays), (places.size, 1))
+        starts[:, weak] = np.log(places)
+        x = min(starts[~np.isin(places, decays)], key=lambda start: profile(start)[0])
 
-    final = best["result"]
+    stationary = np.max(np.abs(best.decay_gradient)) <= config.outer_tol
     if np.any(seq.counts() == 0):  # the pinning note leads the messages
-        warnings.warn(final.messages[0], DegenerateComponentWarning, stacklevel=2)
-    return FitResult(
-        model=final.model,
-        log_lik=final.log_lik,
-        kernel_norm_matrix=kernel_norms(final.model),
-        converged=bool(res.success) and final.converged,
-        inner_iterations=final.inner_iterations,
-        outer_iterations=int(res.nit),
+        warnings.warn(best.messages[0], DegenerateComponentWarning, stacklevel=2)
+    return replace(
+        best,
+        kernel_norm_matrix=kernel_norms(best.model),
+        converged=bool(stationary) and best.converged,
+        outer_iterations=iterations,
         optimizer_trace=trace,
-        messages=final.messages + tuple(failures),
+        messages=best.messages + tuple(failures),
     )
 
 
@@ -425,11 +443,7 @@ def model_to_dict(model: HawkesModel) -> dict:
     kernel = model.kernel
     if not isinstance(kernel, SumExpKernel):
         raise InvalidInputError("only sum-of-exponentials models serialize to JSON")
-    return {
-        "mu": model.mu.tolist(),
-        "alpha": kernel.alpha.tolist(),
-        "beta": kernel.decays.tolist(),
-    }
+    return {"mu": model.mu.tolist(), "alpha": kernel.alpha.tolist(), "beta": kernel.decays.tolist()}
 
 
 def model_from_dict(data: dict) -> HawkesModel:

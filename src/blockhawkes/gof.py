@@ -58,7 +58,7 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     out = []
     kernel = model.kernel.sumexp()
     if kernel is not None:
-        _, I = _sumexp_event_states(seq, kernel.decays)
+        _, I, _ = _sumexp_event_states(seq, kernel.decays)
     for i in range(1, model.dim + 1):
         rows = seq.marks == i
         if rows.sum() < 2:

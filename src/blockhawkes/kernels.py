@@ -21,6 +21,7 @@ history for evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,6 +43,26 @@ def _as_matrix(x, name: str) -> np.ndarray:
 def exp_integral(b, lags) -> np.ndarray:
     """Integral of exp(-b s) over [0, lag]; exact even when b * lag is tiny."""
     return -np.expm1(-b * lags) / b
+
+
+# (1 - exp(-x) (1 + x)) / x^2 = sum_{k>=2} (-1)^k (k - 1) / k! x^(k - 2): 16 terms
+_MOMENT_SERIES = [(-1) ** k * (k - 1) / math.factorial(k) for k in range(17, 1, -1)]
+
+
+def exp_first_moment(b, lags) -> np.ndarray:
+    """Integral of s exp(-b s) over [0, lag], lag^2 (1 - exp(-x) (1 + x)) / x^2
+    with x = b * lag.  A series serves x <= 0.5, where that form cancels, so
+    it is lag^2 / 2 as b goes to 0; past x = 40 exp(-x) (1 + x) is below
+    rounding, and skipping it skips a slow underflowing exp."""
+    x = np.asarray(b * lags, dtype=float)
+    ratio = np.maximum(x, 40.0, out=np.empty_like(x))
+    ratio **= -2.0
+    small = x <= 0.5
+    mid = (x <= 40.0) & ~small
+    ratio[small] = np.polyval(_MOMENT_SERIES, x[small])
+    xm = x[mid]
+    ratio[mid] = (-np.expm1(-xm) - xm * np.exp(-xm)) / xm**2
+    return lags**2 * ratio
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,16 @@ class TestGofCommand:
         assert comp["slope_deviation"] < 0.05
         assert (tmp_path / "qq_c1.csv").exists()
 
+    def test_out_of_range_mark_exits_2_with_line(self, tmp_path, capsys):
+        model_json = tmp_path / "model.json"
+        write_model_json(model_json, [1.0], [[[0.5]]], [1.0])
+        events = tmp_path / "events.csv"
+        events.write_text("time_hours,mark\n0.5,1\n1.0,99999999999999999999\n")
+        code = main(["gof", str(events), str(model_json), str(tmp_path / "gof.json"),
+                     str(tmp_path / "qq.csv"), "--horizon", "2"])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_wrong_model_flagged(self, tmp_path):
         model_json = tmp_path / "model.json"
         model = write_model_json(model_json, [1.0], [[[0.5]]], [1.0])

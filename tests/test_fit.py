@@ -89,6 +89,26 @@ class TestGradient:
                 np.testing.assert_allclose(dalpha[idx], fd, rtol=1e-4, atol=1e-6)
 
 
+class TestProfileGradient:
+    def test_matches_central_differences_with_ties(self):
+        # Times rounded to 0.01 h leave tied events across components.
+        rng = np.random.default_rng(57)
+        model = random_sumexp_model(rng, dim=3, num_decays=2)
+        sim = simulate(SimConfig(model, 300.0, seed=57))
+        times = np.round(sim.times, 2)
+        keep = np.unique(np.column_stack((times, sim.marks)), axis=0, return_index=True)[1]
+        seq = EventSequence(times[keep], sim.marks[keep], 300.0, 3)
+        assert np.sum(np.diff(seq.times) == 0) >= 50
+        decays = np.array([1.0, 6.0, 30.0])
+        grad = fit_given_decays(seq, decays).decay_gradient
+        h = 1e-4
+        for u in range(3):
+            step = np.exp(h * (np.arange(3) == u))
+            fd = (fit_given_decays(seq, decays * step).log_lik
+                  - fit_given_decays(seq, decays / step).log_lik) / (2 * h)
+            assert abs(grad[u] - fd) <= 1e-5 * abs(fd)
+
+
 class TestFitPoisson:
     def test_closed_form_rate(self):
         times = np.linspace(0.1, 5.9, 36)
@@ -297,6 +317,31 @@ class TestFitFull:
         assert abs(k.alpha[0, 0, 0] - truth_alpha) / truth_alpha <= 0.15
         assert abs(k.decays[0] - truth_beta) / truth_beta <= 0.15
 
+    def test_reseeding_lifts_an_idle_decay(self, monkeypatch):
+        from blockhawkes import fit as fit_module
+
+        model = HawkesModel([1.0], SumExpKernel(np.array([[[0.4]], [[3.0]]]), [1.0, 10.0]))
+        seq = simulate(SimConfig(model, 1000.0, seed=1))
+        config = FitConfig(num_decays=2, decay_init=(0.01, 2.0))
+        monkeypatch.setattr(fit_module, "RESEED_ROUNDS", 0)
+        first = fit_full(seq, config)
+        assert first.converged and first.model.kernel.alpha[0].sum() == 0.0  # idle, zero gradient
+        monkeypatch.undo()
+        result = fit_full(seq, config)
+        assert result.converged
+        assert result.log_lik > first.log_lik + 1.0
+        assert np.all(result.model.kernel.alpha.sum(axis=(1, 2)) > 0.0)
+
+    def test_verdict_is_the_projected_gradient(self):
+        _, seq = simulate_univariate(seed=14, horizon=300.0)
+        capped = fit_full(seq, FitConfig(num_decays=1, decay_init=(0.2,), outer_max_iter=1))
+        assert capped.outer_iterations == 1
+        assert np.max(np.abs(capped.decay_gradient)) > FitConfig().outer_tol
+        assert capped.converged is False
+        full = fit_full(seq, FitConfig(num_decays=1, decay_init=(0.2,)))
+        assert full.converged is True
+        assert np.max(np.abs(full.decay_gradient)) <= FitConfig().outer_tol
+
     def test_warns_once_for_the_returned_model(self):
         rng = np.random.default_rng(2)
         times = np.sort(rng.uniform(0, 50, 120))
@@ -310,7 +355,7 @@ class TestFitFull:
         rho = spectral_radius(result.kernel_norm_matrix)
         assert categories.count(StationarityWarning) == int(rho >= 1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf vertices in scipy's fatol check
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf objective values in scipy
     def test_all_vertex_failure_raises(self, monkeypatch):
         from blockhawkes import fit as fit_module
         from blockhawkes.errors import FittingError
@@ -321,7 +366,7 @@ class TestFitFull:
             raise FittingError("synthetic inner failure")
 
         monkeypatch.setattr(fit_module, "fit_given_decays", always_fails)
-        with pytest.raises(FittingError, match="every simplex evaluation failed"):
+        with pytest.raises(FittingError, match="every profile evaluation failed"):
             fit_module.fit_full(seq, FitConfig(num_decays=1, decay_init=(1.0,)))
 
     def test_inner_solver_bug_propagates(self, monkeypatch):

@@ -1,8 +1,26 @@
+import mpmath
 import numpy as np
 import pytest
 
 from blockhawkes import ExponentialKernel, PowerLawKernel, SumExpKernel
 from blockhawkes.errors import InvalidInputError
+from blockhawkes.kernels import exp_first_moment
+
+
+class TestExpFirstMoment:
+    @pytest.mark.parametrize("lag", [0.3, 7.0])
+    def test_matches_quadrature(self, lag):
+        # b * lag from 1e-8, where the closed form cancels, to 1e3.
+        products = np.r_[np.logspace(-8.0, 3.0, 23), 0.5, 40.0]
+        got = exp_first_moment(products / lag, lag)
+        with mpmath.workdps(40):
+            want = [float(mpmath.quad(lambda s: s * mpmath.exp(-mpmath.mpf(x / lag) * s), [0, lag]))
+                    for x in products]
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
+    def test_tiny_decay_is_half_the_squared_lag(self):
+        lags = np.array([0.0, 1.0, 3.0, 1416.0])
+        np.testing.assert_array_equal(exp_first_moment(1e-20, lags), lags**2 / 2)
 
 
 class TestExponential:
