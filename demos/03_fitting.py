@@ -5,7 +5,8 @@
 # experiment where the truth is known:
 #   inner  -- (mu, alpha) at fixed decays splits into one concave problem
 #             per component, each solved by projected Newton steps
-#   outer  -- Nelder-Mead walks the shared decays on the profile likelihood
+#   outer  -- L-BFGS-B walks the log-decays on the profile likelihood, whose
+#             gradient comes free at each inner optimum (envelope theorem)
 #
 # Run:  python demos/03_fitting.py
 # =============================================================================
@@ -54,7 +55,7 @@ best_grid = grid[int(np.argmax(profile))]
 print(f"grid maximum at decay {best_grid}")
 
 # -----------------------------------------------------------------------------
-# 3. Full fit: simplex over log-decays + convergence diagnostics
+# 3. Full fit: gradient search over log-decays + convergence diagnostics
 # -----------------------------------------------------------------------------
 result = fit_full(seq, FitConfig(num_decays=1, decay_init=(0.5,)))
 k = result.model.kernel
@@ -65,12 +66,13 @@ print(f"  beta  = {k.decays[0]:.4f}   (truth {truth_beta})")
 print(f"  branching ratio alpha/beta = {result.kernel_norm_matrix[0, 0]:.4f} "
       f"(truth {truth_alpha / truth_beta:.4f})")
 print(f"  converged={result.converged}, inner iters={result.inner_iterations}, "
-      f"outer iters={result.outer_iterations}")
+      f"outer iters={result.outer_iterations}, "
+      f"profile gradient d l/d log beta={result.decay_gradient[0]:.2e}")
 
-print("\nouter progress (best profile log-likelihood per simplex iteration):")
+print("\nouter progress (best profile log-likelihood per profile evaluation):")
 trace = result.optimizer_trace
 for it, value in trace[:: max(1, len(trace) // 6)]:
-    print(f"  iter {it:>3}: {value:.3f}")
+    print(f"  evaluation {it:>3}: {value:.3f}")
 
 # -----------------------------------------------------------------------------
 # 4. Against the memoryless baseline

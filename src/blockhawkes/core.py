@@ -119,8 +119,8 @@ def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
     + e_{d_k})) rides in the same passes, each adding F (D s + r) of the
     span before, with F its decay and D its length, so R is as exact.  I
     sums exp_integral(b, g_k) (S[k] + e_{d_k}).  Tied events pass through
-    the recursion at lag 0, so once I is summed each reads S and R at the
-    first event of its tie group.
+    the recursion at lag 0, so once I is summed each reads S at the first
+    event of its tie group; a zero lag adds 0 to R and I.
     """
     decays = np.asarray(decays, dtype=float)[:, None]
     n, U, m = len(seq), decays.size, seq.dim
@@ -160,9 +160,7 @@ def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
     if tied.size:
         first = np.arange(n)
         first[tied] = 0
-        first = np.maximum.accumulate(first)[tied]
-        S[..., tied] = S[..., first]
-        R[..., tied] = R[..., first]
+        S[..., tied] = S[..., np.maximum.accumulate(first)[tied]]
     return S, I, R
 
 

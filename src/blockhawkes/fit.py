@@ -366,11 +366,10 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
     kernel norm moves to the best of its candidate places and the search
     descends again, until a round gains nothing.  ``outer_max_iter`` caps
     the L-BFGS-B iterations over all descents; 0 returns the inner fit at
-    ``decay_init`` with ``converged=False``.  The best profile point is
-    returned, ``converged`` if its projected gradient is at most
-    ``outer_tol`` and its inner fit converged.  A failed evaluation ends its
-    descent and is named in ``messages``.  A DegenerateComponentWarning and
-    a StationarityWarning come at most once, for the returned model.
+    ``decay_init`` with ``converged=False``.  The best point is returned,
+    ``converged`` if its projected gradient is at most ``outer_tol`` and its
+    inner fit converged.  A failed evaluation ends its descent and is named
+    in ``messages``.  Warnings come once, for the returned model.
     """
     if config is None:
         config = FitConfig()
@@ -443,7 +442,11 @@ def model_to_dict(model: HawkesModel) -> dict:
     kernel = model.kernel
     if not isinstance(kernel, SumExpKernel):
         raise InvalidInputError("only sum-of-exponentials models serialize to JSON")
-    return {"mu": model.mu.tolist(), "alpha": kernel.alpha.tolist(), "beta": kernel.decays.tolist()}
+    return {
+        "mu": model.mu.tolist(),
+        "alpha": kernel.alpha.tolist(),
+        "beta": kernel.decays.tolist(),
+    }
 
 
 def model_from_dict(data: dict) -> HawkesModel:
