@@ -91,7 +91,7 @@ class FitResult:
     """Fitted model plus optimizer diagnostics.
 
     ``inner_iterations`` is the largest Newton step count over the
-    components (of the best vertex, for :func:`fit_full`): it reaches
+    components (at the returned decays, for :func:`fit_full`): it reaches
     ``inner_max_iter`` only if a component hit the cap.  ``decay_gradient``
     is the profile gradient dl/d log b_u at the fitted decays.
     ``optimizer_trace`` holds (iteration, objective) pairs: for
