@@ -131,7 +131,7 @@ def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
     S = np.zeros((U, m, n + 1))
     np.multiply(factor[:, None, :], jumps, out=S[..., 1:])  # own jumps, decayed
     R = S * np.r_[0.0, gaps]
-    shifts = 2 ** np.arange(int(n).bit_length())  # 1, 2, 4, ... <= n
+    shifts = 2 ** np.arange(n.bit_length())  # 1, 2, 4, ... <= n
     spans = [clock[shift:] - clock[:-shift] for shift in shifts]
     work = np.empty((m, n))
     # One decay at a time keeps each pass's arrays small enough for the cache.

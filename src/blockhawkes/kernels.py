@@ -45,7 +45,7 @@ def exp_integral(b, lags) -> np.ndarray:
     return -np.expm1(-b * lags) / b
 
 
-# (1 - exp(-x) (1 + x)) / x^2 = sum_{k>=2} (-1)^k (k - 1) / k! x^(k - 2): 16 terms
+# Taylor coefficients of (1 - exp(-x) (1 + x)) / x^2, highest first; 16 reach rounding at x <= 0.5
 _MOMENT_SERIES = [(-1) ** k * (k - 1) / math.factorial(k) for k in range(17, 1, -1)]
 
 

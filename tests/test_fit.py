@@ -323,10 +323,10 @@ class TestFitFull:
         model = HawkesModel([1.0], SumExpKernel(np.array([[[0.4]], [[3.0]]]), [1.0, 10.0]))
         seq = simulate(SimConfig(model, 1000.0, seed=1))
         config = FitConfig(num_decays=2, decay_init=(0.01, 2.0))
-        monkeypatch.setattr(fit_module, "RESEED_ROUNDS", 0)
-        first = fit_full(seq, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(fit_module, "RESEED_ROUNDS", 0)
+            first = fit_full(seq, config)
         assert first.converged and first.model.kernel.alpha[0].sum() == 0.0  # idle, zero gradient
-        monkeypatch.undo()
         result = fit_full(seq, config)
         assert result.converged
         assert result.log_lik > first.log_lik + 1.0
