@@ -11,6 +11,11 @@ Conventions
   order, and none excites another: like every event, each reads only the
   events strictly before its time.
 
+Exponential kernels have the O(n) state recursion of Ozaki (1979): a unit
+lower-bidiagonal system per shared decay, which :func:`_sumexp_event_states`
+solves by LAPACK forward substitution.  Callers take only what they read:
+the states, their time integrals (residuals) or decay derivatives (fit).
+
 All functions are pure: they never mutate their inputs and hold no shared
 state, so concurrent calls are safe.
 """
@@ -23,6 +28,7 @@ from typing import get_args
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import lapack
 
 from .errors import (
     DomainError,
@@ -101,79 +107,65 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
     return float(model.mu[i - 1] + contrib.sum())
 
 
-def _sumexp_event_states(seq: EventSequence, decays: np.ndarray):
-    """Exact excitation states for shared decays, their time integrals and
-    their decay derivatives.
+def _sumexp_event_states(seq: EventSequence, decays, lagged: bool = False):
+    """Exact excitation states for shared decays: yields ``(S, R)`` per decay b.
 
-    Returns ``(S, I, R)`` of shape (U, m, n + 1); column k < n is event k in
-    (time, mark) order and column n the horizon.  S[u, j, k] sums
-    exp(-b_u (t_k - t_l)) over component-(j+1) events l with t_l < t_k,
-    I[u, j, k] is its integral over [0, t_k], and R = -dS/db_u sums
-    (t_k - t_l) exp(-b_u (t_k - t_l)) over the same events.
+    S[k, j], shape (n + 1, m), sums exp(-b (t_k - t_l)) over component-(j+1)
+    events l < k in (time, mark) order; row n is the horizon.  Tied events
+    count one another there at lag 0, so event k reads row
+    ``_tie_reads(seq)[k]``, the first of its tie group.  R = -dS/db weights
+    the same sum by t_k - t_l (so is equal over a tie group); it is solved
+    only if ``lagged`` (else None), as only the decay gradient reads it.
 
-    S[k+1] = exp(-b g_k) (S[k] + e_{d_k}), with g_k = t_{k+1} - t_k (the last
-    gap runs to the horizon), is solved per decay by a doubling
-    (Hillis-Steele) scan: ceil(log2(n + 1)) vectorized passes that only
-    multiply by factors <= 1 and add nonnegative terms, so the states are
-    exact to rounding at any b * T.  R[k+1] = exp(-b g_k) (R[k] + g_k (S[k]
-    + e_{d_k})) rides in the same passes, each adding F (D s + r) of the
-    span before, with F its decay and D its length, so R is as exact.  I
-    sums exp_integral(b, g_k) (S[k] + e_{d_k}).  Tied events pass through
-    the recursion at lag 0, so once I is summed each reads S at the first
-    event of its tie group; a zero lag adds 0 to R and I.
+    With f_k = exp(-b g_k), g_k = t_{k+1} - t_k (the last gap runs to T),
+    S[k+1] = f_k (S[k] + e_{d_k}) is a unit lower-bidiagonal system.  One
+    LAPACK forward substitution (dtbtrs) solves it for all m columns as
+    x_{k+1} = rhs_{k+1} + f_k x_k: a multiply by a factor <= 1 and an add of
+    a nonnegative term per entry, exact to rounding at any b * T.  R[k+1] =
+    f_k R[k] + g_k S[k+1] is a second solve with the same matrix.
     """
-    decays = np.asarray(decays, dtype=float)[:, None]
-    n, U, m = len(seq), decays.size, seq.dim
-    jumps = np.arange(1, m + 1)[:, None] == seq.marks  # (m, n) one-hot marks
+    n, m = len(seq), seq.dim
     gaps = np.diff(seq.times, append=seq.horizon)
-    clock = np.append(seq.times, seq.horizon)  # the time of each column
-    factor = np.exp(-decays * gaps)  # (U, n)
-    S = np.zeros((U, m, n + 1))
-    np.multiply(factor[:, None, :], jumps, out=S[..., 1:])  # own jumps, decayed
-    R = S * np.r_[0.0, gaps]
-    shifts = 2 ** np.arange(n.bit_length())  # 1, 2, 4, ... <= n
-    spans = [clock[shift:] - clock[:-shift] for shift in shifts]
-    work = np.empty((m, n))
-    # One decay at a time keeps each pass's arrays small enough for the cache.
-    for s, r, carry in zip(S, R, np.pad(factor, ((0, 0), (1, 0)))):
-        # Before each pass s[:, k] holds the jumps of events k-shift..k-1
-        # decayed to t_k, r[:, k] the same times their lags, and carry[k]
-        # the decay from t_{k-shift} to t_k; once all carries are 0, the
-        # passes left would add exact zeros.
-        for shift, span in zip(shifts, spans):
-            decay = carry[shift:]
-            if not decay.any():
-                break
-            w = work[:, : n + 1 - shift]
-            np.multiply(span, s[:, :-shift], out=w)
-            w += r[:, :-shift]
-            w *= decay
-            r[:, shift:] += w
-            np.multiply(decay, s[:, :-shift], out=w)
-            s[:, shift:] += w
-            decay *= carry[:-shift]
-    I = np.zeros((U, m, n + 1))
-    np.add(S[..., :-1], jumps, out=I[..., 1:])
-    I[..., 1:] *= exp_integral(decays, gaps)[:, None, :]
-    np.cumsum(I[..., 1:], axis=-1, out=I[..., 1:])
-    tied = np.flatnonzero(gaps[:-1] == 0.0) + 1
-    if tied.size:
-        first = np.arange(n)
-        first[tied] = 0
-        S[..., tied] = S[..., np.maximum.accumulate(first)[tied]]
-    return S, I, R
+    jumps = (seq.marks - 1) * (n + 1) + np.arange(1, n + 1)  # rhs entry (k + 1, d_k), F order
+    ab = np.ones((2, n + 1), order="F")  # band storage; the unit diagonal is not read
+    lag = np.r_[0.0, gaps][:, None]  # R's right-hand side is g_k S[k+1]
+    for b in np.asarray(decays, dtype=float):
+        factor = np.exp(-b * gaps)
+        ab[1, :n] = -factor
+        rhs = np.zeros(m * (n + 1))
+        rhs[jumps] = factor
+        S, _ = lapack.dtbtrs(ab, rhs.reshape(m, n + 1).T, uplo="L", diag="U", overwrite_b=True)
+        R = lapack.dtbtrs(ab, S * lag, uplo="L", diag="U", overwrite_b=True)[0] if lagged else None
+        yield S, R
+
+
+def _tie_reads(seq: EventSequence) -> np.ndarray:
+    """Row of the states each event reads: the first event of its tie group."""
+    first = np.arange(len(seq))
+    first[1:][np.diff(seq.times) == 0.0] = 0
+    return np.maximum.accumulate(first)
+
+
+def _integrated_state(seq: EventSequence, decay: float, S: np.ndarray) -> np.ndarray:
+    """The integral over [0, t_k] of the states S of ``decay``, at each row of
+    S: one cumulative sum of exp_integral(b, g_k) (S[k] + e_{d_k})."""
+    I = np.zeros_like(S)
+    I[1:] = S[:-1]
+    I[np.arange(1, len(seq) + 1), seq.marks - 1] += 1.0
+    I[1:] *= exp_integral(decay, np.diff(seq.times, append=seq.horizon))[:, None]
+    np.cumsum(I[1:], axis=0, out=I[1:])
+    return I
 
 
 def intensity_recursive(model: HawkesModel, seq: EventSequence):
-    """Intensities lambda_{d_k}(t_k) at every event, in O(n m U log n).
+    """Intensities lambda_{d_k}(t_k) at every event, in O(n m U).
 
-    Works for any exponential kernel, through its shared-decay form
-    ``kernel.sumexp()`` (shared decays are what make the excitation a
-    finite Markov state), whose states come from the exact scan of
-    :func:`_sumexp_event_states`.  Returns ``(lambdas, end_state)`` where
-    ``end_state[u, j]`` is the excitation state of decay ``u`` of that form
-    decayed to the horizon; ``lambdas`` agrees with :func:`intensity_naive`
-    at every event time to rounding, however large decay * horizon is.
+    Works for any exponential kernel, through the states of its shared-decay
+    form ``kernel.sumexp()`` (:func:`_sumexp_event_states`).  Returns
+    ``(lambdas, end_state)`` where ``end_state[u, j]`` is the excitation
+    state of decay ``u`` of that form decayed to the horizon; ``lambdas``
+    agrees with :func:`intensity_naive` at every event time to rounding,
+    however large decay * horizon is.
     """
     k = model.kernel.sumexp()
     if k is None:
@@ -182,10 +174,13 @@ def intensity_recursive(model: HawkesModel, seq: EventSequence):
             f"got {type(model.kernel).__name__}"
         )
     _check_pair(model, seq, 1)
-    S, _, _ = _sumexp_event_states(seq, k.decays)
-    rows = seq.marks - 1
-    excitation = np.einsum("ujk,ukj->k", S[..., :-1], k.alpha[:, rows, :])
-    return model.mu[rows] + excitation, S[..., -1].copy()
+    reads, rows = _tie_reads(seq), seq.marks - 1
+    excitation = np.zeros(len(seq))
+    end_state = np.empty((k.num_decays, seq.dim))
+    for u, (S, _) in enumerate(_sumexp_event_states(seq, k.decays)):
+        excitation += np.einsum("kj,kj->k", S[reads], k.alpha[u, rows])
+        end_state[u] = S[-1]
+    return model.mu[rows] + excitation, end_state
 
 
 def compensator(model: HawkesModel, seq: EventSequence, i: int, t: float) -> float:

@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from .core import HawkesModel, _sumexp_event_states, kernel_norms
+from .core import HawkesModel, _sumexp_event_states, _tie_reads, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence
-from .kernels import SumExpKernel, exp_first_moment
+from .kernels import SumExpKernel, exp_first_moment, exp_integral
 
 MU_FLOOR = 1e-10
 ARMIJO = 1e-4
@@ -154,38 +154,45 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 # Inner problem: concave likelihood in (mu, alpha) at fixed decays
 # ---------------------------------------------------------------------------
 
-def _design(seq: EventSequence, decays: np.ndarray):
+def _design(seq: EventSequence, decays: np.ndarray, lagged: bool = True):
     """Sufficient statistics of the inner problem and of the decay gradient.
 
-    Returns per-component design matrices X[i] of shape (n_i, U*m) with the
-    recursion states at component-i events; the flattened compensator
-    weights Mvec[u*m + j], the integrated state at the horizon (the sum over
-    component-j events of exp_integral(b_u, T - t_k)); the lag-weighted
-    states R at every event, shape (U*m, n); and D[u, j] = -dMvec[u*m +
-    j]/db_u, the same sum of exp_first_moment(b_u, T - t_k).
+    Returns ``(Z, c, RZ, D)``.  Z[i], component i's C-contiguous (1 + U*m,
+    n_i) design, is filled once from :func:`_sumexp_event_states` at the rows
+    its events read: ones, then S_u[:, j] in row 1 + u*m + j, so theta @ Z[i]
+    with theta = (mu_i, alpha[:, i, :].ravel()) is the intensity there.  The
+    cost c = (T, Mvec) has Mvec[u*m + j] summing exp_integral(b_u, T - t_k)
+    over component-j events.  RZ[i], (U*m, n_i), holds R at the same rows if
+    ``lagged`` (else None); D[u, j] = -dMvec[u*m + j]/db_u sums
+    exp_first_moment(b_u, T - t_k) over the same events.
     """
-    S, I, R = _sumexp_event_states(seq, decays)
     U, m = decays.size, seq.dim
-    X = [S[..., :-1][..., seq.marks == i + 1].reshape(U * m, -1).T for i in range(m)]
-    moments = exp_first_moment(decays[:, None], seq.horizon - seq.times)
-    D = np.stack([np.bincount(seq.marks - 1, weights=row, minlength=m) for row in moments])
-    return X, I[..., -1].flatten(), R[..., :-1].reshape(U * m, -1), D
+    reads = _tie_reads(seq)
+    reads = [reads[seq.marks == i + 1] for i in range(m)]
+    Z = [np.ones((1 + U * m, r.size)) for r in reads]
+    RZ = [np.empty((U * m, r.size)) for r in reads] if lagged else None
+    # Every read is in range; "clip" spares take the bounds check that buffers its output.
+    for u, (S, R) in enumerate(_sumexp_event_states(seq, decays, lagged)):
+        for i, r in enumerate(reads):
+            np.take(S.T, r, axis=1, out=Z[i][1 + u * m : 1 + (u + 1) * m], mode="clip")
+            if lagged:
+                np.take(R.T, r, axis=1, out=RZ[i][u * m : (u + 1) * m], mode="clip")
+    lags = seq.horizon - seq.times
+    Mvec, D = (np.stack([np.bincount(seq.marks - 1, moment(b, lags), minlength=m) for b in decays])
+               for moment in (exp_integral, exp_first_moment))
+    return Z, np.r_[seq.horizon, Mvec.ravel()], RZ, D
 
 
-def _loglik_and_grad(X, Mvec, horizon, mu, alpha):
-    """Log-likelihood and gradient from the design of :func:`_design`."""
-    U, m, _ = alpha.shape
+def _loglik_and_grad(Z, c, theta):
+    """Log-likelihood and its gradient in theta[i] = (mu_i, alpha[:, i,
+    :].ravel()), from the design of :func:`_design`."""
     ll = 0.0
-    dmu = np.empty(m)
-    dalpha = np.empty_like(alpha)
-    for i in range(m):
-        a = alpha[:, i, :].reshape(U * m)
-        lam = mu[i] + X[i] @ a
-        ll += np.log(lam).sum() - mu[i] * horizon - a @ Mvec
-        inv = 1.0 / lam
-        dmu[i] = inv.sum() - horizon
-        dalpha[:, i, :] = (X[i].T @ inv - Mvec).reshape(U, m)
-    return float(ll), dmu, dalpha
+    grad = np.empty_like(theta)
+    for i, (z, x) in enumerate(zip(Z, theta)):
+        lam = x @ z
+        ll += np.log(lam).sum() - c @ x
+        grad[i] = z @ (1.0 / lam) - c
+    return float(ll), grad
 
 
 def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
@@ -201,44 +208,46 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     m, U = seq.dim, decays.size
     if mu.shape != (m,) or alpha.shape != (U, m, m):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
-    X, Mvec, _, _ = _design(seq, decays)
-    return _loglik_and_grad(X, Mvec, seq.horizon, mu, alpha)
+    Z, c, _, _ = _design(seq, decays, lagged=False)
+    theta = np.column_stack((mu, alpha.transpose(1, 0, 2).reshape(m, U * m)))
+    ll, grad = _loglik_and_grad(Z, c, theta)
+    return ll, grad[:, 0], grad[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
 
 
-def _decay_gradient(X, R, D, marks, decays, mu, alpha):
+def _decay_gradient(Z, RZ, D, decays, theta, alpha):
     """dl/d log b_u at fixed (mu, alpha), from :func:`_design`: b_u sum_ij
-    alpha[u,i,j] (D[u,j] - sum over component-i events k of R[u,j,k] / lambda_k)."""
-    U, m, _ = alpha.shape
-    inv = np.zeros((marks.size, m))
-    for i in range(m):
-        inv[marks == i + 1, i] = 1.0 / (mu[i] + X[i] @ alpha[:, i, :].reshape(U * m))
-    V = (R @ inv).reshape(U, m, m).transpose(0, 2, 1)  # V[u, i, j]
+    alpha[u,i,j] (D[u,j] - V[u,i,j]), where V[u,i,j] sums R_u[:, j] /
+    lambda over component-i events, from RZ[i] at the rows of Z[i]."""
+    U, m = D.shape
+    V = np.stack([rz @ (1.0 / (x @ z)) for z, rz, x in zip(Z, RZ, theta)])
+    V = V.reshape(m, U, m).transpose(1, 0, 2)
     return decays * np.sum(alpha * (D[:, None, :] - V), axis=(1, 2))
 
 
 def _newton_component(Z, c, lower, x, max_steps, tol):
-    """Maximize ``sum(log(Z @ x)) - c @ x`` subject to ``x >= lower``.
+    """Maximize ``sum(log(x @ Z)) - c @ x`` subject to ``x >= lower``, for a
+    component's (parameters, events) design block ``Z`` of :func:`_design`.
 
-    Projected Newton on the exact Hessian ``H = W^T W``, ``W = Z / lambda``
-    row-wise.  Parameters on their bound with a nonpositive gradient are
-    held there, which pins those of all-zero (singular) columns of ``Z``.
-    On the rest, with ``H = L L^T``, the quadratic model's maximizer on the
-    box is ``lower + nnls(L^T, L^-1 (g + H (x - lower)))``; if ``H`` is not
-    positive definite a diagonally scaled projected-gradient step stands in.
-    Armijo backtracking runs along the segment to it.  Stops at a projected
+    Projected Newton on the exact Hessian ``H = W W^T``, ``W = Z / lambda``
+    column-wise.  Parameters on their bound with a nonpositive gradient are
+    held there, which pins those of all-zero (singular) rows of ``Z``.  On
+    the rest, with ``H = L L^T``, the quadratic model's maximizer on the box
+    is ``lower + nnls(L^T, L^-1 (g + H (x - lower)))``; if ``H`` is not
+    positive definite a diagonally scaled projected-gradient step stands
+    in.  Armijo backtracking runs along the segment to it.  Stops at a projected
     gradient of at most ``tol * (1 + |f|)``, after a step that gains at most
     1e-15 * |f|, or after ``max_steps`` steps.  Returns ``(x, history,
     reason)``: the objective before and after every step, and why the solve
     stopped short of ``tol`` (``None`` if it did not).
     """
-    lam = Z @ x
+    lam = x @ Z
     f = np.log(lam).sum() - c @ x
     history = [f]
     stalled = False
     W = np.empty_like(Z)
     while True:
         inv = 1.0 / lam
-        g = inv @ Z - c
+        g = Z @ inv - c
         free = (x > lower) | (g > 0)
         if np.max(np.abs(g[free]), initial=0.0) <= tol * (1.0 + abs(f)):
             return x, history, None
@@ -246,8 +255,8 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
             return x, history, "stopped without progress above the gradient tolerance"
         if len(history) > max_steps:
             return x, history, f"stopped at the {max_steps}-step cap"
-        np.multiply(Z, inv[:, None], out=W)
-        H = (W.T @ W)[np.ix_(free, free)]
+        np.multiply(Z, inv, out=W)
+        H = (W @ W.T)[np.ix_(free, free)]
         target = x.copy()
         try:
             L = np.linalg.cholesky(H)
@@ -257,7 +266,7 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
             target[free] = np.maximum(x[free] + g[free] / np.diag(H), lower[free])
         # Gains are summed in log1p form, accurate where f cannot resolve them.
         d = target - x
-        r = (Z @ d) / lam
+        r = (d @ Z) / lam
         cd = c @ d
         slope = g @ d
         t = 1.0
@@ -267,7 +276,7 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
             if gain >= ARMIJO * t * slope:
                 stalled = gain <= 1e-15 * abs(f)
                 x = (1.0 - t) * x + t * target
-                lam = Z @ x
+                lam = x @ Z
                 f += gain
                 history.append(f)
                 break
@@ -311,20 +320,15 @@ def fit_given_decays(
         if warn:
             warnings.warn(msg, DegenerateComponentWarning, stacklevel=2)
 
-    X, Mvec, R, D = _design(seq, decays)
-    c = np.r_[horizon, Mvec]
+    Z, c, RZ, D = _design(seq, decays)
     lower = np.r_[MU_FLOOR, np.zeros(U * m)]
-    mu = np.full(m, MU_FLOOR)
-    alpha = np.zeros((U, m, m))
+    theta = np.tile(lower, (m, 1))  # row i: (mu_i, alpha[:, i, :].ravel())
     histories = [[-MU_FLOOR * horizon] for _ in degenerate]
     for i in np.nonzero(counts)[0]:
-        Z = np.column_stack((np.ones(X[i].shape[0]), X[i]))
         start = np.r_[max(0.5 * counts[i] / horizon, MU_FLOOR), lower[1:]]
-        theta, history, reason = _newton_component(
-            Z, c, lower, start, config.inner_max_iter, 0.1 * config.inner_tol
+        theta[i], history, reason = _newton_component(
+            Z[i], c, lower, start, config.inner_max_iter, 0.1 * config.inner_tol
         )
-        mu[i] = theta[0]
-        alpha[:, i, :] = theta[1:].reshape(U, m)
         histories.append(history)
         if reason is not None:
             messages.append(f"component {i + 1}: inner solve {reason}")
@@ -333,11 +337,11 @@ def fit_given_decays(
     trace = [(k, float(sum(h[min(k, len(h) - 1)] for h in histories))) for k in range(1, steps + 1)]
 
     # Convergence verdict on the whole problem, per the contract.
-    log_lik, dmu, dalpha = _loglik_and_grad(X, Mvec, horizon, mu, alpha)
-    grad = np.r_[dmu, dalpha.ravel()]
-    at_bound = np.r_[mu <= MU_FLOOR, alpha.ravel() <= 0.0]
-    worst = np.max(np.abs(np.where(at_bound & (grad < 0), 0.0, grad)))
+    log_lik, grad = _loglik_and_grad(Z, c, theta)
+    worst = np.max(np.abs(np.where((theta <= lower) & (grad < 0), 0.0, grad)))
     converged = bool(worst <= config.inner_tol * (1.0 + abs(log_lik)))
+    mu = theta[:, 0].copy()
+    alpha = theta[:, 1:].reshape(m, U, m).transpose(1, 0, 2).copy()
     model = HawkesModel(mu, SumExpKernel(alpha, decays))
     return FitResult(
         model=model,
@@ -347,7 +351,7 @@ def fit_given_decays(
         inner_iterations=steps,
         outer_iterations=0,
         optimizer_trace=trace,
-        decay_gradient=_decay_gradient(X, R, D, seq.marks, decays, mu, alpha),
+        decay_gradient=_decay_gradient(Z, RZ, D, decays, theta, alpha),
         messages=tuple(messages),
     )
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .core import HawkesModel, _sumexp_event_states, compensator
+from .core import HawkesModel, _integrated_state, _sumexp_event_states, compensator
 from .errors import InvalidInputError, UndefinedSlopeError
 from .events import EventSequence, write_csv
 
@@ -58,7 +58,10 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     out = []
     kernel = model.kernel.sumexp()
     if kernel is not None:
-        _, I, _ = _sumexp_event_states(seq, kernel.decays)
+        excited = np.zeros((len(seq), model.dim))  # Lambda_i(t_k) - mu_i t_k at [k, i-1]
+        states = _sumexp_event_states(seq, kernel.decays)
+        for b, a, (S, _) in zip(kernel.decays, kernel.alpha, states):
+            excited += _integrated_state(seq, b, S)[:-1] @ a.T
     for i in range(1, model.dim + 1):
         rows = seq.marks == i
         if rows.sum() < 2:
@@ -67,10 +70,7 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
         if kernel is None:
             taus = np.array([compensator(model, seq, i, t) for t in seq.times[rows]])
         else:
-            # Lambda_i(t_k) = mu_i t_k + sum_{u,j} alpha[u,i,j] I[u,j,k]
-            taus = model.mu[i - 1] * seq.times[rows] + np.einsum(
-                "ujk,uj->k", I[..., :-1][..., rows], kernel.alpha[:, i - 1, :]
-            )
+            taus = model.mu[i - 1] * seq.times[rows] + excited[rows, i - 1]
         out.append(np.diff(taus, prepend=0.0))
     return out
 

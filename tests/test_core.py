@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from blockhawkes.errors import (
     StationarityWarning,
     UnsupportedKernelError,
 )
+
+from blockhawkes.core import _integrated_state, _sumexp_event_states, _tie_reads
 
 from conftest import random_sequence, random_sumexp_model
 
@@ -173,6 +177,82 @@ class TestIntensityRecursive:
         seq = EventSequence([1.0], [1], 3.0, 1)
         _, end_state = intensity_recursive(model, seq)
         np.testing.assert_allclose(end_state, [[np.exp(-1.5 * 2.0)]])
+
+
+def tied_sequence(rng, dim, n, step):
+    """Events on a grid of ``step`` that includes 0, so most draws hold tie
+    groups, some across several components, and events at the window start."""
+    times = rng.integers(0, max(2, n // 3), n) * step
+    marks = rng.integers(1, dim + 1, n)
+    keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
+    return EventSequence(times[keep], marks[keep], float(times.max()) + step, dim)
+
+
+def states_as_read(seq, decay):
+    """S as each event reads it and at the horizon, R and I at the events."""
+    (S, R), = _sumexp_event_states(seq, [decay], lagged=True)
+    reads = _tie_reads(seq)
+    return S[reads], S[-1], R[:-1], _integrated_state(seq, decay, S)[:-1]
+
+
+def fsum_states(seq, decay, columns):
+    """Reference S, R and I at events ``columns`` by exactly rounded double
+    sums over the events strictly before each (for S at the horizon, all)."""
+    t, m = seq.times, seq.dim
+    out = np.zeros((4, len(columns), m))
+    for row, k in enumerate(columns):
+        for j in range(m):
+            lags = t[k] - t[(t < t[k]) & (seq.marks == j + 1)]
+            out[0, row, j] = math.fsum(np.exp(-decay * lags))
+            out[1, row, j] = math.fsum(lags * np.exp(-decay * lags))
+            out[2, row, j] = math.fsum(-np.expm1(-decay * lags) / decay)
+            ends = seq.horizon - t[seq.marks == j + 1]
+            out[3, row, j] = math.fsum(np.exp(-decay * ends))
+    return out
+
+
+class TestStateRecursion:
+    """The forward substitution against exactly rounded sums.  The atol of
+    1e-300 forgives only subnormal results, whose spacing is 5e-324."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        n=st.integers(min_value=1, max_value=80),
+        log_bt=st.floats(min_value=-8.0, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_fsum_with_ties_and_events_at_zero(self, dim, n, log_bt, seed):
+        rng = np.random.default_rng(seed)
+        seq = tied_sequence(rng, dim, n, float(rng.choice([0.25, 0.5, 1.0])))
+        decay = 10.0**log_bt / seq.horizon
+        S, S_end, R, I = states_as_read(seq, decay)
+        ref = fsum_states(seq, decay, np.arange(len(seq)))
+        for got, want in ((S, ref[0]), (R, ref[1]), (I, ref[2]), (S_end, ref[3, 0])):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_no_error_growth_over_a_long_sequence(self):
+        # At b T ~ 1e-6 every factor is ~1 and S counts the events, so each
+        # of the 50k steps rounds a value as large as its index.
+        rng = np.random.default_rng(3)
+        seq = tied_sequence(rng, 3, 90_000, 0.01)
+        assert len(seq) >= 50_000 and np.sum(np.diff(seq.times) == 0) >= 10_000
+        decay = 1e-6 / seq.horizon
+        S, S_end, R, I = states_as_read(seq, decay)
+        columns = np.r_[rng.choice(len(seq), 40, replace=False), len(seq) - 1]
+        ref = fsum_states(seq, decay, columns)
+        for got, want in ((S, ref[0]), (R, ref[1]), (I, ref[2])):
+            np.testing.assert_allclose(got[columns], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(S_end, ref[3, 0], rtol=1e-12, atol=0)
+
+    def test_only_the_decay_gradient_solves_for_r(self):
+        seq = EventSequence([0.0, 1.0, 1.0, 2.5], [1, 1, 2, 2], 4.0, 2)
+        for (S, R), (S_lag, R_lag) in zip(
+            _sumexp_event_states(seq, [0.5, 3.0]),
+            _sumexp_event_states(seq, [0.5, 3.0], lagged=True),
+        ):
+            assert R is None and R_lag.shape == S.shape == (5, 2)
+            np.testing.assert_array_equal(S, S_lag)
 
 
 class TestCompensator:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockhawkes import EventSequence, merge_components, read_events_csv, write_events_csv
 from blockhawkes.errors import InvalidInputError, ParseError
@@ -21,6 +23,27 @@ class TestEventSequence:
     def test_cross_mark_ties_canonically_ordered(self):
         seq = EventSequence([1.0, 1.0], [2, 1], 2.0, 2)
         np.testing.assert_array_equal(seq.marks, [1, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_any_order_within_ties_stored_canonically(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        times = rng.integers(0, max(2, n // 3), n) * 0.5
+        marks = rng.integers(1, dim + 1, n)
+        keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
+        times, marks = times[keep], marks[keep]
+        canonical = np.lexsort((marks, times))
+        shuffled = rng.permutation(times.size)
+        shuffled = shuffled[np.argsort(times[shuffled], kind="stable")]  # times stay sorted
+        seq = EventSequence(times[shuffled], marks[shuffled], 100.0, dim)
+        np.testing.assert_array_equal(seq.times, times[canonical])
+        np.testing.assert_array_equal(seq.marks, marks[canonical])
+        tied = np.diff(seq.times) == 0
+        assert np.all(np.diff(seq.marks)[tied] > 0)
 
     def test_same_mark_tie_rejected(self):
         with pytest.raises(InvalidInputError, match="share time"):

@@ -47,6 +47,29 @@ class TestTimeRescale:
         for rescaled in time_rescale(model, seq):
             assert np.all(rescaled > 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        log_decays=st.lists(
+            st.floats(min_value=-8.0, max_value=4.0), min_size=1, max_size=3, unique=True
+        ),
+        n=st.integers(min_value=0, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_cumulative_values_nondecreasing_from_zero(self, dim, log_decays, n, seed):
+        # Extreme decays, tie groups across components and events at t = 0.
+        rng = np.random.default_rng(seed)
+        decays = np.unique(10.0 ** np.array(log_decays))
+        alpha = rng.uniform(0.0, 1.0, (decays.size, dim, dim)) * decays[:, None, None]
+        model = HawkesModel(rng.uniform(0.1, 2.0, dim), SumExpKernel(alpha, decays))
+        times = rng.integers(0, max(2, n // 2), n) * 0.5
+        marks = rng.integers(1, dim + 1, n)
+        keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
+        seq = EventSequence(times[keep], marks[keep], float(times.max(initial=0.0)) + 1.0, dim)
+        for rescaled in time_rescale(model, seq):
+            assert np.all(np.isfinite(rescaled))
+            assert np.all(rescaled >= 0.0)  # Lambda_i(t_1) >= 0, then its increments
+
     def test_fast_path_matches_direct_compensator(self):
         rng = np.random.default_rng(62)
         model = random_sumexp_model(rng, dim=2, num_decays=3)
