@@ -158,7 +158,7 @@ def _integrated_state(seq: EventSequence, decay: float, S: np.ndarray) -> np.nda
 
 
 def intensity_recursive(model: HawkesModel, seq: EventSequence):
-    """Intensities lambda_{d_k}(t_k) at every event, in O(n m U).
+    """Intensities lambda_{d_k}(t_k) at every event, in O(n m^2 U).
 
     Works for any exponential kernel, through the states of its shared-decay
     form ``kernel.sumexp()`` (:func:`_sumexp_event_states`).  Returns
@@ -178,7 +178,7 @@ def intensity_recursive(model: HawkesModel, seq: EventSequence):
     excitation = np.zeros(len(seq))
     end_state = np.empty((k.num_decays, seq.dim))
     for u, (S, _) in enumerate(_sumexp_event_states(seq, k.decays)):
-        excitation += np.einsum("kj,kj->k", S[reads], k.alpha[u, rows])
+        excitation += (S @ k.alpha[u].T)[reads, rows]
         end_state[u] = S[-1]
     return model.mu[rows] + excitation, end_state
 

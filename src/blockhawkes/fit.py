@@ -167,8 +167,8 @@ def _design(seq: EventSequence, decays: np.ndarray, lagged: bool = True):
     exp_first_moment(b_u, T - t_k) over the same events.
     """
     U, m = decays.size, seq.dim
-    reads = _tie_reads(seq)
-    reads = [reads[seq.marks == i + 1] for i in range(m)]
+    tie_reads = _tie_reads(seq)
+    reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
     Z = [np.ones((1 + U * m, r.size)) for r in reads]
     RZ = [np.empty((U * m, r.size)) for r in reads] if lagged else None
     # Every read is in range; "clip" spares take the bounds check that buffers its output.
