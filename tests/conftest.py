@@ -47,6 +47,15 @@ def random_sequence(rng, dim=3, n=200, horizon=100.0):
     return EventSequence(times, marks, horizon, dim)
 
 
+def tied_sequence(rng, dim, n, step=0.5):
+    """Events on a grid of ``step`` that includes 0, so most draws hold tie
+    groups, some across several components, and events at the window start."""
+    times = rng.integers(0, max(2, n // 3), n) * step
+    marks = rng.integers(1, dim + 1, n)
+    keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
+    return EventSequence(times[keep], marks[keep], times.max(initial=0.0) + step, dim)
+
+
 def messy_block_fixture():
     """Block list with 2 duplicate-timestamp pairs and 7 adjacent swaps.
 

@@ -32,7 +32,7 @@ from blockhawkes.errors import (
 
 from blockhawkes.core import _integrated_state, _sumexp_event_states, _tie_reads
 
-from conftest import random_sequence, random_sumexp_model
+from conftest import random_sequence, random_sumexp_model, tied_sequence
 
 
 def single_exp_model(mu=1.0, alpha=2.0, beta=1.0):
@@ -177,15 +177,6 @@ class TestIntensityRecursive:
         seq = EventSequence([1.0], [1], 3.0, 1)
         _, end_state = intensity_recursive(model, seq)
         np.testing.assert_allclose(end_state, [[np.exp(-1.5 * 2.0)]])
-
-
-def tied_sequence(rng, dim, n, step):
-    """Events on a grid of ``step`` that includes 0, so most draws hold tie
-    groups, some across several components, and events at the window start."""
-    times = rng.integers(0, max(2, n // 3), n) * step
-    marks = rng.integers(1, dim + 1, n)
-    keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
-    return EventSequence(times[keep], marks[keep], float(times.max()) + step, dim)
 
 
 def states_as_read(seq, decay):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from blockhawkes import EventSequence, merge_components, read_events_csv, write_events_csv
 from blockhawkes.errors import InvalidInputError, ParseError
 
+from conftest import tied_sequence
+
 
 class TestEventSequence:
     def test_basic_construction(self):
@@ -32,18 +34,16 @@ class TestEventSequence:
     )
     def test_any_order_within_ties_stored_canonically(self, dim, n, seed):
         rng = np.random.default_rng(seed)
-        times = rng.integers(0, max(2, n // 3), n) * 0.5
-        marks = rng.integers(1, dim + 1, n)
-        keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
-        times, marks = times[keep], marks[keep]
-        canonical = np.lexsort((marks, times))
-        shuffled = rng.permutation(times.size)
-        shuffled = shuffled[np.argsort(times[shuffled], kind="stable")]  # times stay sorted
-        seq = EventSequence(times[shuffled], marks[shuffled], 100.0, dim)
-        np.testing.assert_array_equal(seq.times, times[canonical])
-        np.testing.assert_array_equal(seq.marks, marks[canonical])
-        tied = np.diff(seq.times) == 0
-        assert np.all(np.diff(seq.marks)[tied] > 0)
+        canonical = tied_sequence(rng, dim, n)
+        tied = np.diff(canonical.times) == 0
+        assert np.all(np.diff(canonical.marks)[tied] > 0)
+        shuffled = rng.permutation(len(canonical))
+        shuffled = shuffled[np.argsort(canonical.times[shuffled], kind="stable")]  # times stay sorted
+        seq = EventSequence(
+            canonical.times[shuffled], canonical.marks[shuffled], canonical.horizon, dim
+        )
+        np.testing.assert_array_equal(seq.times, canonical.times)
+        np.testing.assert_array_equal(seq.marks, canonical.marks)
 
     def test_same_mark_tie_rejected(self):
         with pytest.raises(InvalidInputError, match="share time"):

@@ -25,7 +25,7 @@ from blockhawkes import (
 from blockhawkes.errors import InvalidInputError, UndefinedSlopeError
 from blockhawkes.gof import report_to_dict, write_qq_csv
 
-from conftest import random_sequence, random_sumexp_model
+from conftest import random_sequence, random_sumexp_model, tied_sequence
 
 
 def poisson_hawkes(mu):
@@ -62,10 +62,7 @@ class TestTimeRescale:
         decays = np.unique(10.0 ** np.array(log_decays))
         alpha = rng.uniform(0.0, 1.0, (decays.size, dim, dim)) * decays[:, None, None]
         model = HawkesModel(rng.uniform(0.1, 2.0, dim), SumExpKernel(alpha, decays))
-        times = rng.integers(0, max(2, n // 2), n) * 0.5
-        marks = rng.integers(1, dim + 1, n)
-        keep = np.unique(np.column_stack((times, marks)), axis=0, return_index=True)[1]
-        seq = EventSequence(times[keep], marks[keep], float(times.max(initial=0.0)) + 1.0, dim)
+        seq = tied_sequence(rng, dim, n)
         for rescaled in time_rescale(model, seq):
             assert np.all(np.isfinite(rescaled))
             assert np.all(rescaled >= 0.0)  # Lambda_i(t_1) >= 0, then its increments
