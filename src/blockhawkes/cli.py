@@ -326,9 +326,13 @@ def cmd_simulate(args) -> int:
     if opts["horizon"] is None or opts["seed"] is None:
         return _fail(EXIT_PARSE, "--horizon and --seed are required")
     try:
-        config = _config(SimConfig, opts, model=model_from_dict(doc))
-    except (InvalidInputError, HawkesError) as exc:
-        return _fail(EXIT_MODEL, f"invalid model or simulation config: {exc}")
+        model = model_from_dict(doc)
+    except HawkesError as exc:
+        return _fail(EXIT_MODEL, f"invalid model document: {exc}")
+    try:
+        config = _config(SimConfig, opts, model=model)
+    except InvalidInputError as exc:
+        return _fail(EXIT_PARSE, str(exc))
     try:
         seq = simulate(config)
     except StabilityError as exc:

@@ -183,18 +183,6 @@ def _design(seq: EventSequence, decays: np.ndarray, lagged: bool = True):
     return Z, np.r_[seq.horizon, Mvec.ravel()], RZ, D
 
 
-def _loglik_and_grad(Z, c, theta):
-    """Log-likelihood and its gradient in theta[i] = (mu_i, alpha[:, i,
-    :].ravel()), from the design of :func:`_design`."""
-    ll = 0.0
-    grad = np.empty_like(theta)
-    for i, (z, x) in enumerate(zip(Z, theta)):
-        lam = x @ z
-        ll += np.log(lam).sum() - c @ x
-        grad[i] = z @ (1.0 / lam) - c
-    return float(ll), grad
-
-
 def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     """Log-likelihood and its analytic gradient at fixed decays.
 
@@ -210,18 +198,12 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
     Z, c, _, _ = _design(seq, decays, lagged=False)
     theta = np.column_stack((mu, alpha.transpose(1, 0, 2).reshape(m, U * m)))
-    ll, grad = _loglik_and_grad(Z, c, theta)
-    return ll, grad[:, 0], grad[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
-
-
-def _decay_gradient(Z, RZ, D, decays, theta, alpha):
-    """dl/d log b_u at fixed (mu, alpha), from :func:`_design`: b_u sum_ij
-    alpha[u,i,j] (D[u,j] - V[u,i,j]), where V[u,i,j] sums R_u[:, j] /
-    lambda over component-i events, from RZ[i] at the rows of Z[i]."""
-    U, m = D.shape
-    V = np.stack([rz @ (1.0 / (x @ z)) for z, rz, x in zip(Z, RZ, theta)])
-    V = V.reshape(m, U, m).transpose(1, 0, 2)
-    return decays * np.sum(alpha * (D[:, None, :] - V), axis=(1, 2))
+    ll, grad = 0.0, np.empty_like(theta)
+    for i, (z, x) in enumerate(zip(Z, theta)):
+        lam = x @ z
+        ll += np.log(lam).sum() - c @ x
+        grad[i] = z @ (1.0 / lam) - c
+    return float(ll), grad[:, 0], grad[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
 
 
 def _newton_component(Z, c, lower, x, max_steps, tol):
@@ -236,9 +218,10 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
     positive definite a diagonally scaled projected-gradient step stands
     in.  Armijo backtracking runs along the segment to it.  Stops at a projected
     gradient of at most ``tol * (1 + |f|)``, after a step that gains at most
-    1e-15 * |f|, or after ``max_steps`` steps.  Returns ``(x, history,
-    reason)``: the objective before and after every step, and why the solve
-    stopped short of ``tol`` (``None`` if it did not).
+    1e-15 * |f|, or after ``max_steps`` steps.  Returns ``(x, lam, g,
+    history, reason)``: the last iterate, its intensities and the gradient
+    the stop rule was tested on there, the objective before and after every
+    step, and why the solve stopped short of ``tol`` (``None`` if it did not).
     """
     lam = x @ Z
     f = np.log(lam).sum() - c @ x
@@ -250,11 +233,11 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
         g = Z @ inv - c
         free = (x > lower) | (g > 0)
         if np.max(np.abs(g[free]), initial=0.0) <= tol * (1.0 + abs(f)):
-            return x, history, None
+            return x, lam, g, history, None
         if stalled:
-            return x, history, "stopped without progress above the gradient tolerance"
+            return x, lam, g, history, "stopped without progress above the gradient tolerance"
         if len(history) > max_steps:
-            return x, history, f"stopped at the {max_steps}-step cap"
+            return x, lam, g, history, f"stopped at the {max_steps}-step cap"
         np.multiply(Z, inv, out=W)
         H = (W @ W.T)[np.ix_(free, free)]
         target = x.copy()
@@ -288,17 +271,17 @@ def fit_given_decays(
 ) -> FitResult:
     """Maximize the log-likelihood over (mu, alpha) with decays held fixed.
 
-    Each component with events is solved on its own by
-    :func:`_newton_component`, cold-started at mu = 0.5 n_i / T, alpha = 0,
-    to a projected gradient of at most ``0.1 * inner_tol * (1 + |l_i|)``.
-    Components with zero events are pinned (mu at the 1e-10 floor, their
-    alpha row at 0) with a :class:`DegenerateComponentWarning`; columns
-    describing their influence stay at 0 since the data carry no signal
-    about them.  A fitted kernel-norm spectral radius >= 1 gives a
-    :class:`StationarityWarning`.  ``warn=False`` leaves both warnings to
-    the caller; :func:`fit_full` passes it at every profile evaluation.
-    Non-convergence within the iteration budget returns the best iterate
-    with ``converged=False`` rather than raising.
+    One loop solves each component by :func:`_newton_component`, cold-started
+    at mu = 0.5 n_i / T, alpha = 0, to a projected gradient of at most
+    ``0.1 * inner_tol * (1 + |l_i|)``; l, the verdict and the decay gradient
+    come from each solve's last intensities and gradient.  A component with
+    zero events has an empty design block, so its solve stops at once with
+    mu on the 1e-10 floor and its alpha row at 0, and a
+    :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
+    spectral radius >= 1 gives a :class:`StationarityWarning`.  ``warn=False``
+    leaves both warnings to the caller; :func:`fit_full` passes it at every
+    profile evaluation.  Non-convergence within the iteration budget returns
+    the best iterate with ``converged=False`` rather than raising.
     """
     decays = np.asarray(decays, dtype=float)
     given = FitConfig(num_decays=decays.size, decay_init=decays)  # checks the decays
@@ -309,12 +292,10 @@ def fit_given_decays(
         raise FittingError("cannot fit an empty event sequence")
 
     m, U = seq.dim, decays.size
-    horizon = seq.horizon
     counts = seq.counts()
-    degenerate = np.nonzero(counts == 0)[0]
+    labels = [int(i + 1) for i in np.nonzero(counts == 0)[0]]
     messages = []
-    if degenerate.size:
-        labels = [int(i + 1) for i in degenerate]
+    if labels:
         msg = f"components {labels} have no events; mu and alpha rows pinned to floors"
         messages.append(msg)
         if warn:
@@ -322,13 +303,17 @@ def fit_given_decays(
 
     Z, c, RZ, D = _design(seq, decays)
     lower = np.r_[MU_FLOOR, np.zeros(U * m)]
-    theta = np.tile(lower, (m, 1))  # row i: (mu_i, alpha[:, i, :].ravel())
-    histories = [[-MU_FLOOR * horizon] for _ in degenerate]
-    for i in np.nonzero(counts)[0]:
-        start = np.r_[max(0.5 * counts[i] / horizon, MU_FLOOR), lower[1:]]
-        theta[i], history, reason = _newton_component(
+    # Row i: theta_i = (mu_i, alpha[:, i, :].ravel()) and dl/dtheta_i.
+    # V[u, i, j] sums R_u[:, j] / lambda over component-i events.
+    theta, grad, V = np.empty((m, lower.size)), np.empty((m, lower.size)), np.empty((U, m, m))
+    log_lik, histories = 0.0, []
+    for i in range(m):
+        start = np.r_[max(0.5 * counts[i] / seq.horizon, MU_FLOOR), lower[1:]]
+        theta[i], lam, grad[i], history, reason = _newton_component(
             Z[i], c, lower, start, config.inner_max_iter, 0.1 * config.inner_tol
         )
+        log_lik += np.log(lam).sum() - c @ theta[i]
+        V[:, i] = (RZ[i] @ (1.0 / lam)).reshape(U, m)
         histories.append(history)
         if reason is not None:
             messages.append(f"component {i + 1}: inner solve {reason}")
@@ -337,7 +322,6 @@ def fit_given_decays(
     trace = [(k, float(sum(h[min(k, len(h) - 1)] for h in histories))) for k in range(1, steps + 1)]
 
     # Convergence verdict on the whole problem, per the contract.
-    log_lik, grad = _loglik_and_grad(Z, c, theta)
     worst = np.max(np.abs(np.where((theta <= lower) & (grad < 0), 0.0, grad)))
     converged = bool(worst <= config.inner_tol * (1.0 + abs(log_lik)))
     mu = theta[:, 0].copy()
@@ -345,13 +329,14 @@ def fit_given_decays(
     model = HawkesModel(mu, SumExpKernel(alpha, decays))
     return FitResult(
         model=model,
-        log_lik=log_lik,
+        log_lik=float(log_lik),
         kernel_norm_matrix=kernel_norms(model) if warn else model.kernel.norms(),
         converged=converged,
         inner_iterations=steps,
         outer_iterations=0,
         optimizer_trace=trace,
-        decay_gradient=_decay_gradient(Z, RZ, D, decays, theta, alpha),
+        # Envelope gradient at fixed (mu, alpha): b_u sum_ij alpha[u,i,j] (D[u,j] - V[u,i,j]).
+        decay_gradient=decays * np.sum(alpha * (D[:, None, :] - V), axis=(1, 2)),
         messages=tuple(messages),
     )
 

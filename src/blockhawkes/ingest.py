@@ -170,11 +170,9 @@ def log_returns(bars, grid_seconds: float = 300.0) -> tuple:
     times = [b.timestamp for b in bars]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise InvalidInputError("price bars must be strictly increasing in time")
-    returns = []
+    returns = list(zip(times[1:], np.diff(np.log([b.vwap for b in bars])).tolist()))
     gaps = []
     for k in range(1, len(bars)):
-        r = np.log(bars[k].vwap) - np.log(bars[k - 1].vwap)
-        returns.append((bars[k].timestamp, float(r)))
         span = (bars[k].timestamp - bars[k - 1].timestamp).total_seconds()
         if span > grid_seconds + 1e-6:
             gaps.append(

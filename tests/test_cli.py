@@ -4,6 +4,7 @@ import platform
 import re
 
 import numpy as np
+import pytest
 import scipy
 
 from blockhawkes import (
@@ -364,10 +365,29 @@ class TestSimulateCommand:
             "--allow-unstable",
         ]) == 0
 
-    def test_missing_required_flags_exit_2(self, tmp_path):
+    def test_invalid_model_document_exits_4(self, tmp_path):
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps({"mu": [-1.0], "alpha": [[[0.0]]], "beta": [1.0]}))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", str(model_json), str(out), "--horizon", "5", "--seed", "1"]) == 4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "1"],
+            ["--horizon", "5", "--seed", "1", "--max-events", "0"],
+            ["--horizon", "-5", "--seed", "1"],
+            ["--horizon", "nan", "--seed", "1"],
+            ["--horizon", "5", "--seed", "-1"],
+        ],
+        ids=["no-horizon", "max-events-0", "negative-horizon", "nan-horizon", "negative-seed"],
+    )
+    def test_missing_required_flags_exit_2(self, tmp_path, flags):
         model_json = tmp_path / "model.json"
         write_model_json(model_json, [1.0], [[[0.0]]], [1.0])
-        assert main(["simulate", str(model_json), str(tmp_path / "o.csv"), "--seed", "1"]) == 2
+        out = tmp_path / "o.csv"
+        assert main(["simulate", str(model_json), str(out), *flags]) == 2
+        assert not out.exists()
 
 
 class TestBuildEventsCommand:
