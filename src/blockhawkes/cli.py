@@ -184,13 +184,12 @@ def cmd_clean_blocks(args) -> int:
     cleaned, report = clean_blocks(records)
     write_blocks_csv(cleaned, args.out_csv)
     payload = report.to_dict()
-    payload["counts"] = report.counts()
+    payload["counts"] = counts = report.counts()
     payload["manifest"] = _manifest("clean-blocks", {}, [args.in_csv])
     _write_json(args.report_json, payload)
     print(
         f"cleaned {len(records)} -> {len(cleaned)} blocks "
-        f"({report.counts()['duplicates_dropped']} duplicates dropped, "
-        f"{report.counts()['reordered']} reordered)"
+        f"({counts['duplicates_dropped']} duplicates dropped, {counts['reordered']} reordered)"
     )
     return EXIT_OK
 

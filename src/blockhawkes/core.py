@@ -121,7 +121,9 @@ def _sumexp_event_states(seq: EventSequence, decays, lagged: bool = False):
     S[k+1] = f_k (S[k] + e_{d_k}) is a unit lower-bidiagonal system.  One
     LAPACK forward substitution (dtbtrs) solves it for all m columns as
     x_{k+1} = rhs_{k+1} + f_k x_k: a multiply by a factor <= 1 and an add of
-    a nonnegative term per entry, exact to rounding at any b * T.  R[k+1] =
+    a nonnegative term per entry, exact to rounding at any b * T.  On equal
+    gaps every f_k carries the same rounding, so the relative error adds up
+    coherently to about n u (u = 2^-53): 1.1e-11 at n = 10^6.  R[k+1] =
     f_k R[k] + g_k S[k+1] is a second solve with the same matrix.
     """
     n, m = len(seq), seq.dim
@@ -155,6 +157,12 @@ def _integrated_state(seq: EventSequence, decay: float, S: np.ndarray) -> np.nda
     I[1:] *= exp_integral(decay, np.diff(seq.times, append=seq.horizon))[:, None]
     np.cumsum(I[1:], axis=0, out=I[1:])
     return I
+
+
+def _horizon_moments(seq: EventSequence, decays, moment=exp_integral) -> np.ndarray:
+    """M[u, j] sums moment(b_u, T - t_k) over component-(j+1) events k."""
+    lags, cols = seq.horizon - seq.times, seq.marks - 1
+    return np.stack([np.bincount(cols, moment(b, lags), minlength=seq.dim) for b in decays])
 
 
 def intensity_recursive(model: HawkesModel, seq: EventSequence):
@@ -243,17 +251,20 @@ def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:
     pathologies instead of returning -inf).
     """
     _check_pair(model, seq, 1)
-    if model.kernel.sumexp() is None:
+    kernel = model.kernel.sumexp()
+    if kernel is None:
         lambdas = np.array(
             [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]
         )
+        total_comp = sum(compensator(model, seq, i, seq.horizon) for i in range(1, model.dim + 1))
     else:
         lambdas, _ = intensity_recursive(model, seq)
+        excited = np.einsum("uij,uj->", kernel.alpha, _horizon_moments(seq, kernel.decays))
+        total_comp = seq.horizon * model.mu.sum() + excited
     if lambdas.size:
         bad = np.nonzero(lambdas < INTENSITY_FLOOR)[0]
         if bad.size:
             raise LikelihoodUndefinedError(bad[0], lambdas[bad[0]])
-    total_comp = sum(compensator(model, seq, i, seq.horizon) for i in range(1, model.dim + 1))
     return float(np.log(lambdas).sum() - total_comp)
 
 

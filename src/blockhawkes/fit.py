@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from .core import HawkesModel, _sumexp_event_states, _tie_reads, kernel_norms
+from .core import HawkesModel, _horizon_moments, _sumexp_event_states, _tie_reads, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence
 from .kernels import SumExpKernel, exp_first_moment, exp_integral
@@ -161,10 +161,9 @@ def _design(seq: EventSequence, decays: np.ndarray, lagged: bool = True):
     n_i) design, is filled once from :func:`_sumexp_event_states` at the rows
     its events read: ones, then S_u[:, j] in row 1 + u*m + j, so theta @ Z[i]
     with theta = (mu_i, alpha[:, i, :].ravel()) is the intensity there.  The
-    cost c = (T, Mvec) has Mvec[u*m + j] summing exp_integral(b_u, T - t_k)
-    over component-j events.  RZ[i], (U*m, n_i), holds R at the same rows if
-    ``lagged`` (else None); D[u, j] = -dMvec[u*m + j]/db_u sums
-    exp_first_moment(b_u, T - t_k) over the same events.
+    cost c = (T, Mvec) holds :func:`_horizon_moments` of exp_integral, raveled.
+    RZ[i], (U*m, n_i), holds R at the same rows if ``lagged`` (else None);
+    D = -dMvec/db, the same moments of exp_first_moment.
     """
     U, m = decays.size, seq.dim
     tie_reads = _tie_reads(seq)
@@ -177,9 +176,7 @@ def _design(seq: EventSequence, decays: np.ndarray, lagged: bool = True):
             np.take(S.T, r, axis=1, out=Z[i][1 + u * m : 1 + (u + 1) * m], mode="clip")
             if lagged:
                 np.take(R.T, r, axis=1, out=RZ[i][u * m : (u + 1) * m], mode="clip")
-    lags = seq.horizon - seq.times
-    Mvec, D = (np.stack([np.bincount(seq.marks - 1, moment(b, lags), minlength=m) for b in decays])
-               for moment in (exp_integral, exp_first_moment))
+    Mvec, D = (_horizon_moments(seq, decays, moment) for moment in (exp_integral, exp_first_moment))
     return Z, np.r_[seq.horizon, Mvec.ravel()], RZ, D
 
 

@@ -30,8 +30,7 @@ MODEL_LABELS = ("hawkes", "poisson")
 @dataclass
 class ComponentGof:
     component: int
-    rescaled_interarrivals: np.ndarray
-    qq_pairs: np.ndarray  # (k, 2): theoretical, empirical, both ascending
+    rescaled_interarrivals: np.ndarray  # Q-Q pairs are qq_exponential of these
     slope: float
     slope_deviation: float
     ks_statistic: float
@@ -90,9 +89,9 @@ def qq_exponential(samples) -> np.ndarray:
     return np.column_stack([theoretical, x])
 
 
-def qq_slope(qq_pairs) -> float:
+def qq_slope(pairs) -> float:
     """Origin-anchored least-squares slope of empirical on theoretical."""
-    pairs = np.asarray(qq_pairs, dtype=float)
+    pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
         raise UndefinedSlopeError("need at least 2 Q-Q pairs")
     x, y = pairs[:, 0], pairs[:, 1]
@@ -101,9 +100,9 @@ def qq_slope(qq_pairs) -> float:
     return float((x @ y) / (x @ x))
 
 
-def slope_deviation(qq_pairs) -> float:
+def slope_deviation(pairs) -> float:
     """|slope - 1| of the origin-anchored Q-Q regression."""
-    return abs(qq_slope(qq_pairs) - 1.0)
+    return abs(qq_slope(pairs) - 1.0)
 
 
 def ks_exp1(samples):
@@ -121,44 +120,22 @@ def ks_exp1(samples):
 
 
 def gof_report(model: HawkesModel, seq: EventSequence, model_label: str) -> GofReport:
-    """Full per-component report for ``model`` on ``seq``."""
+    """Full per-component report for ``model`` on ``seq``; a component with
+    fewer than two residuals gets NaN statistics and ``degenerate=True``."""
     if model_label not in MODEL_LABELS:
         raise InvalidInputError(f"model_label must be one of {MODEL_LABELS}")
     components = []
     for i, rescaled in enumerate(time_rescale(model, seq), start=1):
-        if rescaled.size < 2:
-            components.append(
-                ComponentGof(
-                    component=i,
-                    rescaled_interarrivals=rescaled,
-                    qq_pairs=np.empty((0, 2)),
-                    slope=math.nan,
-                    slope_deviation=math.nan,
-                    ks_statistic=math.nan,
-                    ks_p_value=math.nan,
-                    degenerate=True,
-                )
-            )
-            continue
-        pairs = qq_exponential(rescaled)
-        slope = qq_slope(pairs)
-        stat, p = ks_exp1(rescaled)
-        components.append(
-            ComponentGof(
-                component=i,
-                rescaled_interarrivals=rescaled,
-                qq_pairs=pairs,
-                slope=slope,
-                slope_deviation=abs(slope - 1.0),
-                ks_statistic=stat,
-                ks_p_value=p,
-            )
-        )
+        degenerate = rescaled.size < 2
+        slope = math.nan if degenerate else qq_slope(qq_exponential(rescaled))
+        stat, p = (math.nan, math.nan) if degenerate else ks_exp1(rescaled)
+        components.append(ComponentGof(i, rescaled, slope, abs(slope - 1.0), stat, p, degenerate))
     return GofReport(model_label=model_label, components=components)
 
 
 def report_to_dict(report: GofReport) -> dict:
-    """JSON-ready representation (NaN becomes null)."""
+    """JSON-ready representation (NaN becomes null).  The Q-Q pairs are not
+    stored: :func:`write_qq_csv` derives them from the residuals."""
 
     def _clean(v):
         return None if isinstance(v, float) and math.isnan(v) else v
@@ -169,7 +146,6 @@ def report_to_dict(report: GofReport) -> dict:
             {
                 "component": c.component,
                 "rescaled_interarrivals": c.rescaled_interarrivals.tolist(),
-                "qq_pairs": c.qq_pairs.tolist(),
                 "slope": _clean(c.slope),
                 "slope_deviation": _clean(c.slope_deviation),
                 "ks_statistic": _clean(c.ks_statistic),
@@ -184,8 +160,9 @@ def report_to_dict(report: GofReport) -> dict:
 def write_qq_csv(report: GofReport, path) -> list:
     """Write one two-column Q-Q CSV per component next to ``path``.
 
-    ``qq.csv`` becomes ``qq_c1.csv``, ``qq_c2.csv``, ...; returns the paths
-    written (degenerate components are skipped).
+    The rows are :func:`qq_exponential` of the component's rescaled
+    interarrivals.  ``qq.csv`` becomes ``qq_c1.csv``, ``qq_c2.csv``, ...;
+    returns the paths written (degenerate components are skipped).
     """
     base = Path(path)
     suffix = base.suffix or ".csv"
@@ -194,7 +171,8 @@ def write_qq_csv(report: GofReport, path) -> list:
         if comp.degenerate:
             continue
         target = base.with_name(f"{base.stem}_c{comp.component}{suffix}")
-        rows = ((f"{theo:.12g}", f"{emp:.12g}") for theo, emp in comp.qq_pairs.tolist())
+        pairs = qq_exponential(comp.rescaled_interarrivals).tolist()
+        rows = ((f"{theo:.12g}", f"{emp:.12g}") for theo, emp in pairs)
         write_csv(target, ("theoretical_quantile", "empirical_quantile"), rows)
         written.append(str(target))
     return written

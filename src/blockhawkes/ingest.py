@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -108,7 +108,7 @@ class CleaningReport:
     ties: list = field(default_factory=list)
 
     def counts(self) -> dict:
-        return {name: len(entries) for name, entries in asdict(self).items()}
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -255,6 +255,29 @@ class TestGofCommand:
         assert comp["slope_deviation"] < 0.05
         assert (tmp_path / "qq_c1.csv").exists()
 
+    def test_json_keys_and_qq_csv_read_from_the_residuals(self, tmp_path):
+        model_json = tmp_path / "model.json"
+        model = write_model_json(model_json, [1.0, 0.5], [[[0.5, 0.2], [0.1, 0.3]]], [1.0])
+        seq = simulate(SimConfig(model, 300.0, seed=6))
+        events = tmp_path / "events.csv"
+        write_events_csv(seq, events)
+        out = tmp_path / "gof.json"
+        assert main([
+            "gof", str(events), str(model_json), str(out), str(tmp_path / "qq.csv"),
+            "--horizon", "300",
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"model_label", "components", "manifest"}
+        for comp in doc["components"]:
+            assert set(comp) == {
+                "component", "rescaled_interarrivals", "slope", "slope_deviation",
+                "ks_statistic", "ks_p_value", "degenerate",
+            }
+            lines = (tmp_path / f"qq_c{comp['component']}.csv").read_text().splitlines()
+            assert lines[0] == "theoretical_quantile,empirical_quantile"
+            empirical = [line.split(",")[1] for line in lines[1:]]
+            assert empirical == [f"{x:.12g}" for x in sorted(comp["rescaled_interarrivals"])]
+
     def test_out_of_range_mark_exits_2_with_line(self, tmp_path, capsys):
         model_json = tmp_path / "model.json"
         write_model_json(model_json, [1.0], [[[0.5]]], [1.0])

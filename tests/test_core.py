@@ -236,6 +236,19 @@ class TestStateRecursion:
             np.testing.assert_allclose(got[columns], want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(S_end, ref[3, 0], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("decay_horizon", [1e-8, 1e-6, 1.0, 1e4])
+    def test_equal_gap_error_stays_within_criterion_1(self, decay_horizon):
+        # Equal gaps round every factor alike, so the error grows as n u; at
+        # 10^6 events it must still meet criterion 1's 1e-10.  On the grid,
+        # S[k] = sum_{j=1..k} e^{-j x} with x = b g.
+        n, gap = 10**6, 0.01
+        seq = EventSequence(np.arange(n) * gap, np.ones(n, dtype=int), n * gap, 1)
+        decay = decay_horizon / seq.horizon
+        (S, _), = _sumexp_event_states(seq, [decay])
+        x, k = decay * gap, np.arange(n + 1)
+        closed = np.exp(-x) * np.expm1(-k * x) / np.expm1(-x)
+        np.testing.assert_allclose(S[:, 0], closed, rtol=1e-10, atol=0)
+
     def test_only_the_decay_gradient_solves_for_r(self):
         seq = EventSequence([0.0, 1.0, 1.0, 2.5], [1, 1, 2, 2], 4.0, 2)
         for (S, R), (S_lag, R_lag) in zip(
@@ -368,16 +381,23 @@ class TestPerPairExponentialPath:
         dim=st.integers(min_value=1, max_value=3),
         distinct_betas=st.integers(min_value=1, max_value=9),
         n=st.integers(min_value=0, max_value=250),
+        log_bt=st.floats(min_value=-8.0, max_value=4.0),
+        tied=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_recursive_paths_match_naive_oracle(self, dim, distinct_betas, n, seed):
+    def test_recursive_paths_match_naive_oracle(self, dim, distinct_betas, n, log_bt, tied, seed):
         rng = np.random.default_rng(seed)
-        # A small pool of decays makes ties among the pairs likely.
-        pool = np.exp(rng.uniform(np.log(0.1), np.log(50.0), distinct_betas))
-        beta = rng.choice(pool, (dim, dim))
-        alpha = rng.uniform(0.0, 1.0, (dim, dim)) * beta / dim
+        if tied:
+            seq = tied_sequence(rng, dim, n, float(rng.choice([0.25, 0.5, 1.0])))
+        else:
+            seq = random_sequence(rng, dim=dim, n=n, horizon=float(rng.uniform(5.0, 100.0)))
+        # A small pool of decays, b T from 10**log_bt down two decades (at
+        # least 1e-8), makes ties among the pairs likely.  Below b = 1/T the
+        # weights scale with 1/T, so the excitation still shows in l.
+        log_pool = np.maximum(log_bt - rng.uniform(0.0, 2.0, distinct_betas), -8.0)
+        beta = rng.choice(10.0**log_pool / seq.horizon, (dim, dim))
+        alpha = rng.uniform(0.0, 1.0, (dim, dim)) * np.maximum(beta, 1.0 / seq.horizon) / dim
         model = HawkesModel(rng.uniform(0.3, 2.0, dim), ExponentialKernel(alpha, beta))
-        seq = random_sequence(rng, dim=dim, n=n, horizon=float(rng.uniform(5.0, 100.0)))
 
         naive = np.array(
             [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]

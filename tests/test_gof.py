@@ -197,7 +197,9 @@ class TestReport:
         assert report.model_label == "hawkes"
         assert [c.component for c in report.components] == [1, 2]
         for comp in report.components:
-            assert comp.qq_pairs.shape[0] == comp.rescaled_interarrivals.size
+            pairs = qq_exponential(comp.rescaled_interarrivals)
+            assert pairs.shape[0] == comp.rescaled_interarrivals.size
+            assert comp.slope == qq_slope(pairs)
             assert comp.slope_deviation >= 0
 
     def test_bad_label_rejected(self):
