@@ -12,8 +12,8 @@ The estimation is split into two nested problems:
   structural zeros.
 * **outer** -- L-BFGS-B over the log-decays on the maximized (profile)
   inner log-likelihood, whose gradient comes free at the inner optimum by
-  the envelope theorem: b_u dl/db_u at fixed (mu, alpha).  Decays left with
-  almost no kernel norm, where it vanishes, are re-seeded between descents.
+  the envelope theorem: b_u dl/db_u at fixed (mu, alpha).  A decay left with
+  almost no kernel norm is split off the decay whose per-pair terms disagree.
 
 A homogeneous-Poisson baseline fit is provided for model comparison.
 Fitting consumes no randomness: fixed data and config give identical
@@ -38,12 +38,12 @@ ARMIJO = 1e-4
 
 # A decay with at most RESEED_SHARE of the kernel norm has a profile gradient
 # of about 0: on pipeline_cli events files descents stalled there 1.5-4.7 nats
-# below the optimum that moving it next to another decay reached.  Candidates,
-# one profile evaluation each: every other decay times RESEED_STEP ** +-1, and
-# RESEED_GRID per hour.  At most RESEED_ROUNDS rounds.
+# below better optima.  The best of 11 scored candidate places always sat at
+# RESEED_STEP ** +-1 times the decay whose pair gradients spread widest, so that
+# decay is split instead, at no evaluations (BENCH_reseed.json: seeds 1-8, 2,105
+# -> 1,357 evaluations, higher summed l).  At most RESEED_ROUNDS rounds.
 RESEED_SHARE = 0.05
 RESEED_STEP = 1.25
-RESEED_GRID = np.logspace(-1.0, 2.0, 7)
 RESEED_ROUNDS = 3
 
 
@@ -81,8 +81,8 @@ class FitConfig:
             raise InvalidInputError("decay_init values must be distinct")
         if self.inner_max_iter < 0 or self.outer_max_iter < 0:
             raise InvalidInputError("iteration budgets must be >= 0")
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise InvalidInputError("tolerances must be > 0")
+        if not all(0 < tol < np.inf for tol in (self.inner_tol, self.outer_tol)):
+            raise InvalidInputError("tolerances must be finite and > 0")
         object.__setattr__(self, "decay_init", tuple(init))
 
 
@@ -93,14 +93,13 @@ class FitResult:
     ``inner_iterations`` is the largest Newton step count over the
     components (at the returned decays, for :func:`fit_full`): it reaches
     ``inner_max_iter`` only if a component hit the cap.  ``decay_gradient``
-    is the profile gradient dl/d log b_u at the fitted decays.
-    ``optimizer_trace`` holds (iteration, objective) pairs: for
-    :func:`fit_given_decays`, per Newton step k, the sum over components of
-    each one's objective after min(k, its last) steps, which is
-    nondecreasing; for :func:`fit_full`, the best profile log-likelihood
-    after each profile evaluation.  ``messages`` names pinned components,
-    component solves stopped at the cap or without progress, and failed
-    profile evaluations.
+    is the profile gradient dl/d log b_u at the fitted decays, and
+    ``pair_gradient[u, i, j]`` its per-pair terms b_u alpha[u,i,j] (D[u,j] -
+    V[u,i,j]), which sum over (i, j) to it.  ``optimizer_trace`` holds
+    (profile evaluation, best log-likelihood so far) pairs: one,
+    ``(1, log_lik)``, for :func:`fit_given_decays`.  ``messages`` names
+    pinned components, component solves stopped at the cap or without
+    progress, and failed profile evaluations.
     """
 
     model: HawkesModel
@@ -111,6 +110,7 @@ class FitResult:
     outer_iterations: int
     optimizer_trace: list
     decay_gradient: np.ndarray
+    pair_gradient: np.ndarray
     messages: tuple = ()
 
 
@@ -216,25 +216,24 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
     in.  Armijo backtracking runs along the segment to it.  Stops at a projected
     gradient of at most ``tol * (1 + |f|)``, after a step that gains at most
     1e-15 * |f|, or after ``max_steps`` steps.  Returns ``(x, lam, g,
-    history, reason)``: the last iterate, its intensities and the gradient
-    the stop rule was tested on there, the objective before and after every
-    step, and why the solve stopped short of ``tol`` (``None`` if it did not).
+    steps, reason)``: the last iterate, its intensities and the gradient the
+    stop rule was tested on there, the number of steps taken, and why the
+    solve stopped short of ``tol`` (``None`` if it did not).
     """
     lam = x @ Z
     f = np.log(lam).sum() - c @ x
-    history = [f]
-    stalled = False
+    steps, stalled = 0, False
     W = np.empty_like(Z)
     while True:
         inv = 1.0 / lam
         g = Z @ inv - c
         free = (x > lower) | (g > 0)
         if np.max(np.abs(g[free]), initial=0.0) <= tol * (1.0 + abs(f)):
-            return x, lam, g, history, None
+            return x, lam, g, steps, None
         if stalled:
-            return x, lam, g, history, "stopped without progress above the gradient tolerance"
-        if len(history) > max_steps:
-            return x, lam, g, history, f"stopped at the {max_steps}-step cap"
+            return x, lam, g, steps, "stopped without progress above the gradient tolerance"
+        if steps >= max_steps:
+            return x, lam, g, steps, f"stopped at the {max_steps}-step cap"
         np.multiply(Z, inv, out=W)
         H = (W @ W.T)[np.ix_(free, free)]
         target = x.copy()
@@ -258,7 +257,7 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
                 x = (1.0 - t) * x + t * target
                 lam = x @ Z
                 f += gain
-                history.append(f)
+                steps += 1
                 break
             t *= 0.5
 
@@ -271,10 +270,10 @@ def fit_given_decays(
     One loop solves each component by :func:`_newton_component`, cold-started
     at mu = 0.5 n_i / T, alpha = 0, to a projected gradient of at most
     ``0.1 * inner_tol * (1 + |l_i|)``; l, the verdict and the decay gradient
-    come from each solve's last intensities and gradient.  A component with
-    zero events has an empty design block, so its solve stops at once with
-    mu on the 1e-10 floor and its alpha row at 0, and a
-    :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
+    with its per-pair terms come from each solve's last intensities and
+    gradient.  A component with zero events has an empty design block, so
+    its solve stops at once with mu on the 1e-10 floor and its alpha row at
+    0, and a :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
     spectral radius >= 1 gives a :class:`StationarityWarning`.  ``warn=False``
     leaves both warnings to the caller; :func:`fit_full` passes it at every
     profile evaluation.  Non-convergence within the iteration budget returns
@@ -303,20 +302,17 @@ def fit_given_decays(
     # Row i: theta_i = (mu_i, alpha[:, i, :].ravel()) and dl/dtheta_i.
     # V[u, i, j] sums R_u[:, j] / lambda over component-i events.
     theta, grad, V = np.empty((m, lower.size)), np.empty((m, lower.size)), np.empty((U, m, m))
-    log_lik, histories = 0.0, []
+    log_lik, steps = 0.0, 0
     for i in range(m):
         start = np.r_[max(0.5 * counts[i] / seq.horizon, MU_FLOOR), lower[1:]]
-        theta[i], lam, grad[i], history, reason = _newton_component(
+        theta[i], lam, grad[i], taken, reason = _newton_component(
             Z[i], c, lower, start, config.inner_max_iter, 0.1 * config.inner_tol
         )
         log_lik += np.log(lam).sum() - c @ theta[i]
         V[:, i] = (RZ[i] @ (1.0 / lam)).reshape(U, m)
-        histories.append(history)
+        steps = max(steps, taken)
         if reason is not None:
             messages.append(f"component {i + 1}: inner solve {reason}")
-
-    steps = max(len(h) for h in histories) - 1
-    trace = [(k, float(sum(h[min(k, len(h) - 1)] for h in histories))) for k in range(1, steps + 1)]
 
     # Convergence verdict on the whole problem, per the contract.
     worst = np.max(np.abs(np.where((theta <= lower) & (grad < 0), 0.0, grad)))
@@ -324,6 +320,8 @@ def fit_given_decays(
     mu = theta[:, 0].copy()
     alpha = theta[:, 1:].reshape(m, U, m).transpose(1, 0, 2).copy()
     model = HawkesModel(mu, SumExpKernel(alpha, decays))
+    # Envelope gradient at fixed (mu, alpha), per pair: alpha[u,i,j] (D[u,j] - V[u,i,j]), times b_u.
+    pairs = alpha * (D[:, None, :] - V)
     return FitResult(
         model=model,
         log_lik=float(log_lik),
@@ -331,9 +329,9 @@ def fit_given_decays(
         converged=converged,
         inner_iterations=steps,
         outer_iterations=0,
-        optimizer_trace=trace,
-        # Envelope gradient at fixed (mu, alpha): b_u sum_ij alpha[u,i,j] (D[u,j] - V[u,i,j]).
-        decay_gradient=decays * np.sum(alpha * (D[:, None, :] - V), axis=(1, 2)),
+        optimizer_trace=[(1, float(log_lik))],
+        decay_gradient=decays * np.sum(pairs, axis=(1, 2)),
+        pair_gradient=decays[:, None, None] * pairs,
         messages=tuple(messages),
     )
 
@@ -349,21 +347,21 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
     :func:`fit_given_decays` (with its envelope gradient) per profile
     evaluation, to a projected gradient of at most ``outer_tol``; a stalled
     objective never stops it.  Then a decay with at most RESEED_SHARE of the
-    kernel norm moves to the best of its candidate places and the search
-    descends again, until a round gains nothing.  ``outer_max_iter`` caps
-    the L-BFGS-B iterations over all descents; 0 returns the inner fit at
-    ``decay_init`` with ``converged=False``.  The best point is returned,
-    ``converged`` if its projected gradient is at most ``outer_tol`` and its
-    inner fit converged.  A failed evaluation ends its descent and is named
-    in ``messages``.  Warnings come once, for the returned model.
+    kernel norm is split off the other decay whose ``pair_gradient`` spreads
+    widest (max - min), the two moving to it times RESEED_STEP ** +-1, and
+    the search descends again until a round gains nothing (one decay: at
+    once).  ``outer_max_iter`` caps the L-BFGS-B iterations over all
+    descents; 0 returns the inner fit at ``decay_init``, ``converged=False``.
+    The best point is returned, ``converged`` if its projected gradient is at
+    most ``outer_tol`` and its inner fit converged.  A failed evaluation ends
+    its descent and is named in ``messages``.  Warnings come once, for it.
     """
     if config is None:
         config = FitConfig()
     decay0 = np.asarray(config.decay_init, dtype=float)
 
     if config.outer_max_iter == 0:
-        inner = fit_given_decays(seq, decay0, config)
-        return replace(inner, converged=False, optimizer_trace=[(0, inner.log_lik)])
+        return replace(fit_given_decays(seq, decay0, config), converged=False)
 
     best = None
     trace, failures = [], []
@@ -398,13 +396,14 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         decays = best.model.kernel.decays
         norms = best.model.kernel.alpha.sum(axis=(1, 2)) / decays
         weak = int(np.argmin(norms))
-        if norms[weak] > RESEED_SHARE * norms.sum():
+        if decays.size == 1 or norms[weak] > RESEED_SHARE * norms.sum():
             break
-        others = np.delete(decays, weak)
-        places = np.concatenate([others * RESEED_STEP, others / RESEED_STEP, RESEED_GRID])
-        starts = np.tile(np.log(decays), (places.size, 1))
-        starts[:, weak] = np.log(places)
-        x = min(starts[~np.isin(places, decays)], key=lambda start: profile(start)[0])
+        spread = np.ptp(best.pair_gradient, axis=(1, 2))
+        spread[weak] = -np.inf
+        near = int(np.argmax(spread))
+        x = np.log(decays)
+        x[weak] = x[near] + np.log(RESEED_STEP)
+        x[near] -= np.log(RESEED_STEP)
 
     stationary = np.max(np.abs(best.decay_gradient)) <= config.outer_tol
     if np.any(seq.counts() == 0):  # the pinning note leads the messages

@@ -93,8 +93,8 @@ class JumpConfig:
     def __post_init__(self):
         if not 0.0 <= self.q_low < self.q_high <= 1.0:
             raise ConfigError("need 0 <= q_low < q_high <= 1")
-        if self.window_hours <= 0:
-            raise ConfigError("window_hours must be positive")
+        if not 0 < self.window_hours < math.inf:
+            raise ConfigError("window_hours must be finite and positive")
         if self.min_history < 1:
             raise ConfigError("min_history must be >= 1")
 

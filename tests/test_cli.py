@@ -100,6 +100,17 @@ class TestExtractJumpsCommand:
         assert main(["extract-jumps", str(price_csv), str(out)]) == 0
         assert out.read_text().strip() == "time_hours,mark"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_window_exits_2(self, tmp_path, value):
+        blocks_csv, price_csv = tmp_path / "blocks.csv", tmp_path / "price.csv"
+        write_blocks_csv(messy_block_fixture(), blocks_csv)
+        write_price_csv_from_bars(bars_from_prices([100.0] * 80, start=T0), price_csv)
+        out = tmp_path / "events.csv"
+        argv = ["build-events", str(blocks_csv), str(price_csv), str(out), "--window-hours"]
+        assert main([*argv, value]) == 2
+        assert not out.exists()
+        assert main([*argv, "3"]) == 0
+
     def test_spike_gives_one_up_event(self, tmp_path):
         amp = 1e-3
         pattern = [0.0, amp, -amp, 0.0, amp, -amp, 0.0, 0.0]
@@ -167,6 +178,16 @@ class TestFitCommand:
         monkeypatch.setattr(cli_module, "fit_full", boom)
         code = main(["fit", str(events), str(tmp_path / "o.json"), "--horizon", "50"])
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_inner_tol_exits_2(self, tmp_path, value):
+        model = HawkesModel([1.0], SumExpKernel(np.zeros((1, 1, 1)), [1.0]))
+        events, _ = self._events_csv(tmp_path, model, 50.0)
+        argv = ["fit", str(events), str(tmp_path / "o.json"), "--num-decays", "1",
+                "--decay-init", "1.0", "--inner-tol"]
+        assert main([*argv, value]) == 2
+        assert not (tmp_path / "o.json").exists()
+        assert main([*argv, "1e-6"]) == 0
 
     def test_mismatched_decay_init_exits_2(self, tmp_path):
         model = HawkesModel([1.0], SumExpKernel(np.zeros((1, 1, 1)), [1.0]))

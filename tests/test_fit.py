@@ -47,6 +47,12 @@ class TestFitConfig:
         with pytest.raises(InvalidInputError):
             FitConfig(num_decays=2, decay_init=(1.0, 1.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("name", ["inner_tol", "outer_tol"])
+    def test_non_finite_tolerance_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match="tolerances"):
+            FitConfig(**{name: value})
+
     def test_no_decays_rejected(self):
         with pytest.raises(InvalidInputError, match="num_decays"):
             FitConfig(num_decays=0, decay_init=())
@@ -100,7 +106,11 @@ class TestProfileGradient:
         seq = EventSequence(times[keep], sim.marks[keep], 300.0, 3)
         assert np.sum(np.diff(seq.times) == 0) >= 50
         decays = np.array([1.0, 6.0, 30.0])
-        grad = fit_given_decays(seq, decays).decay_gradient
+        fit = fit_given_decays(seq, decays)
+        grad, pairs = fit.decay_gradient, fit.pair_gradient
+        assert pairs.shape == (3, 3, 3)
+        np.testing.assert_allclose(pairs.sum(axis=(1, 2)), grad, rtol=0.0,
+                                   atol=1e-13 * np.abs(pairs).sum())
         h = 1e-4
         for u in range(3):
             step = np.exp(h * (np.arange(3) == u))
@@ -188,13 +198,17 @@ class TestFitGivenDecays:
         assert np.all(alpha[:, 0, 1] == 0.0)
 
     def test_inner_trace_and_iteration_count(self):
+        # The trace holds the one profile evaluation.  The step count is the
+        # smallest cap that does not cut the solve short.
         _, seq = simulate_univariate(seed=9, horizon=400.0)
         result = fit_given_decays(seq, [1.2])
-        values = [l for _, l in result.optimizer_trace]
+        steps = result.inner_iterations
         assert result.converged and not result.messages
-        assert [k for k, _ in result.optimizer_trace] == list(range(1, result.inner_iterations + 1))
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(result.log_lik, rel=1e-12)
+        assert result.optimizer_trace == [(1, result.log_lik)]
+        at_cap = fit_given_decays(seq, [1.2], FitConfig(1, (1.2,), inner_max_iter=steps))
+        assert at_cap.log_lik == result.log_lik and not at_cap.messages
+        below = fit_given_decays(seq, [1.2], FitConfig(1, (1.2,), inner_max_iter=steps - 1))
+        assert below.messages == (f"component 1: inner solve stopped at the {steps - 1}-step cap",)
 
     def test_step_cap_reported(self):
         _, seq = simulate_univariate(seed=9, horizon=400.0)
@@ -331,6 +345,48 @@ class TestFitFull:
         assert result.converged
         assert result.log_lik > first.log_lik + 1.0
         assert np.all(result.model.kernel.alpha.sum(axis=(1, 2)) > 0.0)
+
+    def test_split_follows_the_pair_gradient_spread(self, monkeypatch):
+        # Pairs (1,1) and (2,1) excite at decay 1, pair (2,2) at decay 4.  From
+        # (2, 300) the first descent shares one decay among all three pairs and
+        # leaves the fast one idle; the shared decay's pair terms disagree.
+        from blockhawkes import fit as fit_module
+
+        alpha = np.zeros((2, 2, 2))
+        alpha[0, 0, 0], alpha[0, 1, 0], alpha[1, 1, 1] = 0.5, 0.2, 2.0
+        model = HawkesModel([1.0, 1.0], SumExpKernel(alpha, [1.0, 4.0]))
+        seq = simulate(SimConfig(model, 2000.0, seed=1))
+        config = FitConfig(num_decays=2, decay_init=(2.0, 300.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(fit_module, "RESEED_ROUNDS", 0)
+            first = fit_full(seq, config)
+        norms = first.model.kernel.alpha.sum(axis=(1, 2)) / first.model.kernel.decays
+        assert first.converged and norms[1] <= fit_module.RESEED_SHARE * norms.sum()
+        assert int(np.argmax(np.ptp(first.pair_gradient, axis=(1, 2)))) == 0
+        result = fit_full(seq, config)
+        assert result.converged
+        assert np.all(result.model.kernel.alpha.sum(axis=(1, 2)) > 0.0)
+        assert result.log_lik >= first.log_lik + 40.0
+
+    def test_one_decay_is_not_split(self, monkeypatch):
+        # The first descent leaves the only decay idle on uniform events, and
+        # there is no other decay to split it off: no evaluation follows.
+        from blockhawkes import fit as fit_module
+
+        rng = np.random.default_rng(3)
+        seq = EventSequence(np.sort(rng.uniform(0.0, 500.0, 500)), np.ones(500, dtype=int), 500.0, 1)
+        config = FitConfig(num_decays=1, decay_init=(1.0,))
+        solve, calls = fit_module.fit_given_decays, []
+        monkeypatch.setattr(fit_module, "fit_given_decays",
+                            lambda *args, **kwargs: calls.append(args[1]) or solve(*args, **kwargs))
+        with monkeypatch.context() as patch:
+            patch.setattr(fit_module, "RESEED_ROUNDS", 0)
+            first = fit_full(seq, config)
+        descent = len(calls)
+        assert first.converged and first.model.kernel.alpha.sum() == 0.0
+        result = fit_full(seq, config)
+        assert len(calls) == 2 * descent
+        assert result.log_lik == first.log_lik
 
     def test_verdict_is_the_projected_gradient(self):
         _, seq = simulate_univariate(seed=14, horizon=300.0)

@@ -393,8 +393,9 @@ class TestExtractJumps:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             JumpConfig(q_low=0.9, q_high=0.1)
-        with pytest.raises(ConfigError):
-            JumpConfig(window_hours=-1.0)
+        for window in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="window_hours"):
+                JumpConfig(window_hours=window)
 
 
 class TestBuildTrivariate:
