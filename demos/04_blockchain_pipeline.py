@@ -39,7 +39,13 @@ from blockhawkes import (
     log_returns,
     simulate,
 )
-from blockhawkes.ingest import BlockRecord, PriceBar, read_blocks_csv, write_blocks_csv
+from blockhawkes.ingest import (
+    BLOCKS_CSV_DTYPE,
+    PRICE_CSV_DTYPE,
+    read_blocks_csv,
+    timestamp_us,
+    write_blocks_csv,
+)
 
 rng = np.random.default_rng(99)
 START = datetime(2022, 2, 1, tzinfo=timezone.utc)
@@ -53,18 +59,22 @@ DAYS = 14
 # lower-transaction copy must be dropped) and out-of-order stamps (miners
 # fudging the clock).  Stamps are second-precision, so a couple of extra
 # duplicate collisions arise naturally, exactly as on the real chain.
+# Ingest works on numpy structured arrays whose timestamps are int64 UTC
+# microseconds since the Unix epoch.
 horizon_h = DAYS * 24.0
 block_model = HawkesModel([4.5], SumExpKernel(np.array([[[2.0]]]), [8.0]))  # rate 6/h
 block_times = simulate(SimConfig(block_model, horizon_h, seed=11)).times
+start_us = timestamp_us(START.isoformat())
 
-blocks = [
-    BlockRecord(720000 + k, START + timedelta(hours=float(t)), int(rng.integers(800, 3200)))
-    for k, t in enumerate(block_times)
-]
-dupe_partner = blocks[40]
-blocks.insert(41, BlockRecord(729999, dupe_partner.timestamp, dupe_partner.tx_count - 250))
+blocks = np.empty(block_times.size, dtype=BLOCKS_CSV_DTYPE)
+blocks["height"] = 720000 + np.arange(block_times.size)
+blocks["timestamp"] = start_us + (block_times * 3600.0).astype(np.int64) * 1_000_000
+blocks["tx_count"] = rng.integers(800, 3200, block_times.size)
+dupe = blocks[40].copy()  # same stamp, fewer transactions: must be dropped
+dupe["height"], dupe["tx_count"] = 729999, dupe["tx_count"] - 250
+blocks = np.insert(blocks, 41, dupe)
 for k in (100, 300, 500):  # swap neighbours -> out-of-order stamps
-    blocks[k], blocks[k + 1] = blocks[k + 1], blocks[k]
+    blocks[[k, k + 1]] = blocks[[k + 1, k]]
 
 # Price bars: geometric walk with slowly varying volatility (AR(1) log-vol),
 # so extreme returns arrive in bursts -- the clustering the Hawkes jump
@@ -75,7 +85,9 @@ for k in range(1, n_bars):
     log_vol[k] = 0.97 * log_vol[k - 1] + rng.normal(0.0, 0.28)
 returns_raw = np.exp(log_vol) * rng.normal(0.0, 8e-4, n_bars)
 prices = 42_000.0 * np.exp(np.cumsum(returns_raw))
-bars = [PriceBar(START + timedelta(minutes=5 * (k + 1)), float(p)) for k, p in enumerate(prices)]
+bars = np.empty(n_bars, dtype=PRICE_CSV_DTYPE)
+bars["timestamp"] = start_us + 300_000_000 * np.arange(1, n_bars + 1)
+bars["vwap"] = prices
 
 workdir = Path(tempfile.mkdtemp(prefix="blockhawkes_demo_"))
 write_blocks_csv(blocks, workdir / "blocks_raw.csv")
@@ -87,7 +99,7 @@ print(f"raw inputs written under {workdir}")
 # -----------------------------------------------------------------------------
 cleaned, report = clean_blocks(read_blocks_csv(workdir / "blocks_raw.csv"))
 print("\ncleaning report:", report.counts())
-assert all(a.timestamp < b.timestamp for a, b in zip(cleaned, cleaned[1:]))
+assert np.all(np.diff(cleaned["timestamp"]) > 0)
 
 # -----------------------------------------------------------------------------
 # 3. Price jumps from rolling-quantile thresholds (3 h window, 10%/90%)
@@ -98,8 +110,8 @@ up, down = extract_jumps(returns)
 print(f"\n{len(returns)} returns -> {len(up)} upward and {len(down)} downward jump events "
       f"({len(gaps)} grid gaps)")
 
-window = (START, START + timedelta(days=DAYS))
-seq, dropped = build_trivariate(cleaned, up, down, window)
+window = (start_us, timestamp_us((START + timedelta(days=DAYS)).isoformat()))
+seq, dropped = build_trivariate(cleaned["timestamp"], up, down, window)
 counts = seq.counts()
 print(f"trivariate sequence: {counts[0]} blocks, {counts[1]} up jumps, "
       f"{counts[2]} down jumps over {seq.horizon:.0f} h ({dropped} outside window)")

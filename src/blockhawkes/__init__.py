@@ -41,9 +41,7 @@ from .gof import (
     time_rescale,
 )
 from .ingest import (
-    BlockRecord,
     JumpConfig,
-    PriceBar,
     build_trivariate,
     clean_blocks,
     extract_jumps,
@@ -54,7 +52,6 @@ from .sim import SimConfig, simulate
 
 __all__ = [
     "__version__",
-    "BlockRecord",
     "EventSequence",
     "ExponentialKernel",
     "FitConfig",
@@ -65,7 +62,6 @@ __all__ = [
     "KernelSpec",
     "PoissonFit",
     "PowerLawKernel",
-    "PriceBar",
     "SimConfig",
     "SumExpKernel",
     "build_trivariate",

@@ -56,9 +56,9 @@ from .ingest import (
     clean_blocks,
     extract_jumps,
     log_returns,
-    parse_timestamp,
     read_blocks_csv,
     read_price_csv,
+    timestamp_us,
     write_blocks_csv,
 )
 from .sim import SimConfig, simulate
@@ -206,13 +206,14 @@ def cmd_build_events(args) -> int:
     except (ParseError, ConfigError, OSError) as exc:
         return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
     try:
-        cleaned, report = ([], None) if blocks is None else clean_blocks(blocks)
+        # Without a blocks file the block stamps are an empty column.
+        cleaned, report = (bars[:0], None) if blocks is None else clean_blocks(blocks)
         returns, gaps = log_returns(bars)
         up, down = extract_jumps(returns, _config(JumpConfig, opts))
-        span = cleaned or bars
-        start = parse_timestamp(opts["start"]) if opts["start"] else span[0].timestamp
-        end = parse_timestamp(opts["end"]) if opts["end"] else span[-1].timestamp
-        seq, dropped = build_trivariate(cleaned, up, down, (start, end))
+        span = bars if blocks is None else cleaned
+        start = timestamp_us(opts["start"]) if opts["start"] else span["timestamp"][0]
+        end = timestamp_us(opts["end"]) if opts["end"] else span["timestamp"][-1]
+        seq, dropped = build_trivariate(cleaned["timestamp"], up, down, (start, end))
     except (ConfigError, InvalidInputError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     write_events_csv(seq, args.out_events_csv)

@@ -7,19 +7,25 @@ price jump.
 
 :func:`read_csv` and :func:`write_csv` own the CSV row rules of every file
 the toolkit reads or writes (events, blocks, prices, Q-Q): the header check,
-skipping whitespace-only rows, and one ParseError for all malformed rows.
+skipping whitespace-only rows, and one ParseError for all malformed rows,
+each named by the line on which it starts.  :func:`read_csv` returns a numpy
+structured array and converts each column in one pass; it walks the rows one
+by one only when a cell or a row check fails.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
 
-EVENTS_CSV_HEADER = ("time_hours", "mark")
+EVENTS_CSV_DTYPE = np.dtype([("time_hours", np.float64), ("mark", np.int64)])
+_ROW_ERRORS = (ValueError, IndexError, OverflowError, InvalidInputError)
 
 
 @dataclass(frozen=True)
@@ -98,30 +104,52 @@ class EventSequence:
         return self.times[self.marks == i]
 
 
-def read_csv(path, header, parse_row):
-    """Yield ``parse_row(row)`` for each data row of the CSV file ``path``.
+def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
+    """Read the CSV file ``path`` into a structured array of ``dtype``.
 
-    The first row must equal ``header`` (cells stripped).  A row whose parse
-    raises ``ValueError``, ``IndexError`` or ``InvalidInputError`` is skipped
-    if all its cells are whitespace and collected otherwise; once the file is
-    read, the collected rows are raised as one :class:`ParseError` with
-    their 1-based line numbers.
+    The first row must equal ``dtype.names`` (cells stripped).  Field k is
+    column k of the data rows, converted by one ``map`` of ``converters[k]``;
+    ``valid``, if given, maps the array to a mask of the rows that hold.  Rows
+    whose cells are all whitespace are skipped.  Only when a conversion still
+    raises ``ValueError``, ``IndexError``, ``OverflowError`` or
+    ``InvalidInputError``, or a row is not valid, are the rows walked one by
+    one, to raise the failing ones as one :class:`ParseError` with the 1-based
+    line on which each starts.
     """
-    bad = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None or [h.strip() for h in found] != list(header):
-            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                yield parse_row(row)
-            except (ValueError, IndexError, InvalidInputError):
-                # Blankness is tested only here, so parsed rows pay nothing for it.
-                if any(cell.strip() for cell in row):
-                    bad.append((lineno, ",".join(row)))
-    if bad:
-        raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    found = next(reader, None)
+    if found is None or [h.strip() for h in found] != list(dtype.names):
+        raise ParseError(f"{path}: expected header {','.join(dtype.names)!r}, got {found}")
+    rows = list(reader)
+    table = _table(rows, dtype, converters, valid)
+    if table is None:
+        rows = [row for row in rows if any(cell.strip() for cell in row)]
+        table = _table(rows, dtype, converters, valid)
+    if table is not None:
+        return table
+    bad = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    start = reader.line_num + 1
+    for row in reader:
+        if any(cell.strip() for cell in row) and _table([row], dtype, converters, valid) is None:
+            bad.append((start, ",".join(row)))
+        start = reader.line_num + 1
+    raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
+
+
+def _table(rows, dtype, converters, valid):
+    """The structured array of ``rows``, or None if a cell or a row check fails."""
+    table = np.empty(len(rows), dtype)
+    try:
+        for k, (name, convert) in enumerate(zip(dtype.names, converters)):
+            cells = map(convert, map(itemgetter(k), rows))
+            table[name] = np.fromiter(cells, dtype[name], len(rows))
+    except _ROW_ERRORS:
+        return None
+    return table if valid is None or valid(table).all() else None
 
 
 def write_csv(path, header, rows) -> None:
@@ -136,14 +164,7 @@ def write_events_csv(seq: EventSequence, path) -> None:
     """Write the interchange CSV: header ``time_hours,mark``, times with
     9+ significant digits."""
     rows = zip(seq.times.tolist(), seq.marks.tolist())
-    write_csv(path, EVENTS_CSV_HEADER, ((f"{t:.12g}", d) for t, d in rows))
-
-
-def _parse_event(row):
-    mark = int(row[1])
-    if mark.bit_length() > 63:  # would overflow the int64 mark column
-        raise ValueError(f"mark {mark} out of range")
-    return float(row[0]), mark
+    write_csv(path, EVENTS_CSV_DTYPE.names, ((f"{t:.12g}", d) for t, d in rows))
 
 
 def read_events_csv(path, horizon: float | None = None, dim: int | None = None) -> EventSequence:
@@ -152,11 +173,10 @@ def read_events_csv(path, horizon: float | None = None, dim: int | None = None) 
     The file carries no window metadata, so ``horizon`` defaults to the last
     event time and ``dim`` to the largest mark seen.
     """
-    rows = read_csv(path, EVENTS_CSV_HEADER, _parse_event)
-    events = np.fromiter(rows, dtype=[("time", float), ("mark", np.int64)])
+    events = read_csv(path, EVENTS_CSV_DTYPE, (float, int))
     if not events.size:
         raise ParseError(f"{path}: no events")
-    times, marks = events["time"], events["mark"]
+    times, marks = events["time_hours"], events["mark"]
     if horizon is None:
         # Python's max skips a NaN after the first time, which EventSequence then reports.
         horizon = max(times.tolist())

@@ -7,71 +7,76 @@ thresholds as positive/negative price-jump events, and assemble everything
 into one :class:`~blockhawkes.events.EventSequence` with marks
 1 = block arrival, 2 = positive jump, 3 = negative jump.
 
-All timestamps are UTC; naive inputs are interpreted as UTC.  Event times
-are converted to decimal hours since the window start.  The block and price
-CSV files go through ``events.read_csv``/``write_csv``, which own the row rules.
+Blocks, price bars and returns are numpy structured arrays
+(``BLOCKS_CSV_DTYPE``, ``PRICE_CSV_DTYPE``, ``RETURNS_DTYPE``) whose
+``timestamp`` field holds int64 UTC microseconds since the Unix epoch, from
+the CSV reader to the event times; every stage but the jump window's loop
+works on whole columns.  :func:`timestamp_us` is the one timestamp rule, and
+naive inputs are UTC.  Event times are decimal hours since the window start.
+The block and price CSV files go through ``events.read_csv``/``write_csv``,
+which own the row rules.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import Counter
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError
-from .events import EventSequence, merge_components, read_csv, write_csv
+from .events import merge_components, read_csv, write_csv
 
-BLOCKS_CSV_HEADER = ("height", "timestamp", "tx_count")
-PRICE_CSV_HEADER = ("timestamp", "vwap")
+BLOCKS_CSV_DTYPE = np.dtype(
+    [("height", np.int64), ("timestamp", np.int64), ("tx_count", np.int64)])
+PRICE_CSV_DTYPE = np.dtype([("timestamp", np.int64), ("vwap", np.float64)])
+RETURNS_DTYPE = np.dtype([("timestamp", np.int64), ("log_return", np.float64)])
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)  # naive stamps are UTC
+_US = timedelta(microseconds=1)
+# Years 1 to 9999, the range of datetime and of the written stamps.
+_US_MIN = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _US
+_US_MAX = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _US
+
+
+def timestamp_us(text: str) -> int:
+    """UTC microseconds since the Unix epoch of ISO-8601 text or integer Unix seconds.
+
+    The text is stripped.  Text without ``:`` or ``T`` that ``int`` reads is
+    Unix seconds; anything else is ISO-8601 with ``Z``, an offset or none
+    (UTC).  Unparseable text and instants outside years 1-9999 raise
+    :class:`InvalidInputError`.
+    """
+    text = text.strip()
+    us = None
+    # No integer literal contains ":" or "T"; ISO stamps skip the failing int().
+    if ":" not in text and "T" not in text:
+        with suppress(ValueError):
+            us = int(text) * 1_000_000
+    if us is None:
+        try:
+            dt = datetime.fromisoformat(text)
+        except ValueError:
+            raise InvalidInputError(f"unparseable timestamp {text!r}") from None
+        us = (dt - (EPOCH if dt.tzinfo else _NAIVE_EPOCH)) // _US
+    if not _US_MIN <= us <= _US_MAX:
+        raise InvalidInputError(f"timestamp {text!r} out of range")
+    return us
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse ISO-8601 (UTC assumed if naive) or integer Unix seconds."""
-    text = text.strip()
-    # No integer literal contains ":" or "T"; ISO stamps skip the failing int().
-    if ":" not in text and "T" not in text:
-        try:
-            return datetime.fromtimestamp(int(text), tz=timezone.utc)
-        except ValueError:
-            pass
-        except (OverflowError, OSError):
-            raise InvalidInputError(f"Unix timestamp {text!r} out of range")
-    try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
-        raise InvalidInputError(f"unparseable timestamp {text!r}")
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    """The UTC datetime of :func:`timestamp_us`."""
+    return EPOCH + timedelta(microseconds=timestamp_us(text))
 
 
-def _format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-@dataclass(frozen=True)
-class BlockRecord:
-    height: int
-    timestamp: datetime
-    tx_count: int
-
-    def __post_init__(self):
-        if self.height < 0 or self.tx_count < 0:
-            raise InvalidInputError("height and tx_count must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PriceBar:
-    timestamp: datetime
-    vwap: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.vwap) or self.vwap <= 0:
-            raise InvalidInputError(f"vwap must be positive, got {self.vwap}")
+def format_timestamps(us) -> np.ndarray:
+    """``YYYY-MM-DDTHH:MM:SSZ`` of UTC microseconds, seconds floored, four-digit years."""
+    return np.datetime_as_string(
+        np.asarray(us, dtype=np.int64).astype("datetime64[us]"), unit="s", timezone="UTC")
 
 
 @dataclass(frozen=True)
@@ -114,75 +119,74 @@ class CleaningReport:
         return asdict(self)
 
 
-def clean_blocks(records) -> tuple:
+def clean_blocks(blocks) -> tuple:
     """Deduplicate timestamps and re-sort out-of-order blocks.
 
-    Among records sharing an identical timestamp the one with the larger
-    transaction count survives (ties keep the lower height and are logged);
-    survivors are then sorted by timestamp.  ``reordered`` logs every
-    record whose rank changed in that sort, in input order; drops are
-    logged by group, in order of each timestamp's first appearance.  Output
-    timestamps are strictly increasing and the operation is idempotent.
+    ``blocks`` is a ``BLOCKS_CSV_DTYPE`` array.  Among blocks sharing an
+    identical timestamp the one with the larger transaction count survives
+    (ties keep the lower height, then the earlier row, and are logged);
+    survivors are then sorted by timestamp.  ``reordered`` logs every block
+    whose rank changed in that sort, in input order; drops are logged by
+    group, in order of each timestamp's first appearance.  Output timestamps
+    are strictly increasing and the operation is idempotent.
     """
-    records = list(records)
-    if not records:
+    n = len(blocks)
+    if not n:
         raise InvalidInputError("clean_blocks needs at least one record")
+    stamp, height, tx = blocks["timestamp"], blocks["height"], blocks["tx_count"]
+    # Sorted by time, then most transactions, lowest height and first row,
+    # so each timestamp's survivor leads its group.
+    order = np.lexsort((np.arange(n), height, -tx, stamp))
+    leads = np.r_[True, stamp[order[1:]] != stamp[order[:-1]]]
+    starts = np.flatnonzero(leads)
+    kept = order[starts]
+    # Drops are logged by group in order of first appearance, then in input order.
+    group = np.cumsum(leads)[~leads] - 1
+    log = np.lexsort((order[~leads], np.minimum.reduceat(order, starts)[group]))
+    dropped, keeper = order[~leads][log], kept[group[log]]
+    heights, counts = height.tolist(), tx.tolist()
     report = CleaningReport()
-    groups: dict = {}
-    for k, rec in enumerate(records):
-        groups.setdefault(rec.timestamp, []).append(k)
-    survivors = []
-    for group in groups.values():
-        best = group[0] if len(group) == 1 else min(
-            group, key=lambda k: (-records[k].tx_count, records[k].height))
-        survivors.append(best)
-        kept = records[best]
-        for rec in (records[k] for k in group if k != best):
-            stamp = _format_timestamp(rec.timestamp)
-            report.duplicates_dropped.append({"height": rec.height, "timestamp": stamp,
-                                              "tx_count": rec.tx_count,
-                                              "kept_height": kept.height})
-            if rec.tx_count == kept.tx_count:
-                report.ties.append({"timestamp": stamp, "kept_height": kept.height,
-                                    "dropped_height": rec.height})
-    survivors.sort()
-    order = sorted(survivors, key=lambda k: records[k].timestamp)
-    new_rank = {k: rank for rank, k in enumerate(order)}
-    for old_rank, k in enumerate(survivors):
-        if new_rank[k] != old_rank:
-            rec = records[k]
-            report.reordered.append({"height": rec.height,
-                                     "timestamp": _format_timestamp(rec.timestamp),
-                                     "from_rank": old_rank, "to_rank": new_rank[k]})
-    return [records[k] for k in order], report
+    for k, best, text in zip(dropped.tolist(), keeper.tolist(),
+                             format_timestamps(stamp[dropped]).tolist()):
+        report.duplicates_dropped.append({"height": heights[k], "timestamp": text,
+                                          "tx_count": counts[k], "kept_height": heights[best]})
+        if counts[k] == counts[best]:
+            report.ties.append({"timestamp": text, "kept_height": heights[best],
+                                "dropped_height": heights[k]})
+    survivors = np.sort(kept)
+    rank = np.empty(n, dtype=np.int64)
+    rank[kept] = np.arange(kept.size)
+    moved = np.flatnonzero(rank[survivors] != np.arange(kept.size))
+    for old_rank, k, text in zip(moved.tolist(), survivors[moved].tolist(),
+                                 format_timestamps(stamp[survivors[moved]]).tolist()):
+        report.reordered.append({"height": heights[k], "timestamp": text,
+                                 "from_rank": old_rank, "to_rank": int(rank[k])})
+    return blocks[kept], report
 
 
 def log_returns(bars, grid_seconds: float = 300.0) -> tuple:
     """Log returns attached to the later bar, plus a grid-gap log.
 
-    A hole in the bar grid still yields a single log difference spanning
-    it, flagged in the gap log.  Bar positivity is enforced by
-    :class:`PriceBar` itself; rows violating it are rejected at parse time.
+    ``bars`` is a ``PRICE_CSV_DTYPE`` array, the returns a ``RETURNS_DTYPE``
+    array.  A hole in the bar grid still yields a single log difference
+    spanning it, flagged in the gap log.
     """
-    bars = list(bars)
     if len(bars) < 2:
         raise InvalidInputError("need at least two price bars")
-    times = [b.timestamp for b in bars]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+    stamp, vwap = bars["timestamp"], bars["vwap"]
+    if np.any(np.diff(stamp) <= 0):
         raise InvalidInputError("price bars must be strictly increasing in time")
-    returns = list(zip(times[1:], np.diff(np.log([b.vwap for b in bars])).tolist()))
+    if not np.all(np.isfinite(vwap) & (vwap > 0)):
+        raise InvalidInputError("vwap must be finite and positive")
+    returns = np.empty(len(bars) - 1, dtype=RETURNS_DTYPE)
+    returns["timestamp"] = stamp[1:]
+    returns["log_return"] = np.diff(np.log(vwap))
+    seconds = np.diff(stamp) / 1e6
     gaps = []
-    for k in range(1, len(bars)):
-        span = (bars[k].timestamp - bars[k - 1].timestamp).total_seconds()
-        if span > grid_seconds + 1e-6:
-            gaps.append(
-                {
-                    "index": k - 1,
-                    "start": _format_timestamp(bars[k - 1].timestamp),
-                    "end": _format_timestamp(bars[k].timestamp),
-                    "missing_bars": int(round(span / grid_seconds)) - 1,
-                }
-            )
+    for k in np.flatnonzero(seconds > grid_seconds + 1e-6).tolist():
+        start, end = format_timestamps(stamp[k:k + 2]).tolist()
+        gaps.append({"index": k, "start": start, "end": end,
+                     "missing_bars": int(round(float(seconds[k]) / grid_seconds)) - 1})
     return returns, gaps
 
 
@@ -225,28 +229,29 @@ def extract_jumps(returns, config: JumpConfig | None = None) -> tuple:
     leaving the window are bisect-deleted and the current return is
     insorted after it is judged, so each return costs O(log W) compares
     plus an O(W) list shift (W returns per window) and memory stays O(W).
-    Non-finite returns raise :class:`InvalidInputError`.
+    ``returns`` is a ``RETURNS_DTYPE`` array; the jump times are its int64
+    microsecond stamps.  Non-finite returns raise :class:`InvalidInputError`.
     """
     if config is None:
         config = JumpConfig()
-    returns = list(returns)
-    if not returns:
-        return [], []
-    stamps = [t for t, _ in returns]
-    if any(t2 <= t1 for t1, t2 in zip(stamps, stamps[1:])):
+    stamps = returns["timestamp"]
+    if np.any(np.diff(stamps) <= 0):
         raise InvalidInputError("returns must be strictly increasing in time")
-    values = [float(r) for _, r in returns]
-    for t, v in zip(stamps, values):
-        if not math.isfinite(v):
-            raise InvalidInputError(f"non-finite return {v} at {t.isoformat()}")
-    seconds = [(t - stamps[0]).total_seconds() for t in stamps]
+    bad = np.flatnonzero(~np.isfinite(returns["log_return"]))
+    if bad.size:
+        raise InvalidInputError(f"non-finite return at {format_timestamps(stamps[bad[0]])}")
+    values = returns["log_return"].tolist()
+    # Float seconds round as timedelta.total_seconds() does: exact integer
+    # microseconds, then one division.
+    seconds = (stamps - stamps[:1]) / 1e6
     if len(seconds) > 1:
-        grid = min(b - a for a, b in zip(seconds, seconds[1:]))
+        grid = np.diff(seconds).min()
         if config.window_hours * 3600.0 < grid:
             raise ConfigError(
                 f"window of {config.window_hours} h is shorter than the "
                 f"{grid:.0f} s grid spacing"
             )
+    seconds = seconds.tolist()
     window = config.window_hours * 3600.0
     up, down = [], []
     history = []
@@ -257,32 +262,28 @@ def extract_jumps(returns, config: JumpConfig | None = None) -> tuple:
             start += 1
         if len(history) >= config.min_history:
             if value > _weibull_quantile(history, config.q_high):
-                up.append(stamps[k])
+                up.append(k)
             elif value < _weibull_quantile(history, config.q_low):
-                down.append(stamps[k])
+                down.append(k)
         insort(history, value)
-    return up, down
+    return stamps[np.array(up, dtype=np.intp)], stamps[np.array(down, dtype=np.intp)]
 
 
-def build_trivariate(blocks, up_times, down_times, window) -> tuple:
+def build_trivariate(block_times, up_times, down_times, window) -> tuple:
     """Assemble the trivariate sequence: blocks=1, up jumps=2, down jumps=3.
 
-    ``window`` is a (start, end) datetime pair; times become hours since
-    ``start`` and events outside [start, end] are dropped.  Returns
-    ``(sequence, dropped_count)``.
+    The three streams and the (start, end) ``window`` are UTC microsecond
+    stamps; times become hours since ``start`` and events outside
+    [start, end] are dropped.  Returns ``(sequence, dropped_count)``.
     """
     start, end = window
     if end <= start:
         raise ConfigError("window end must be after window start")
-    horizon = (end - start).total_seconds() / 3600.0
+    horizon = (end - start) / 1e6 / 3600.0
     dropped = 0
     streams = []
-    for stamps in (
-        [b.timestamp for b in blocks],
-        list(up_times),
-        list(down_times),
-    ):
-        hours = np.array([(t - start).total_seconds() / 3600.0 for t in stamps])
+    for stamps in (block_times, up_times, down_times):
+        hours = (np.asarray(stamps, dtype=np.int64) - start) / 1e6 / 3600.0
         inside = (hours >= 0.0) & (hours <= horizon)
         dropped += int(np.sum(~inside))
         streams.append(hours[inside])
@@ -293,28 +294,30 @@ def build_trivariate(blocks, up_times, down_times, window) -> tuple:
 # CSV input/output
 # ---------------------------------------------------------------------------
 
-def read_blocks_csv(path) -> list:
-    """Read ``height,timestamp,tx_count`` rows into BlockRecords."""
-    records = list(read_csv(path, BLOCKS_CSV_HEADER, lambda row: BlockRecord(
-        int(row[0]), parse_timestamp(row[1]), int(row[2]))))
-    if not records:
+def read_blocks_csv(path) -> np.ndarray:
+    """Read ``height,timestamp,tx_count`` rows into a ``BLOCKS_CSV_DTYPE``
+    array (heights and counts >= 0, heights distinct)."""
+    blocks = read_csv(path, BLOCKS_CSV_DTYPE, (int, timestamp_us, int),
+                      lambda b: (b["height"] >= 0) & (b["tx_count"] >= 0))
+    if not blocks.size:
         raise ParseError(f"{path}: no block records")
-    heights = Counter(r.height for r in records)
-    if len(heights) != len(records):
-        dupes = sorted(h for h, count in heights.items() if count > 1)
-        raise ParseError(f"{path}: duplicate heights {dupes[:10]}")
-    return records
+    heights, counts = np.unique(blocks["height"], return_counts=True)
+    if counts.max() > 1:
+        raise ParseError(f"{path}: duplicate heights {heights[counts > 1][:10].tolist()}")
+    return blocks
 
 
-def write_blocks_csv(records, path) -> None:
-    write_csv(path, BLOCKS_CSV_HEADER, (
-        (rec.height, _format_timestamp(rec.timestamp), rec.tx_count) for rec in records))
+def write_blocks_csv(blocks, path) -> None:
+    write_csv(path, BLOCKS_CSV_DTYPE.names, zip(
+        blocks["height"].tolist(), format_timestamps(blocks["timestamp"]).tolist(),
+        blocks["tx_count"].tolist()))
 
 
-def read_price_csv(path) -> list:
-    """Read ``timestamp,vwap`` rows into PriceBars (vwap must be > 0)."""
-    bars = list(read_csv(path, PRICE_CSV_HEADER,
-                         lambda row: PriceBar(parse_timestamp(row[0]), float(row[1]))))
-    if not bars:
+def read_price_csv(path) -> np.ndarray:
+    """Read ``timestamp,vwap`` rows into a ``PRICE_CSV_DTYPE`` array (vwap
+    finite and > 0)."""
+    bars = read_csv(path, PRICE_CSV_DTYPE, (timestamp_us, float),
+                    lambda b: np.isfinite(b["vwap"]) & (b["vwap"] > 0))
+    if not bars.size:
         raise ParseError(f"{path}: no price bars")
     return bars

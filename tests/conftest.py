@@ -5,7 +5,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from blockhawkes import BlockRecord, EventSequence, HawkesModel, SumExpKernel
+from blockhawkes import EventSequence, HawkesModel, SumExpKernel
+from blockhawkes.ingest import BLOCKS_CSV_DTYPE, EPOCH
 
 # Benchmark trivariate configuration (block arrivals / up jumps / down jumps)
 # used across estimation and goodness-of-fit tests.
@@ -56,21 +57,28 @@ def tied_sequence(rng, dim, n, step=0.5):
     return EventSequence(times[keep], marks[keep], times.max(initial=0.0) + step, dim)
 
 
+def table(dtype, rows):
+    """Structured ingest array of ``dtype`` from rows of cells; datetime
+    cells become int64 UTC microseconds since the epoch."""
+    def cell(value):
+        if isinstance(value, datetime):
+            return (value - EPOCH) // timedelta(microseconds=1)
+        return value
+    return np.array([tuple(map(cell, row)) for row in rows], dtype=dtype)
+
+
 def messy_block_fixture():
-    """Block list with 2 duplicate-timestamp pairs and 7 adjacent swaps.
+    """Block array with 2 duplicate-timestamp pairs and 7 adjacent swaps.
 
     The swaps disorder exactly 14 records (two per swap); the duplicate
     extras carry fewer transactions than their partners, so cleaning must
     drop exactly the two extras and report 14 reordered records.
     """
     t0 = datetime(2022, 1, 20, 9, 0, 0, tzinfo=timezone.utc)
-    blocks = [
-        BlockRecord(719500 + k, t0 + timedelta(minutes=k), 1000 + 7 * k)
-        for k in range(40)
-    ]
+    blocks = [(719500 + k, t0 + timedelta(minutes=k), 1000 + 7 * k) for k in range(40)]
     for k in (8, 11, 14, 25, 28, 31, 34):  # disjoint adjacent swaps
         blocks[k], blocks[k + 1] = blocks[k + 1], blocks[k]
-    dup_a = BlockRecord(719601, blocks[5].timestamp, blocks[5].tx_count - 50)
-    dup_b = BlockRecord(719701, blocks[20].timestamp, blocks[20].tx_count - 10)
+    dup_a = (719601, blocks[5][1], blocks[5][2] - 50)
+    dup_b = (719701, blocks[20][1], blocks[20][2] - 10)
     rows = blocks[:6] + [dup_a] + blocks[6:21] + [dup_b] + blocks[21:]
-    return rows
+    return table(BLOCKS_CSV_DTYPE, rows)

@@ -34,6 +34,7 @@ from blockhawkes import (
 )
 from blockhawkes.errors import SimulationTruncatedError
 from blockhawkes.fit import FitConfig
+from blockhawkes.ingest import RETURNS_DTYPE
 
 from conftest import (
     BENCH_ALPHA,
@@ -41,6 +42,7 @@ from conftest import (
     BENCH_MU,
     messy_block_fixture,
     random_sumexp_model,
+    table,
 )
 
 from datetime import timedelta, timezone, datetime
@@ -237,10 +239,9 @@ def test_criterion_9_cleaning_fixture():
     rows = messy_block_fixture()
     cleaned, report = clean_blocks(rows)
     counts = report.counts()
-    stamps = [r.timestamp for r in cleaned]
-    increasing = all(a < b for a, b in zip(stamps, stamps[1:]))
+    increasing = bool(np.all(np.diff(cleaned["timestamp"]) > 0))
     again, rerun_report = clean_blocks(cleaned)
-    idempotent = again == cleaned and rerun_report.counts()["duplicates_dropped"] == 0 \
+    idempotent = np.array_equal(again, cleaned) and rerun_report.counts()["duplicates_dropped"] == 0 \
         and rerun_report.counts()["reordered"] == 0
     ok = counts["duplicates_dropped"] == 2 and counts["reordered"] == 14 and increasing and idempotent
     _report(9, ok, f"counts {counts}, strictly increasing {increasing}, idempotent {idempotent}")
@@ -250,7 +251,8 @@ def test_criterion_10_jump_flagging_rate():
     rng = np.random.default_rng(404)
     n = 50_000
     values = rng.normal(0.0, 1e-3, n)
-    returns = [(T0 + timedelta(minutes=5 * k), float(v)) for k, v in enumerate(values)]
+    returns = table(RETURNS_DTYPE, [(T0 + timedelta(minutes=5 * k), float(v))
+                                    for k, v in enumerate(values)])
     up, down = extract_jumps(returns, JumpConfig())
     fraction = (len(up) + len(down)) / n
     ok = abs(fraction - 0.20) <= 0.03

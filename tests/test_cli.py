@@ -25,7 +25,7 @@ from blockhawkes.cli import (
     build_parser,
     main,
 )
-from blockhawkes.ingest import write_blocks_csv
+from blockhawkes.ingest import format_timestamps, write_blocks_csv
 
 from conftest import messy_block_fixture
 from test_ingest import T0, bars_from_prices
@@ -33,8 +33,8 @@ from test_ingest import T0, bars_from_prices
 
 def write_price_csv_from_bars(bars, path):
     lines = ["timestamp,vwap"]
-    for bar in bars:
-        lines.append(f"{bar.timestamp.strftime('%Y-%m-%dT%H:%M:%SZ')},{bar.vwap!r}")
+    for stamp, vwap in zip(format_timestamps(bars["timestamp"]).tolist(), bars["vwap"].tolist()):
+        lines.append(f"{stamp},{vwap!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -85,6 +85,19 @@ class TestCleanBlocksCommand:
         code = main(["clean-blocks", str(in_csv), str(tmp_path / "o.csv"), str(tmp_path / "r.json")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+
+    def test_year_999_output_rereads(self, tmp_path, capsys):
+        # Years before 1000 are written with four digits, which the reader needs.
+        raw, blocks = tmp_path / "raw.csv", tmp_path / "blocks.csv"
+        raw.write_text("height,timestamp,tx_count\n1,-30631392000,5\n2,-30631391000,6\n")
+        price = tmp_path / "price.csv"
+        price.write_text("timestamp,vwap\n-30631392000,100.0\n-30631391700,101.0\n")
+        assert main(["clean-blocks", str(raw), str(blocks), str(tmp_path / "r.json")]) == 0
+        assert blocks.read_text().splitlines()[1] == "1,0999-05-01T00:00:00Z,5"
+        out = tmp_path / "events.csv"
+        assert main(["build-events", str(blocks), str(price), str(out)]) == 0, capsys.readouterr().err
+        assert read_events_csv(out, dim=3).counts().tolist() == [2, 0, 0]
 
 
 class TestExtractJumpsCommand:

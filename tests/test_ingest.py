@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockhawkes import (
-    BlockRecord,
     JumpConfig,
-    PriceBar,
     build_trivariate,
     clean_blocks,
     extract_jumps,
@@ -19,7 +17,12 @@ from blockhawkes import (
     read_events_csv,
 )
 from blockhawkes.errors import ConfigError, InvalidInputError, ParseError
+from blockhawkes.events import EVENTS_CSV_DTYPE, read_csv
 from blockhawkes.ingest import (
+    BLOCKS_CSV_DTYPE,
+    EPOCH,
+    PRICE_CSV_DTYPE,
+    RETURNS_DTYPE,
     _weibull_quantile,
     parse_timestamp,
     read_blocks_csv,
@@ -27,17 +30,24 @@ from blockhawkes.ingest import (
     write_blocks_csv,
 )
 
-from conftest import messy_block_fixture
+import row_reader_oracle
+from conftest import messy_block_fixture, table
 
 UTC = timezone.utc
 T0 = datetime(2022, 2, 1, 0, 0, 0, tzinfo=UTC)
+US = timedelta(microseconds=1)
+
+
+def us(*times):
+    """UTC microseconds of datetimes, the ingest arrays' time unit."""
+    return [(t - EPOCH) // US for t in times]
 
 
 def bars_from_prices(prices, step_minutes=5, start=T0):
-    return [
-        PriceBar(start + timedelta(minutes=step_minutes * k), float(p))
+    return table(PRICE_CSV_DTYPE, [
+        (start + timedelta(minutes=step_minutes * k), float(p))
         for k, p in enumerate(prices)
-    ]
+    ])
 
 
 class TestTimestampParsing:
@@ -81,41 +91,84 @@ class TestTimestampParsing:
         assert parsed.utcoffset() == timedelta(0)
 
 
+def clean_blocks_loop_oracle(blocks):
+    """The reference cleaning: the per-record loop over timestamp groups.
+
+    Returns the surviving (height, timestamp, tx_count) rows in time order
+    and the report as a dict.
+    """
+    records = blocks.tolist()
+
+    def stamp(us):
+        return (EPOCH + us * US).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+    report = {"duplicates_dropped": [], "reordered": [], "ties": []}
+    groups = {}
+    for k, (_, t, _) in enumerate(records):
+        groups.setdefault(t, []).append(k)
+    survivors = []
+    for group in groups.values():
+        best = group[0] if len(group) == 1 else min(
+            group, key=lambda k: (-records[k][2], records[k][0]))
+        survivors.append(best)
+        kept = records[best]
+        for height, t, txs in (records[k] for k in group if k != best):
+            report["duplicates_dropped"].append({"height": height, "timestamp": stamp(t),
+                                                 "tx_count": txs, "kept_height": kept[0]})
+            if txs == kept[2]:
+                report["ties"].append({"timestamp": stamp(t), "kept_height": kept[0],
+                                       "dropped_height": height})
+    survivors.sort()
+    order = sorted(survivors, key=lambda k: records[k][1])
+    new_rank = {k: rank for rank, k in enumerate(order)}
+    for old_rank, k in enumerate(survivors):
+        if new_rank[k] != old_rank:
+            report["reordered"].append({"height": records[k][0],
+                                        "timestamp": stamp(records[k][1]),
+                                        "from_rank": old_rank, "to_rank": new_rank[k]})
+    return [records[k] for k in order], report
+
+
+# Few stamps and tx counts: repeated timestamps, tied counts and out-of-order
+# rows in most draws; heights repeat and run in any order.
+block_rows = st.lists(st.tuples(st.integers(0, 50), st.integers(0, 30), st.integers(0, 5)),
+                      min_size=1, max_size=60)
+
+
 class TestCleanBlocks:
     def test_duplicate_keeps_larger_tx_count(self):
         ts = datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)
-        records = [
-            BlockRecord(719598, ts - timedelta(minutes=9), 1500),
-            BlockRecord(719599, ts, 2000),
-            BlockRecord(719601, ts, 1200),
-        ]
+        records = table(BLOCKS_CSV_DTYPE, [
+            (719598, ts - timedelta(minutes=9), 1500),
+            (719599, ts, 2000),
+            (719601, ts, 1200),
+        ])
         cleaned, report = clean_blocks(records)
-        assert [r.height for r in cleaned] == [719598, 719599]
+        assert cleaned["height"].tolist() == [719598, 719599]
         assert report.counts()["duplicates_dropped"] == 1
         assert report.duplicates_dropped[0]["height"] == 719601
 
     def test_tie_keeps_lower_height_and_logs(self):
         ts = datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)
-        records = [BlockRecord(10, ts, 500), BlockRecord(9, ts, 500)]
+        records = table(BLOCKS_CSV_DTYPE, [(10, ts, 500), (9, ts, 500)])
         cleaned, report = clean_blocks(records)
-        assert [r.height for r in cleaned] == [9]
+        assert cleaned["height"].tolist() == [9]
         assert report.counts()["ties"] == 1
         assert report.ties[0]["kept_height"] == 9
 
     def test_clean_input_is_identity(self):
-        records = [
-            BlockRecord(k, T0 + timedelta(minutes=k), 100 + k) for k in range(10)
-        ]
+        records = table(BLOCKS_CSV_DTYPE, [
+            (k, T0 + timedelta(minutes=k), 100 + k) for k in range(10)
+        ])
         cleaned, report = clean_blocks(records)
-        assert cleaned == records
+        assert np.array_equal(cleaned, records)
         assert report.counts() == {"duplicates_dropped": 0, "reordered": 0, "ties": 0}
 
     def test_messy_fixture_counts(self):
         cleaned, report = clean_blocks(messy_block_fixture())
         assert report.counts()["duplicates_dropped"] == 2
         assert report.counts()["reordered"] == 14
-        stamps = [r.timestamp for r in cleaned]
-        assert all(a < b for a, b in zip(stamps, stamps[1:]))
+        assert np.all(np.diff(cleaned["timestamp"]) > 0)
         assert len(cleaned) + report.counts()["duplicates_dropped"] == len(messy_block_fixture())
 
     def test_messy_fixture_report_pinned(self):
@@ -139,14 +192,14 @@ class TestCleanBlocks:
         }
 
     def test_record_passed_twice_dropped_once(self):
-        # One object twice (a tie with itself), and an earlier-stamped tie
+        # One row twice (a tie with itself), and an earlier-stamped tie
         # group that first appears later in the input.
         ts = datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)
-        same = BlockRecord(7, ts, 500)
-        records = [same, BlockRecord(5, ts - timedelta(minutes=1), 300), same,
-                   BlockRecord(4, ts - timedelta(minutes=1), 300)]
+        same = (7, ts, 500)
+        records = table(BLOCKS_CSV_DTYPE, [same, (5, ts - timedelta(minutes=1), 300), same,
+                                           (4, ts - timedelta(minutes=1), 300)])
         cleaned, report = clean_blocks(records)
-        assert cleaned == [records[3], same]
+        assert np.array_equal(cleaned, records[[3, 0]])
         stamp, earlier = "2022-01-20T09:26:01Z", "2022-01-20T09:25:01Z"
         assert report.to_dict() == {
             "duplicates_dropped": [
@@ -167,45 +220,51 @@ class TestCleanBlocks:
     def test_idempotent(self):
         cleaned, _ = clean_blocks(messy_block_fixture())
         again, report = clean_blocks(cleaned)
-        assert again == cleaned
+        assert np.array_equal(again, cleaned)
         assert report.counts() == {"duplicates_dropped": 0, "reordered": 0, "ties": 0}
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            clean_blocks([])
+            clean_blocks(table(BLOCKS_CSV_DTYPE, []))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 30), st.integers(0, 5)),
-                    min_size=1, max_size=60))
+    @given(block_rows)
     def test_random_inputs_clean_to_fixed_point(self, raw):
-        # Few stamps and tx counts: repeated timestamps, tied counts and
-        # out-of-order rows in most draws; heights repeat and run in any order.
-        records = [
-            BlockRecord(height=height, timestamp=T0 + timedelta(seconds=offset), tx_count=txs)
-            for height, offset, txs in raw
-        ]
+        records = table(BLOCKS_CSV_DTYPE, [
+            (height, T0 + timedelta(seconds=offset), txs) for height, offset, txs in raw
+        ])
         cleaned, report = clean_blocks(records)
-        stamps = [r.timestamp for r in cleaned]
-        assert all(a < b for a, b in zip(stamps, stamps[1:]))
+        assert np.all(np.diff(cleaned["timestamp"]) > 0)
         assert len(cleaned) + len(report.duplicates_dropped) == len(records)
         again, empty_report = clean_blocks(cleaned)
-        assert again == cleaned
+        assert np.array_equal(again, cleaned)
         assert empty_report.counts() == {"duplicates_dropped": 0, "reordered": 0, "ties": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_rows)
+    def test_matches_record_loop(self, raw):
+        records = table(BLOCKS_CSV_DTYPE, [
+            (height, T0 + timedelta(seconds=offset), txs) for height, offset, txs in raw
+        ])
+        cleaned, report = clean_blocks(records)
+        rows, expected = clean_blocks_loop_oracle(records)
+        assert cleaned.tolist() == rows
+        assert report.to_dict() == expected
 
 
 class TestLogReturns:
     def test_constant_prices_give_zero(self):
         returns, gaps = log_returns(bars_from_prices([100.0] * 6))
-        assert all(r == 0.0 for _, r in returns)
+        assert np.all(returns["log_return"] == 0.0)
         assert gaps == []
 
     def test_exact_log_ratio(self):
         returns, _ = log_returns(bars_from_prices([100.0, 100.0 * np.e]))
-        np.testing.assert_allclose(returns[0][1], 1.0, rtol=1e-15)
+        np.testing.assert_allclose(returns["log_return"][0], 1.0, rtol=1e-15)
 
     def test_gap_flagged_once(self):
         bars = bars_from_prices([100, 101, 102, 103, 104, 105])
-        del bars[3]  # hole in the grid
+        bars = np.delete(bars, 3)  # hole in the grid
         returns, gaps = log_returns(bars)
         assert len(returns) == 4  # 6 grid slots -> 4 returns with one missing bar
         assert len(gaps) == 1
@@ -217,12 +276,12 @@ class TestLogReturns:
 
     def test_positive_vwap_enforced_at_construction(self):
         with pytest.raises(InvalidInputError):
-            PriceBar(T0, 0.0)
+            log_returns(bars_from_prices([100.0, 0.0]))
 
     @pytest.mark.parametrize("vwap", [float("nan"), float("inf")])
     def test_non_finite_vwap_rejected_at_construction(self, vwap):
         with pytest.raises(InvalidInputError):
-            PriceBar(T0, vwap)
+            log_returns(bars_from_prices([100.0, vwap]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -235,15 +294,16 @@ class TestLogReturns:
         base, _ = log_returns(bars_from_prices(prices))
         scaled, _ = log_returns(bars_from_prices(prices * scale))
         np.testing.assert_allclose(
-            [r for _, r in scaled], [r for _, r in base], rtol=0, atol=1e-10
+            scaled["log_return"], base["log_return"], rtol=0, atol=1e-10
         )
 
 
 def quantile_loop_oracle(returns, config):
     """The reference extraction: a fresh ``np.quantile`` of the sliced history per return."""
-    stamps = [t for t, _ in returns]
-    seconds = np.array([(t - stamps[0]).total_seconds() for t in stamps])
-    values = np.array([r for _, r in returns])
+    stamps = returns["timestamp"].tolist()
+    dates = [EPOCH + t * US for t in stamps]
+    seconds = np.array([(t - dates[0]).total_seconds() for t in dates])
+    values = returns["log_return"]
     window = config.window_hours * 3600.0
     up, down = [], []
     start = 0
@@ -258,7 +318,11 @@ def quantile_loop_oracle(returns, config):
             up.append(stamps[k])
         elif values[k] < lo:
             down.append(stamps[k])
-    return up, down
+    return np.array(up, dtype=np.int64), np.array(down, dtype=np.int64)
+
+
+def assert_same_jumps(found, expected):
+    assert [times.tolist() for times in found] == [times.tolist() for times in expected]
 
 
 def pinned_returns():
@@ -269,11 +333,13 @@ def pinned_returns():
     slots = np.sort(rng.choice(n_bars + 200, n_bars, replace=False))
     regime = np.repeat(rng.choice([0.5, 1.0, 3.0], n_bars // 96 + 1), 96)[: n_bars - 1]
     values = np.round(regime * rng.normal(0.0, 1e-3, n_bars - 1), 5)
-    return [(T0 + timedelta(minutes=5 * int(s)), float(v)) for s, v in zip(slots[1:], values)]
+    return table(RETURNS_DTYPE, [(T0 + timedelta(minutes=5 * int(s)), float(v))
+                                 for s, v in zip(slots[1:], values)])
 
 
 def jumps_digest(up, down):
-    text = "\n".join(t.isoformat() for t in up) + "\n--\n" + "\n".join(t.isoformat() for t in down)
+    up, down = ([(EPOCH + t * US).isoformat() for t in times.tolist()] for times in (up, down))
+    text = "\n".join(up) + "\n--\n" + "\n".join(down)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -315,17 +381,19 @@ class TestExtractJumps:
         # Random gaps make the window hold a varying number of returns; grid
         # gaps and whole-hour windows put history points on the window edge.
         offsets = np.cumsum([gap for gap, _ in data])
-        returns = [(T0 + timedelta(seconds=int(s)), v) for s, (_, v) in zip(offsets, data)]
+        returns = table(RETURNS_DTYPE, [(T0 + timedelta(seconds=int(s)), v)
+                                        for s, (_, v) in zip(offsets, data)])
         config = JumpConfig(window_hours, min(qs), max(qs), min_history)
-        assert extract_jumps(returns, config) == quantile_loop_oracle(returns, config)
+        assert_same_jumps(extract_jumps(returns, config), quantile_loop_oracle(returns, config))
 
     def test_window_closed_at_its_start(self):
         # The history of t is [t - 1 h, t): the 1.0 at exactly t - 1 h still
         # caps the 0.5 at t = 60 min; five minutes later it has left.
         values = [1.0] + [0.0] * 11 + [0.5, 0.75]
-        returns = [(T0 + timedelta(minutes=5 * k), v) for k, v in enumerate(values)]
+        returns = table(RETURNS_DTYPE, [(T0 + timedelta(minutes=5 * k), v)
+                                        for k, v in enumerate(values)])
         up, down = extract_jumps(returns, JumpConfig(1.0, 0.0, 1.0, 1))
-        assert up == [returns[13][0]]
+        assert up.tolist() == [returns["timestamp"][13]]
 
     def test_pinned_series_digest(self):
         returns = pinned_returns()
@@ -342,19 +410,20 @@ class TestExtractJumps:
     )
     def test_pinned_series_matches_quantile_loop(self, config):
         returns = pinned_returns()[:4000]
-        assert extract_jumps(returns, config) == quantile_loop_oracle(returns, config)
+        assert_same_jumps(extract_jumps(returns, config), quantile_loop_oracle(returns, config))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_return_rejected(self, bad):
-        returns = [(T0 + timedelta(minutes=5 * k), 1e-3 * (k % 7 - 3)) for k in range(40)]
-        returns[20] = (returns[20][0], bad)
+        returns = table(RETURNS_DTYPE, [(T0 + timedelta(minutes=5 * k), 1e-3 * (k % 7 - 3))
+                                        for k in range(40)])
+        returns["log_return"][20] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
             extract_jumps(returns, JumpConfig())
 
     def test_constant_returns_flag_nothing(self):
-        returns = [(T0 + timedelta(minutes=5 * k), 0.001) for k in range(100)]
+        returns = table(RETURNS_DTYPE, [(T0 + timedelta(minutes=5 * k), 0.001) for k in range(100)])
         up, down = extract_jumps(returns, JumpConfig())
-        assert up == [] and down == []
+        assert up.size == 0 and down.size == 0
 
     def test_single_spike_flagged_once(self):
         # Background pattern puts >= 10% mass on each extreme, so the rolling
@@ -365,28 +434,30 @@ class TestExtractJumps:
         values = np.array(pattern * 25)
         spike_idx = 150
         values[spike_idx] = 10 * amp
-        returns = [(T0 + timedelta(minutes=5 * k), float(v)) for k, v in enumerate(values)]
+        returns = table(RETURNS_DTYPE, [(T0 + timedelta(minutes=5 * k), float(v))
+                                        for k, v in enumerate(values)])
         up, down = extract_jumps(returns, JumpConfig())
-        assert up == [returns[spike_idx][0]]
-        assert down == []
+        assert up.tolist() == [returns["timestamp"][spike_idx]]
+        assert down.size == 0
 
     def test_extreme_quantiles_flag_nothing_when_extremes_recur(self):
         # min/max thresholds plus strict inequality: values equal to the
         # extremes are never flagged as long as every window holds them.
         pattern = [0.0, 0.5, -0.5, 0.2, -0.2, 0.5, -0.5, 0.1]
         values = pattern * 30
-        returns = [(T0 + timedelta(minutes=5 * k), v) for k, v in enumerate(values)]
+        returns = table(RETURNS_DTYPE, [(T0 + timedelta(minutes=5 * k), v)
+                                        for k, v in enumerate(values)])
         up, down = extract_jumps(returns, JumpConfig(q_low=0.0, q_high=1.0))
-        assert up == [] and down == []
+        assert up.size == 0 and down.size == 0
 
     def test_min_history_skips_early_points(self):
-        returns = [(T0 + timedelta(minutes=5 * k), 0.0) for k in range(11)]
-        returns.append((T0 + timedelta(minutes=55), 5.0))  # huge but history < 12
-        up, down = extract_jumps(returns, JumpConfig())
-        assert up == []
+        rows = [(T0 + timedelta(minutes=5 * k), 0.0) for k in range(11)]
+        rows.append((T0 + timedelta(minutes=55), 5.0))  # huge but history < 12
+        up, down = extract_jumps(table(RETURNS_DTYPE, rows), JumpConfig())
+        assert up.size == 0
 
     def test_window_shorter_than_grid_rejected(self):
-        returns = [(T0 + timedelta(hours=k), 0.1 * k) for k in range(30)]
+        returns = table(RETURNS_DTYPE, [(T0 + timedelta(hours=k), 0.1 * k) for k in range(30)])
         with pytest.raises(ConfigError):
             extract_jumps(returns, JumpConfig(window_hours=0.5))
 
@@ -400,43 +471,41 @@ class TestExtractJumps:
 
 class TestBuildTrivariate:
     def test_empty_inputs(self):
-        seq, dropped = build_trivariate([], [], [], (T0, T0 + timedelta(hours=6)))
+        seq, dropped = build_trivariate([], [], [], us(T0, T0 + timedelta(hours=6)))
         assert len(seq) == 0
         assert seq.horizon == 6.0
         assert dropped == 0
 
     def test_unit_conversion(self):
-        block = BlockRecord(1, T0 + timedelta(minutes=30), 100)
-        seq, _ = build_trivariate([block], [], [], (T0, T0 + timedelta(hours=2)))
+        blocks = us(T0 + timedelta(minutes=30))
+        seq, _ = build_trivariate(blocks, [], [], us(T0, T0 + timedelta(hours=2)))
         np.testing.assert_allclose(seq.times, [0.5])
         assert seq.marks[0] == 1
 
     def test_shared_timestamp_kept_ordered_by_mark(self):
         ts = T0 + timedelta(hours=1)
-        block = BlockRecord(1, ts, 10)
-        seq, _ = build_trivariate([block], [ts], [], (T0, T0 + timedelta(hours=2)))
+        seq, _ = build_trivariate(us(ts), us(ts), [], us(T0, T0 + timedelta(hours=2)))
         np.testing.assert_array_equal(seq.marks, [1, 2])
         assert seq.times[0] == seq.times[1] == 1.0
 
     def test_out_of_window_dropped_with_count(self):
-        inside = BlockRecord(1, T0 + timedelta(hours=1), 10)
-        outside = BlockRecord(2, T0 + timedelta(hours=5), 10)
+        blocks = us(T0 + timedelta(hours=1), T0 + timedelta(hours=5))
         seq, dropped = build_trivariate(
-            [inside, outside], [T0 - timedelta(hours=1)], [], (T0, T0 + timedelta(hours=2))
+            blocks, us(T0 - timedelta(hours=1)), [], us(T0, T0 + timedelta(hours=2))
         )
         assert len(seq) == 1
         assert dropped == 2
 
     def test_per_stream_counts_preserved(self):
-        blocks = [BlockRecord(k, T0 + timedelta(minutes=10 * k + 1), 5) for k in range(6)]
-        ups = [T0 + timedelta(minutes=7)]
-        downs = [T0 + timedelta(minutes=13), T0 + timedelta(minutes=44)]
-        seq, _ = build_trivariate(blocks, ups, downs, (T0, T0 + timedelta(hours=2)))
+        blocks = us(*(T0 + timedelta(minutes=10 * k + 1) for k in range(6)))
+        ups = us(T0 + timedelta(minutes=7))
+        downs = us(T0 + timedelta(minutes=13), T0 + timedelta(minutes=44))
+        seq, _ = build_trivariate(blocks, ups, downs, us(T0, T0 + timedelta(hours=2)))
         assert list(seq.counts()) == [6, 1, 2]
 
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):
-            build_trivariate([], [], [], (T0, T0))
+            build_trivariate([], [], [], us(T0, T0))
 
 
 class TestCsvIo:
@@ -445,13 +514,13 @@ class TestCsvIo:
         path = tmp_path / "blocks.csv"
         write_blocks_csv(records, path)
         back = read_blocks_csv(path)
-        assert back == records
+        assert np.array_equal(back, records)
 
     def test_unix_second_timestamps(self, tmp_path):
         path = tmp_path / "blocks.csv"
         path.write_text("height,timestamp,tx_count\n1,1642670761,900\n")
         records = read_blocks_csv(path)
-        assert records[0].timestamp == datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC)
+        assert records["timestamp"].tolist() == us(datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC))
 
     def test_malformed_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "blocks.csv"
@@ -512,3 +581,98 @@ class TestCsvIo:
         with pytest.raises(ParseError) as err:
             reader(path)
         assert err.value.bad_lines == [(7, "x,y,z")]
+
+    @pytest.mark.parametrize(
+        "reader, header, quoted, bad",
+        [
+            (read_events_csv, "time_hours,mark", '"0.5\n",1', "0.75,x"),
+            (read_blocks_csv, "height,timestamp,tx_count", '1,"2022-01-01\n00:00:00",5',
+             "2,2022-01-01 00:05:00,abc"),
+            (read_price_csv, "timestamp,vwap", '"2022-01-01\n00:00:00",100.0',
+             "2022-01-01 00:05:00,abc"),
+        ],
+        ids=["events", "blocks", "price"],
+    )
+    def test_bad_line_is_the_physical_line(self, tmp_path, reader, header, quoted, bad):
+        # The first record's quoted cell spans lines 2 and 3, so the bad
+        # record starts on line 4; a blank line 5 moves nothing.
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join([header, quoted, bad, "", bad]) + "\n")
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert err.value.bad_lines == [(4, bad), (6, bad)]
+
+
+def mostly(valid, bad):
+    """Cells from ``valid`` nine times in ten, else from ``bad``."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else valid)
+
+
+moments = st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2040, 1, 1))
+offsets = st.sampled_from(
+    [UTC, timezone(timedelta(hours=2)), timezone(-timedelta(hours=5, minutes=30))])
+stamp_cells = mostly(
+    st.one_of(
+        moments.map(lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ")),
+        moments.map(lambda t: str((t.replace(tzinfo=UTC) - EPOCH) // timedelta(seconds=1))),
+        st.builds(lambda t, tz, spec: t.replace(tzinfo=tz).isoformat(timespec=spec), moments,
+                  offsets, st.sampled_from(["auto", "milliseconds", "seconds"])),
+        moments.map(lambda t: f" {t.isoformat(sep=' ')} "),
+        # A quoted stamp whose separator is a newline: the record spans two lines.
+        moments.map(lambda t: '"' + t.strftime("%Y-%m-%d\n%H:%M:%S") + '"'),
+    ),
+    st.sampled_from(["x", "", "2022-13-01", "99999999999999999999", "-99999999999"]),
+)
+int_cells = mostly(st.integers(0, 10**6).map(str),
+                   st.sampled_from(["-3", "x", "", "1.5", "99999999999999999999", " 7 "]))
+float_cells = mostly(st.floats(1e-3, 1e6).map(repr),
+                     st.sampled_from(["0", "-3", "nan", "inf", "-inf", "abc", "", " 2.5 "]))
+
+
+def csv_rows(*cells):
+    """Rows of ``cells``, with now and then a blank, short or long row."""
+    full = st.tuples(*cells).map(list)
+    return st.lists(mostly(full, st.one_of(
+        st.sampled_from([[""], [" "], ["", "", ""], [" ", "\t"]]),
+        full.map(lambda row: row[:-1]),
+        full.map(lambda row: row + ["9"]),
+    )), max_size=25)
+
+
+COLUMN_READERS = {
+    "blocks": (BLOCKS_CSV_DTYPE.names, (int_cells, stamp_cells, int_cells),
+               read_blocks_csv, row_reader_oracle.read_blocks),
+    "price": (PRICE_CSV_DTYPE.names, (stamp_cells, float_cells),
+              read_price_csv, row_reader_oracle.read_prices),
+    "events": (EVENTS_CSV_DTYPE.names, (float_cells, int_cells),
+               lambda path: read_csv(path, EVENTS_CSV_DTYPE, (float, int)),
+               row_reader_oracle.read_events),
+}
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as err:
+        return str(err), err.bad_lines
+
+
+class TestColumnReader:
+    @pytest.mark.parametrize("kind", sorted(COLUMN_READERS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_reader(self, tmp_path_factory, kind, data):
+        # Canonical stamps, Unix seconds, offsets, fractional seconds, blank,
+        # short and long rows and bad cells: the column reader gives the
+        # per-row reference's columns, or the same ParseError and bad lines.
+        header, cells, read, reference = COLUMN_READERS[kind]
+        rows = data.draw(csv_rows(*cells))
+        path = tmp_path_factory.getbasetemp() / f"column_reader_{kind}.csv"
+        path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+        got, expected = outcome(read, path), outcome(reference, path)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert not isinstance(got, tuple), got
+            for name, column in zip(header, expected):
+                np.testing.assert_array_equal(got[name], np.array(column, dtype=got[name].dtype))
