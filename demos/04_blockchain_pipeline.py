@@ -89,15 +89,17 @@ bars = np.empty(n_bars, dtype=PRICE_CSV_DTYPE)
 bars["timestamp"] = start_us + 300_000_000 * np.arange(1, n_bars + 1)
 bars["vwap"] = prices
 
-workdir = Path(tempfile.mkdtemp(prefix="blockhawkes_demo_"))
-write_blocks_csv(blocks, workdir / "blocks_raw.csv")
-print(f"raw inputs written under {workdir}")
+with tempfile.TemporaryDirectory(prefix="blockhawkes_demo_") as workdir:
+    raw_csv = Path(workdir) / "blocks_raw.csv"
+    write_blocks_csv(blocks, raw_csv)
+    raw_blocks = read_blocks_csv(raw_csv)
+print(f"raw blocks written to and read back from {raw_csv}")
 
 # -----------------------------------------------------------------------------
 # 2. Clean the block stream
 #    CLI: blockhawkes clean-blocks blocks_raw.csv blocks_clean.csv report.json
 # -----------------------------------------------------------------------------
-cleaned, report = clean_blocks(read_blocks_csv(workdir / "blocks_raw.csv"))
+cleaned, report = clean_blocks(raw_blocks)
 print("\ncleaning report:", report.counts())
 assert np.all(np.diff(cleaned["timestamp"]) > 0)
 

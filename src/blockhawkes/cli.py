@@ -6,8 +6,10 @@ embeds a run manifest (tool version, python/numpy/scipy versions,
 effective-config digest, input file digests, UTC timestamp); outputs are
 byte-identical across repeated runs except for that timestamp.
 
-Exit codes: 0 success, 2 input parse/config error, 3 numeric or fitting
-failure, 4 model-validity error.
+Exit codes: 0 success, 2 input parse/config error (also an undecodable input,
+an unwritable output or a bad ``gof --model-label``), 3 numeric or fitting
+failure, 4 model-validity error.  ``main`` maps the error a command raises to
+its code through the one table ``_EXIT_CODES``.
 
 Configuration precedence is flags > config file > defaults.  The config
 file (``--config``) is a flat ``key = value`` document, one option per
@@ -35,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import spectral_radius
+from .core import HawkesModel, spectral_radius
 from .errors import (
     ConfigError,
     FittingError,
@@ -43,13 +45,12 @@ from .errors import (
     InvalidInputError,
     LikelihoodUndefinedError,
     NumericalError,
-    ParseError,
     SimulationTruncatedError,
     StabilityError,
 )
 from .events import read_events_csv, write_events_csv
 from .fit import FitConfig, fit_full, fit_poisson, fit_result_to_dict, model_from_dict
-from .gof import gof_report, report_to_dict, write_qq_csv
+from .gof import MODEL_LABELS, gof_report, report_to_dict, write_qq_csv
 from .ingest import (
     JumpConfig,
     build_trivariate,
@@ -70,11 +71,8 @@ EXIT_MODEL = 4
 
 
 def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _manifest(command: str, effective: dict, inputs) -> dict:
@@ -163,11 +161,31 @@ def _config(cls, opts: dict, **given):
     return cls(**{f.name: opts[f.name] for f in fields(cls) if f.name in opts}, **given)
 
 
-def _fail(code: int, message: str, bad_lines=None) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    for lineno, text in (bad_lines or [])[:10]:
+class _ModelError(HawkesError):
+    """An invalid model document, or a model of another dimension than the data."""
+
+
+# Exit code of each kind of error; the first row whose types match wins.
+_EXIT_CODES = (
+    ((StabilityError, _ModelError), EXIT_MODEL),
+    ((FittingError, NumericalError, LikelihoodUndefinedError, SimulationTruncatedError),
+     EXIT_NUMERIC),
+    ((HawkesError, OSError, UnicodeDecodeError, json.JSONDecodeError), EXIT_PARSE),
+)
+
+
+def _fail(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    for lineno, text in getattr(exc, "bad_lines", [])[:10]:
         print(f"  line {lineno}: {text}", file=sys.stderr)
-    return code
+    return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+
+
+def _model(doc) -> HawkesModel:
+    try:
+        return model_from_dict(doc)
+    except HawkesError as exc:
+        raise _ModelError(f"invalid model document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +193,7 @@ def _fail(code: int, message: str, bad_lines=None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_clean_blocks(args) -> int:
-    try:
-        records = read_blocks_csv(args.in_csv)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc), exc.bad_lines)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    records = read_blocks_csv(args.in_csv)
     cleaned, report = clean_blocks(records)
     write_blocks_csv(cleaned, args.out_csv)
     payload = report.to_dict()
@@ -199,23 +212,17 @@ _JUMP_OPTIONS = _options(JumpConfig, start=(str, None), end=(str, None))
 
 def cmd_build_events(args) -> int:
     """``build-events``; ``extract-jumps`` is the same with no blocks file."""
-    try:
-        opts = _effective_options(args, _JUMP_OPTIONS)
-        blocks = None if args.blocks_csv is None else read_blocks_csv(args.blocks_csv)
-        bars = read_price_csv(args.price_csv)
-    except (ParseError, ConfigError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
-    try:
-        # Without a blocks file the block stamps are an empty column.
-        cleaned, report = (bars[:0], None) if blocks is None else clean_blocks(blocks)
-        returns, gaps = log_returns(bars)
-        up, down = extract_jumps(returns, _config(JumpConfig, opts))
-        span = bars if blocks is None else cleaned
-        start = timestamp_us(opts["start"]) if opts["start"] else span["timestamp"][0]
-        end = timestamp_us(opts["end"]) if opts["end"] else span["timestamp"][-1]
-        seq, dropped = build_trivariate(cleaned["timestamp"], up, down, (start, end))
-    except (ConfigError, InvalidInputError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    opts = _effective_options(args, _JUMP_OPTIONS)
+    blocks = None if args.blocks_csv is None else read_blocks_csv(args.blocks_csv)
+    bars = read_price_csv(args.price_csv)
+    # Without a blocks file the block stamps are an empty column.
+    cleaned, report = (bars[:0], None) if blocks is None else clean_blocks(blocks)
+    returns, gaps = log_returns(bars)
+    up, down = extract_jumps(returns, _config(JumpConfig, opts))
+    span = bars if blocks is None else cleaned
+    start = timestamp_us(opts["start"]) if opts["start"] else span["timestamp"][0]
+    end = timestamp_us(opts["end"]) if opts["end"] else span["timestamp"][-1]
+    seq, dropped = build_trivariate(cleaned["timestamp"], up, down, (start, end))
     write_events_csv(seq, args.out_events_csv)
     if report is None:
         print(
@@ -238,19 +245,13 @@ _FIT_OPTIONS = _options(
 
 
 def cmd_fit(args) -> int:
-    try:
-        opts = _effective_options(args, _FIT_OPTIONS)
-        seq = read_events_csv(args.events_csv, horizon=opts["horizon"], dim=opts["dim"])
-    except (ParseError, ConfigError, OSError, InvalidInputError) as exc:
-        return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
-    try:
-        config = _config(FitConfig, opts)
-    except InvalidInputError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    opts = _effective_options(args, _FIT_OPTIONS)
+    seq = read_events_csv(args.events_csv, horizon=opts["horizon"], dim=opts["dim"])
+    config = _config(FitConfig, opts)
     try:
         result = fit_full(seq, config)
     except (FittingError, NumericalError, LikelihoodUndefinedError) as exc:
-        return _fail(EXIT_NUMERIC, f"fit failed: {exc}")
+        raise FittingError(f"fit failed: {exc}") from exc
     payload = fit_result_to_dict(result)
     if opts["poisson_baseline"]:
         baseline = fit_poisson(seq)
@@ -277,26 +278,19 @@ _GOF_OPTIONS = {
 
 
 def cmd_gof(args) -> int:
-    try:
-        opts = _effective_options(args, _GOF_OPTIONS)
-        seq = read_events_csv(args.events_csv, horizon=opts["horizon"], dim=opts["dim"])
-        with open(args.model_json) as fh:
-            doc = json.load(fh)
-    except (ParseError, ConfigError, OSError, InvalidInputError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, str(exc), getattr(exc, "bad_lines", None))
-    try:
-        model = model_from_dict(doc)
-    except (InvalidInputError, HawkesError) as exc:
-        return _fail(EXIT_MODEL, f"invalid model document: {exc}")
+    opts = _effective_options(args, _GOF_OPTIONS)
+    seq = read_events_csv(args.events_csv, horizon=opts["horizon"], dim=opts["dim"])
+    with open(args.model_json) as fh:
+        model = _model(json.load(fh))
     label = opts["model_label"]
     if label is None:
         label = "poisson" if np.all(model.kernel.alpha == 0) else "hawkes"
+    elif label not in MODEL_LABELS:
+        raise ConfigError(f"model_label must be one of {MODEL_LABELS}")
     try:
         report = gof_report(model, seq, label)
-    except (NumericalError, LikelihoodUndefinedError) as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
-    except InvalidInputError as exc:
-        return _fail(EXIT_MODEL, str(exc))
+    except InvalidInputError as exc:  # the model's dimension is not the data's
+        raise _ModelError(str(exc)) from exc
     payload = report_to_dict(report)
     payload["manifest"] = _manifest("gof", opts, [args.events_csv, args.model_json])
     _write_json(args.out_json, payload)
@@ -317,28 +311,12 @@ _SIM_OPTIONS = _options(SimConfig, horizon=(float, None), seed=(int, None))
 
 
 def cmd_simulate(args) -> int:
-    try:
-        opts = _effective_options(args, _SIM_OPTIONS)
-        with open(args.model_json) as fh:
-            doc = json.load(fh)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    opts = _effective_options(args, _SIM_OPTIONS)
+    with open(args.model_json) as fh:
+        doc = json.load(fh)
     if opts["horizon"] is None or opts["seed"] is None:
-        return _fail(EXIT_PARSE, "--horizon and --seed are required")
-    try:
-        model = model_from_dict(doc)
-    except HawkesError as exc:
-        return _fail(EXIT_MODEL, f"invalid model document: {exc}")
-    try:
-        config = _config(SimConfig, opts, model=model)
-    except InvalidInputError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        seq = simulate(config)
-    except StabilityError as exc:
-        return _fail(EXIT_MODEL, str(exc))
-    except SimulationTruncatedError as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
+        raise ConfigError("--horizon and --seed are required")
+    seq = simulate(_config(SimConfig, opts, model=_model(doc)))
     write_events_csv(seq, args.out_events_csv)
     print(f"simulated {len(seq)} events on [0, {seq.horizon}] h (seed {opts['seed']})")
     return EXIT_OK
@@ -391,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

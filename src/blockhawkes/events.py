@@ -114,10 +114,13 @@ def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
     raises ``ValueError``, ``IndexError``, ``OverflowError`` or
     ``InvalidInputError``, or a row is not valid, are the rows walked one by
     one, to raise the failing ones as one :class:`ParseError` with the 1-based
-    line on which each starts.
+    line on which each starts.  Undecodable text is a ParseError too.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid text: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     found = next(reader, None)
     if found is None or [h.strip() for h in found] != list(dtype.names):

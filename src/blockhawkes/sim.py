@@ -28,6 +28,10 @@ from .core import HawkesModel, spectral_radius
 from .errors import InvalidInputError, SimulationTruncatedError, StabilityError
 from .events import EventSequence
 
+# The largest mean numpy's Generator.poisson accepts (POISSON_LAM_MAX in
+# numpy/random/_common.pyx); above it numpy raises "lam value too large".
+POISSON_MEAN_MAX = 9.223372006484771e18
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -61,6 +65,9 @@ def simulate(config: SimConfig) -> EventSequence:
     StabilityError
         If the kernel-norm spectral radius is >= 1 and ``allow_unstable``
         is not set.
+    InvalidInputError
+        If sum_i mu_i * horizon or a kernel-norm column sum, the mean of a
+        Poisson count, exceeds ``POISSON_MEAN_MAX``.
     SimulationTruncatedError
         If the realisation has more than ``max_events`` events.  Its
         ``partial`` holds the first ``max_events`` of them, an exact
@@ -76,11 +83,17 @@ def simulate(config: SimConfig) -> EventSequence:
             f"kernel-norm spectral radius {rho:.4f} >= 1; pass allow_unstable=True "
             "to simulate a supercritical model anyway"
         )
-    rng = np.random.default_rng(int(config.seed))
     m = model.dim
     horizon = float(config.horizon)
     limit = config.max_events
     type_cum = np.cumsum(norms, axis=0)
+    mean = max(model.mu.sum() * horizon, type_cum[-1].max())
+    if mean > POISSON_MEAN_MAX:
+        raise InvalidInputError(
+            f"Poisson mean {mean:.4g} (sum of mu_i * horizon, or a kernel-norm column sum) "
+            f"exceeds numpy's limit {POISSON_MEAN_MAX:.4g}"
+        )
+    rng = np.random.default_rng(int(config.seed))
 
     counts = rng.poisson(model.mu * horizon)
     n, first = int(counts.sum()), limit + 1

@@ -392,6 +392,20 @@ class TestGofCommand:
         ])
         assert code == 2
 
+    def test_bad_model_label_exits_2_and_dimension_mismatch_4(self, tmp_path, capsys):
+        model_json = tmp_path / "model.json"
+        write_model_json(model_json, [1.0], [[[0.5]]], [1.0])
+        seq = simulate(SimConfig(HawkesModel([1.0], SumExpKernel(np.zeros((1, 1, 1)), [1.0])), 100.0, seed=9))
+        events = tmp_path / "events.csv"
+        write_events_csv(seq, events)
+        (tmp_path / "run.cfg").write_text("model_label = bogus\n")
+        argv = ["gof", str(events), str(model_json), str(tmp_path / "o.json"), str(tmp_path / "qq.csv")]
+        for flags in (["--model-label", "bogus"], ["--config", str(tmp_path / "run.cfg")]):
+            assert main([*argv, *flags]) == 2
+            assert capsys.readouterr().err == "error: model_label must be one of ('hawkes', 'poisson')\n"
+        assert main([*argv, "--dim", "3"]) == 4
+        assert capsys.readouterr().err == "error: model dimension 1 != sequence 3\n"
+
 
 class TestSimulateCommand:
     def test_seed_repetition_identical_files(self, tmp_path):
@@ -446,6 +460,14 @@ class TestSimulateCommand:
         assert main(["simulate", str(model_json), str(out), *flags]) == 2
         assert not out.exists()
 
+    def test_count_numpy_cannot_draw_exits_2(self, tmp_path, capsys):
+        model_json = tmp_path / "model.json"
+        write_model_json(model_json, [1.0], [[[0.5]]], [1.0])
+        out = tmp_path / "o.csv"
+        assert main(["simulate", str(model_json), str(out), "--horizon", "1e20", "--seed", "1"]) == 2
+        assert "numpy's limit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuildEventsCommand:
     def test_pipeline_produces_trivariate_csv(self, tmp_path):
@@ -491,6 +513,48 @@ class TestRoundTrip:
         ]) == 0
         doc = json.loads(gof_json.read_text())
         assert doc["components"][0]["slope_deviation"] < 0.1
+
+
+class TestErrorBoundary:
+    """An undecodable input of any kind, or an output in a missing directory,
+    exits 2 with one error line from every command, never a traceback."""
+
+    CASES = {
+        "clean-blocks-blocks": "clean-blocks {bad} {d}/o.csv {d}/r.json",
+        "clean-blocks-out": "clean-blocks {d}/blocks.csv {missing}/o.csv {d}/r.json",
+        "clean-blocks-report": "clean-blocks {d}/blocks.csv {d}/o.csv {missing}/r.json",
+        "extract-jumps-price": "extract-jumps {bad} {d}/o.csv",
+        "extract-jumps-config": "extract-jumps {d}/price.csv {d}/o.csv --config {bad}",
+        "extract-jumps-out": "extract-jumps {d}/price.csv {missing}/o.csv",
+        "build-events-blocks": "build-events {bad} {d}/price.csv {d}/o.csv",
+        "build-events-price": "build-events {d}/blocks.csv {bad} {d}/o.csv",
+        "build-events-config": "build-events {d}/blocks.csv {d}/price.csv {d}/o.csv --config {bad}",
+        "build-events-out": "build-events {d}/blocks.csv {d}/price.csv {missing}/o.csv",
+        "fit-events": "fit {bad} {d}/o.json",
+        "fit-config": "fit {d}/events.csv {d}/o.json --config {bad}",
+        "fit-out": "fit {d}/events.csv {missing}/o.json --num-decays 1 --decay-init 1 --outer-max-iter 0",
+        "gof-events": "gof {bad} {d}/model.json {d}/o.json {d}/qq.csv",
+        "gof-model": "gof {d}/events.csv {bad} {d}/o.json {d}/qq.csv",
+        "gof-config": "gof {d}/events.csv {d}/model.json {d}/o.json {d}/qq.csv --config {bad}",
+        "gof-out": "gof {d}/events.csv {d}/model.json {missing}/o.json {d}/qq.csv",
+        "gof-qq": "gof {d}/events.csv {d}/model.json {d}/o.json {missing}/qq.csv",
+        "simulate-model": "simulate {bad} {d}/o.csv --horizon 5 --seed 1",
+        "simulate-config": "simulate {d}/model.json {d}/o.csv --config {bad}",
+        "simulate-out": "simulate {d}/model.json {missing}/o.csv --horizon 5 --seed 1",
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
+        write_blocks_csv(messy_block_fixture(), tmp_path / "blocks.csv")
+        write_price_csv_from_bars(bars_from_prices([100.0] * 80, start=T0), tmp_path / "price.csv")
+        model = write_model_json(tmp_path / "model.json", [1.0], [[[0.5]]], [1.0])
+        write_events_csv(simulate(SimConfig(model, 50.0, seed=1)), tmp_path / "events.csv")
+        (tmp_path / "bad").write_bytes(b"\xff\n")
+        places = {"d": tmp_path, "bad": tmp_path / "bad", "missing": tmp_path / "missing"}
+        assert main([word.format(**places) for word in self.CASES[case].split()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "byte 0xff" in err or f"{tmp_path}/missing/" in err, err
 
 
 class TestOptionTables:

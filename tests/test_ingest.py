@@ -602,6 +602,21 @@ class TestCsvIo:
             reader(path)
         assert err.value.bad_lines == [(4, bad), (6, bad)]
 
+    @pytest.mark.parametrize(
+        "reader, header",
+        [
+            (read_events_csv, "time_hours,mark"),
+            (read_blocks_csv, "height,timestamp,tx_count"),
+            (read_price_csv, "timestamp,vwap"),
+        ],
+        ids=["events", "blocks", "price"],
+    )
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, reader, header):
+        path = tmp_path / "in.csv"
+        path.write_bytes(header.encode() + b"\n1,\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not valid text")):
+            reader(path)
+
 
 def mostly(valid, bad):
     """Cells from ``valid`` nine times in ten, else from ``bad``."""

@@ -275,6 +275,19 @@ class TestGuards:
             simulate(SimConfig(model, 300.0, seed=8, max_events=len(full) - 1))
         assert len(err.value.partial) == len(full) - 1
 
+    def test_poisson_means_numpy_cannot_draw_rejected(self):
+        with pytest.raises(InvalidInputError, match="numpy's limit"):
+            simulate(SimConfig(poisson_model(), 1e20, seed=1))
+        # Two rates each under the limit whose immigrant total is not.
+        twin = HawkesModel([5e18, 5e18], SumExpKernel(np.zeros((1, 2, 2)), [1.0]))
+        with pytest.raises(InvalidInputError, match="numpy's limit"):
+            simulate(SimConfig(twin, 1.0, seed=1))
+        huge = HawkesModel([1.0], SumExpKernel(np.array([[[1e20]]]), [1.0]))
+        with pytest.raises(StabilityError):
+            simulate(SimConfig(huge, 1.0, seed=1))
+        with pytest.raises(InvalidInputError, match="numpy's limit"):
+            simulate(SimConfig(huge, 1.0, seed=1, allow_unstable=True))
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SimConfig(poisson_model(), horizon=0.0, seed=1)
