@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import get_args
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import lapack
 
 from .errors import (
@@ -42,6 +41,9 @@ from .events import EventSequence
 from .kernels import KernelSpec, exp_integral
 
 INTENSITY_FLOOR = 1e-300
+# Tolerances of compensator_quadrature's adaptive quadrature.
+QUAD_ABS_TOL = 1e-9
+QUAD_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -203,40 +205,34 @@ def compensator(model: HawkesModel, seq: EventSequence, i: int, t: float) -> flo
     return float(model.mu[i - 1] * t + total)
 
 
-def compensator_quadrature(
-    model: HawkesModel,
-    seq: EventSequence,
-    i: int,
-    t: float,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
-) -> float:
+def compensator_quadrature(model: HawkesModel, seq: EventSequence, i: int, t: float) -> float:
     """Lambda_i(t) by adaptive quadrature of :func:`intensity_naive`.
 
     Serves as the independent cross-check for the closed forms.  Event times
     are passed as break points since the intensity jumps there.
     """
+    from scipy import integrate
+
     t = _check_pair(model, seq, i, t)
     if t == 0.0:
         return 0.0
     interior = seq.times[(seq.times > 0.0) & (seq.times < t)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", integrate.IntegrationWarning)
-        value, abserr = integrate.quad(
-            lambda s: intensity_naive(model, seq, i, s),
-            0.0,
-            t,
-            points=interior,
-            limit=max(200, 2 * interior.size + 50),
-            epsabs=abs_tol,
-            epsrel=rel_tol,
-        )
-    trouble = [w for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
-    if trouble or abserr > 100.0 * max(abs_tol, rel_tol * abs(value)):
+    # full_output returns QUADPACK's complaint, if any, instead of warning it.
+    value, abserr, _, *trouble = integrate.quad(
+        lambda s: intensity_naive(model, seq, i, s),
+        0.0,
+        t,
+        full_output=1,
+        points=interior,
+        limit=max(200, 2 * interior.size + 50),
+        epsabs=QUAD_ABS_TOL,
+        epsrel=QUAD_REL_TOL,
+    )
+    if trouble or abserr > 100.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
         raise NumericalError(
             f"compensator quadrature did not converge for component {i} at t={t}: "
             f"estimate {value:.6g}, error bound {abserr:.3g}"
-            + (f"; {trouble[0].message}" if trouble else "")
+            + (f"; {trouble[0]}" if trouble else "")
         )
     return float(value)
 

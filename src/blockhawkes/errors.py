@@ -11,7 +11,7 @@ class InvalidInputError(HawkesError):
 
 class DomainError(HawkesError):
     """Argument outside the mathematically valid domain (e.g. query time
-    outside the observation window, non-integrable power-law exponent)."""
+    outside the observation window)."""
 
 
 class UnsupportedKernelError(HawkesError):

@@ -114,7 +114,8 @@ def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
     raises ``ValueError``, ``IndexError``, ``OverflowError`` or
     ``InvalidInputError``, or a row is not valid, are the rows walked one by
     one, to raise the failing ones as one :class:`ParseError` with the 1-based
-    line on which each starts.  Undecodable text is a ParseError too.
+    line on which each starts and its lines as written, without the last
+    line break.  Undecodable text is a ParseError too.
     """
     try:
         with open(path, newline="") as fh:
@@ -133,12 +134,13 @@ def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
     if table is not None:
         return table
     bad = []
-    reader = csv.reader(io.StringIO(text, newline=""))
+    lines = io.StringIO(text, newline="").readlines()
+    reader = csv.reader(lines)
     next(reader)
     start = reader.line_num + 1
     for row in reader:
         if any(cell.strip() for cell in row) and _table([row], dtype, converters, valid) is None:
-            bad.append((start, ",".join(row)))
+            bad.append((start, "".join(lines[start - 1:reader.line_num]).rstrip("\r\n")))
         start = reader.line_num + 1
     raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
 

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .core import HawkesModel, _horizon_moments, _sumexp_event_states, _tie_reads, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
@@ -122,14 +121,14 @@ class PoissonFit:
     log_lik: float
     empty_components: tuple
 
-    def to_hawkes_model(self, rate_floor: float = MU_FLOOR) -> HawkesModel:
+    def to_hawkes_model(self) -> HawkesModel:
         """Zero-kernel HawkesModel view, usable for residual analysis.
 
-        Empty components get ``rate_floor`` since background rates must be
+        Empty components get ``MU_FLOOR`` since background rates must be
         strictly positive.
         """
         m = self.rates.size
-        mu = np.maximum(self.rates, rate_floor)
+        mu = np.maximum(self.rates, MU_FLOOR)
         kernel = SumExpKernel(np.zeros((1, m, m)), np.array([1.0]))
         return HawkesModel(mu, kernel)
 
@@ -220,6 +219,8 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
     stop rule was tested on there, the number of steps taken, and why the
     solve stopped short of ``tol`` (``None`` if it did not).
     """
+    from scipy import optimize
+
     lam = x @ Z
     f = np.log(lam).sum() - c @ x
     steps, stalled = 0, False
@@ -356,6 +357,8 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
     most ``outer_tol`` and its inner fit converged.  A failed evaluation ends
     its descent and is named in ``messages``.  Warnings come once, for it.
     """
+    from scipy import optimize
+
     if config is None:
         config = FitConfig()
     decay0 = np.asarray(config.decay_init, dtype=float)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .core import HawkesModel, _integrated_state, _sumexp_event_states, compensator
 from .errors import InvalidInputError, UndefinedSlopeError
@@ -107,6 +106,8 @@ def slope_deviation(pairs) -> float:
 
 def ks_exp1(samples):
     """One-sample KS statistic and asymptotic p-value against Exp(1)."""
+    from scipy import special
+
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:

@@ -34,6 +34,7 @@ BLOCKS_CSV_DTYPE = np.dtype(
     [("height", np.int64), ("timestamp", np.int64), ("tx_count", np.int64)])
 PRICE_CSV_DTYPE = np.dtype([("timestamp", np.int64), ("vwap", np.float64)])
 RETURNS_DTYPE = np.dtype([("timestamp", np.int64), ("log_return", np.float64)])
+GRID_SECONDS = 300.0  # the price bar spacing; log_returns logs wider steps as gaps
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)  # naive stamps are UTC
@@ -66,11 +67,6 @@ def timestamp_us(text: str) -> int:
     if not _US_MIN <= us <= _US_MAX:
         raise InvalidInputError(f"timestamp {text!r} out of range")
     return us
-
-
-def parse_timestamp(text: str) -> datetime:
-    """The UTC datetime of :func:`timestamp_us`."""
-    return EPOCH + timedelta(microseconds=timestamp_us(text))
 
 
 def format_timestamps(us) -> np.ndarray:
@@ -164,7 +160,7 @@ def clean_blocks(blocks) -> tuple:
     return blocks[kept], report
 
 
-def log_returns(bars, grid_seconds: float = 300.0) -> tuple:
+def log_returns(bars) -> tuple:
     """Log returns attached to the later bar, plus a grid-gap log.
 
     ``bars`` is a ``PRICE_CSV_DTYPE`` array, the returns a ``RETURNS_DTYPE``
@@ -183,10 +179,10 @@ def log_returns(bars, grid_seconds: float = 300.0) -> tuple:
     returns["log_return"] = np.diff(np.log(vwap))
     seconds = np.diff(stamp) / 1e6
     gaps = []
-    for k in np.flatnonzero(seconds > grid_seconds + 1e-6).tolist():
+    for k in np.flatnonzero(seconds > GRID_SECONDS + 1e-6).tolist():
         start, end = format_timestamps(stamp[k:k + 2]).tolist()
         gaps.append({"index": k, "start": start, "end": end,
-                     "missing_bars": int(round(float(seconds[k]) / grid_seconds)) - 1})
+                     "missing_bars": int(round(float(seconds[k]) / GRID_SECONDS)) - 1})
     return returns, gaps
 
 

@@ -4,9 +4,9 @@ events readers used before they converted whole columns, kept as an oracle.
 Every data row goes through one Python parse with the former timestamp rule
 (``fromisoformat`` after replacing ``Z``, then ``astimezone``).  A row whose
 parse fails is skipped when all its cells are whitespace and otherwise
-reported with the line on which it starts.  Readers return one list per
-column, timestamps as UTC microseconds; integer cells outside int64 are
-malformed, as in the columnar readers.
+reported with the line on which it starts and its lines as written.
+Readers return one list per column, timestamps as UTC microseconds; integer
+cells outside int64 are malformed, as in the columnar readers.
 """
 
 import csv
@@ -66,18 +66,19 @@ def read_rows(path, header, parse_row):
     """Parsed rows of ``path`` in file order, or one ParseError."""
     rows, bad = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None or [h.strip() for h in found] != list(header):
-            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found}")
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    found = next(reader, None)
+    if found is None or [h.strip() for h in found] != list(header):
+        raise ParseError(f"{path}: expected header {','.join(header)!r}, got {found}")
+    start = reader.line_num + 1
+    for row in reader:
+        try:
+            rows.append(parse_row(row))
+        except (ValueError, IndexError, InvalidInputError):
+            if any(cell.strip() for cell in row):
+                bad.append((start, "".join(lines[start - 1:reader.line_num]).rstrip("\r\n")))
         start = reader.line_num + 1
-        for row in reader:
-            try:
-                rows.append(parse_row(row))
-            except (ValueError, IndexError, InvalidInputError):
-                if any(cell.strip() for cell in row):
-                    bad.append((start, ",".join(row)))
-            start = reader.line_num + 1
     if bad:
         raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
     return rows

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import blockhawkes
 from blockhawkes import (
     HawkesModel,
     SimConfig,
@@ -78,6 +83,13 @@ class TestCleanBlocksCommand:
         code = main(["clean-blocks", str(in_csv), str(tmp_path / "o.csv"), str(tmp_path / "r.json")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_bad_record_keeps_its_quoting(self, tmp_path, capsys):
+        in_csv = tmp_path / "blocks.csv"
+        in_csv.write_text('height,timestamp,tx_count\n1,"2022-01-01, 00:00:00",5\n')
+        code = main(["clean-blocks", str(in_csv), str(tmp_path / "o.csv"), str(tmp_path / "r.json")])
+        assert code == 2
+        assert 'line 2: 1,"2022-01-01, 00:00:00",5\n' in capsys.readouterr().err
 
     def test_out_of_range_unix_seconds_exit_2_with_line(self, tmp_path, capsys):
         in_csv = tmp_path / "blocks.csv"
@@ -555,6 +567,19 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "byte 0xff" in err or f"{tmp_path}/missing/" in err, err
+
+
+class TestProcessStart:
+    def test_cli_import_leaves_optimize_integrate_and_special_unloaded(self):
+        # Each is imported by the functions that run it, so commands that
+        # never fit, integrate or test do not pay for it.
+        src = str(Path(blockhawkes.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, blockhawkes.cli; print([m for m in "
+                "('scipy.optimize', 'scipy.integrate', 'scipy.special') if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestOptionTables:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from blockhawkes.errors import (
     DomainError,
     InvalidInputError,
     LikelihoodUndefinedError,
+    NumericalError,
     StationarityWarning,
     UnsupportedKernelError,
 )
@@ -314,6 +316,39 @@ class TestCompensator:
             cf = compensator(model, seq, i, seq.horizon)
             q = compensator_quadrature(model, seq, i, seq.horizon)
             np.testing.assert_allclose(cf, q, rtol=1e-6)
+
+    QUADRATURE_FAILURE = (
+        "compensator quadrature did not converge for component 1 at t=10.0: "
+        "estimate 7.97734, error bound 9.76e-09; "
+        "The integral is probably divergent, or slowly convergent."
+    )
+
+    def quadrature_failure_case(self):
+        # A 1e-12 h shift makes each event's (c + lag)^-1.5 a spike of
+        # height 1e18, which QUADPACK reports as divergent.
+        model = HawkesModel([1.0], PowerLawKernel([[1]], [[1e-12]], [[1.5]]))
+        return model, EventSequence([0.5, 1.0, 2.0], [1, 1, 1], 10.0, 1)
+
+    def test_quadrature_failure_names_quadpack_message(self):
+        model, seq = self.quadrature_failure_case()
+        with pytest.raises(NumericalError) as err:
+            compensator_quadrature(model, seq, 1, 10.0)
+        assert str(err.value) == self.QUADRATURE_FAILURE
+
+    def test_quadrature_touches_no_warning_filter(self, monkeypatch):
+        # catch_warnings swaps process-wide state and is not thread-safe.
+        def refuse(*args, **kwargs):
+            raise AssertionError("compensator_quadrature entered warnings.catch_warnings")
+
+        model, seq = self.quadrature_failure_case()
+        # Undone before pytest, which needs catch_warnings, reports a failure.
+        with monkeypatch.context() as patch:
+            patch.setattr(warnings, "catch_warnings", refuse)
+            value = compensator_quadrature(single_exp_model(), EventSequence([1.0], [1], 5.0, 1), 1, 2.0)
+            with pytest.raises(NumericalError) as err:
+                compensator_quadrature(model, seq, 1, 10.0)
+        np.testing.assert_allclose(value, 2.0 + 2.0 * (1 - np.exp(-1.0)), rtol=1e-7)
+        assert str(err.value) == self.QUADRATURE_FAILURE
 
 
 class TestLogLikelihood:

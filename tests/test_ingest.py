@@ -24,9 +24,9 @@ from blockhawkes.ingest import (
     PRICE_CSV_DTYPE,
     RETURNS_DTYPE,
     _weibull_quantile,
-    parse_timestamp,
     read_blocks_csv,
     read_price_csv,
+    timestamp_us,
     write_blocks_csv,
 )
 
@@ -52,21 +52,21 @@ def bars_from_prices(prices, step_minutes=5, start=T0):
 
 class TestTimestampParsing:
     def test_iso_and_unix_agree(self):
-        iso = parse_timestamp("2022-01-20 09:26:01")
-        unix = parse_timestamp(str(int(iso.timestamp())))
+        iso = timestamp_us("2022-01-20 09:26:01")
+        unix = timestamp_us(str(iso // 1_000_000))
         assert iso == unix
-        assert iso.tzinfo is not None
+        assert iso == us(datetime(2022, 1, 20, 9, 26, 1, tzinfo=UTC))[0]
 
     def test_z_suffix(self):
-        assert parse_timestamp("2022-01-20T09:26:01Z") == parse_timestamp("2022-01-20 09:26:01")
+        assert timestamp_us("2022-01-20T09:26:01Z") == timestamp_us("2022-01-20 09:26:01")
 
     def test_garbage_rejected(self):
         with pytest.raises(InvalidInputError):
-            parse_timestamp("yesterday")
+            timestamp_us("yesterday")
 
     def test_out_of_range_unix_seconds_rejected(self):
         with pytest.raises(InvalidInputError):
-            parse_timestamp("99999999999999999999")
+            timestamp_us("99999999999999999999")
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -86,9 +86,9 @@ class TestTimestampParsing:
         ],
     )
     def test_formats(self, text, expected):
-        parsed = parse_timestamp(text)
-        assert parsed == expected
-        assert parsed.utcoffset() == timedelta(0)
+        parsed = timestamp_us(text)
+        assert parsed == (expected - EPOCH) // US
+        assert type(parsed) is int
 
 
 def clean_blocks_loop_oracle(blocks):
@@ -601,6 +601,17 @@ class TestCsvIo:
         with pytest.raises(ParseError) as err:
             reader(path)
         assert err.value.bad_lines == [(4, bad), (6, bad)]
+
+    def test_bad_record_text_is_as_written(self, tmp_path):
+        # Quotes and line breaks inside a record are kept; only its last
+        # line break goes.
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(b'height,timestamp,tx_count\r\n1,"2022-01-01, 00:00:00",5\r\n'
+                         b'2,"2022-01-01\r\nnoon",6\r\n')
+        with pytest.raises(ParseError) as err:
+            read_blocks_csv(path)
+        assert err.value.bad_lines == [(2, '1,"2022-01-01, 00:00:00",5'),
+                                       (3, '2,"2022-01-01\r\nnoon",6')]
 
     @pytest.mark.parametrize(
         "reader, header",
