@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import get_args
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DomainError,
@@ -128,6 +127,8 @@ def _sumexp_event_states(seq: EventSequence, decays, lagged: bool = False):
     coherently to about n u (u = 2^-53): 1.1e-11 at n = 10^6.  R[k+1] =
     f_k R[k] + g_k S[k+1] is a second solve with the same matrix.
     """
+    from scipy.linalg import lapack
+
     n, m = len(seq), seq.dim
     gaps = np.diff(seq.times, append=seq.horizon)
     jumps = (seq.marks - 1) * (n + 1) + np.arange(1, n + 1)  # rhs entry (k + 1, d_k), F order

@@ -58,6 +58,8 @@ class EventSequence:
         marks = np.asarray(self.marks, dtype=np.int64)
         if times.ndim != 1 or marks.ndim != 1 or times.shape != marks.shape:
             raise InvalidInputError("times and marks must be 1-D arrays of equal length")
+        if not np.all(np.isfinite(times)):
+            raise InvalidInputError("event times must be finite")
         horizon = float(self.horizon)
         dim = int(self.dim)
         if not np.isfinite(horizon) or horizon <= 0:
@@ -65,8 +67,6 @@ class EventSequence:
         if dim < 1:
             raise InvalidInputError(f"dim must be >= 1, got {dim}")
         if times.size:
-            if not np.all(np.isfinite(times)):
-                raise InvalidInputError("event times must be finite")
             if np.any(np.diff(times) < 0):
                 raise InvalidInputError("event times must be nondecreasing")
             if times[0] < 0 or times[-1] > horizon:
@@ -183,8 +183,7 @@ def read_events_csv(path, horizon: float | None = None, dim: int | None = None) 
         raise ParseError(f"{path}: no events")
     times, marks = events["time_hours"], events["mark"]
     if horizon is None:
-        # Python's max skips a NaN after the first time, which EventSequence then reports.
-        horizon = max(times.tolist())
+        horizon = times.max()
     if dim is None:
         dim = marks.max()
     return EventSequence(times, marks, horizon, dim)

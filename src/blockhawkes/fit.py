@@ -153,30 +153,53 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 # Inner problem: concave likelihood in (mu, alpha) at fixed decays
 # ---------------------------------------------------------------------------
 
-def _design(seq: EventSequence, decays: np.ndarray, lagged: bool = True):
-    """Sufficient statistics of the inner problem and of the decay gradient.
+class _Profile:
+    """What no decay changes in fits of ``seq`` at U decays (the empty-component
+    note, bounds, cold starts, read rows and :meth:`design` buffers), and, as
+    the L-BFGS-B objective over log-decays, the best inner fit, trace and failures."""
 
-    Returns ``(Z, c, RZ, D)``.  Z[i], component i's C-contiguous (1 + U*m,
-    n_i) design, is filled once from :func:`_sumexp_event_states` at the rows
-    its events read: ones, then S_u[:, j] in row 1 + u*m + j, so theta @ Z[i]
-    with theta = (mu_i, alpha[:, i, :].ravel()) is the intensity there.  The
-    cost c = (T, Mvec) holds :func:`_horizon_moments` of exp_integral, raveled.
-    RZ[i], (U*m, n_i), holds R at the same rows if ``lagged`` (else None);
-    D = -dMvec/db, the same moments of exp_first_moment.
-    """
-    U, m = decays.size, seq.dim
-    tie_reads = _tie_reads(seq)
-    reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
-    Z = [np.ones((1 + U * m, r.size)) for r in reads]
-    RZ = [np.empty((U * m, r.size)) for r in reads] if lagged else None
-    # Every read is in range; "clip" spares take the bounds check that buffers its output.
-    for u, (S, R) in enumerate(_sumexp_event_states(seq, decays, lagged)):
-        for i, r in enumerate(reads):
-            np.take(S.T, r, axis=1, out=Z[i][1 + u * m : 1 + (u + 1) * m], mode="clip")
-            if lagged:
-                np.take(R.T, r, axis=1, out=RZ[i][u * m : (u + 1) * m], mode="clip")
-    Mvec, D = (_horizon_moments(seq, decays, moment) for moment in (exp_integral, exp_first_moment))
-    return Z, np.r_[seq.horizon, Mvec.ravel()], RZ, D
+    def __init__(self, seq: EventSequence, num_decays: int):
+        m, U, counts = seq.dim, num_decays, seq.counts()
+        empty = [int(i + 1) for i in np.nonzero(counts == 0)[0]]
+        self.seq = seq
+        note = f"components {empty} have no events; mu and alpha rows pinned to floors"
+        self.pinned = (note,) if empty else ()
+        self.lower = np.r_[MU_FLOOR, np.zeros(U * m)]
+        self.starts = [np.r_[max(0.5 * n / seq.horizon, MU_FLOOR), self.lower[1:]] for n in counts]
+        tie_reads = _tie_reads(seq)
+        self.reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
+        self.Z = [np.ones((1 + U * m, r.size)) for r in self.reads]
+        self.RZ = [np.empty((U * m, r.size)) for r in self.reads]
+        self.best, self.trace, self.failures = None, [], []
+
+    def design(self, decays: np.ndarray):
+        """``(Z, c, RZ, D)``: Z[i], (1 + U*m, n_i), holds ones, then S_u[:, j] of
+        :func:`_sumexp_event_states` at component i's reads in row 1 + u*m + j,
+        so (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i]
+        holds R alike.  The cost c = (T, Mvec) and D = -dMvec/db hold
+        :func:`_horizon_moments` of exp_integral (raveled) and exp_first_moment."""
+        seq, m = self.seq, self.seq.dim
+        # Every read is in range; "clip" spares take the bounds check that buffers its output.
+        for u, (S, R) in enumerate(_sumexp_event_states(seq, decays, lagged=True)):
+            for i, r in enumerate(self.reads):
+                np.take(S.T, r, axis=1, out=self.Z[i][1 + u * m : 1 + (u + 1) * m], mode="clip")
+                np.take(R.T, r, axis=1, out=self.RZ[i][u * m : (u + 1) * m], mode="clip")
+        Mvec, D = (_horizon_moments(seq, decays, f) for f in (exp_integral, exp_first_moment))
+        return self.Z, np.r_[seq.horizon, Mvec.ravel()], self.RZ, D
+
+    def __call__(self, x, config: FitConfig):
+        """Negated profile l and gradient over the log-decays ``x``, any order."""
+        order = np.argsort(x)
+        decays = np.exp(x[order])
+        try:
+            inner = fit_given_decays(self.seq, decays, config, profile=self)
+        except (HawkesError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            self.failures.append(f"decays {decays.round(6).tolist()}: {exc}")
+            return np.inf, np.zeros_like(x)
+        if self.best is None or inner.log_lik > self.best.log_lik:
+            self.best = inner
+        self.trace.append((len(self.trace) + 1, self.best.log_lik))
+        return -inner.log_lik, -inner.decay_gradient[np.argsort(order)]
 
 
 def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
@@ -192,7 +215,7 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     m, U = seq.dim, decays.size
     if mu.shape != (m,) or alpha.shape != (U, m, m):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
-    Z, c, _, _ = _design(seq, decays, lagged=False)
+    Z, c, _, _ = _Profile(seq, U).design(decays)
     theta = np.column_stack((mu, alpha.transpose(1, 0, 2).reshape(m, U * m)))
     ll, grad = 0.0, np.empty_like(theta)
     for i, (z, x) in enumerate(zip(Z, theta)):
@@ -204,7 +227,7 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
 
 def _newton_component(Z, c, lower, x, max_steps, tol):
     """Maximize ``sum(log(x @ Z)) - c @ x`` subject to ``x >= lower``, for a
-    component's (parameters, events) design block ``Z`` of :func:`_design`.
+    component's (parameters, events) design block ``Z`` of :meth:`_Profile.design`.
 
     Projected Newton on the exact Hessian ``H = W W^T``, ``W = Z / lambda``
     column-wise.  Parameters on their bound with a nonpositive gradient are
@@ -264,7 +287,7 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
 
 
 def fit_given_decays(
-    seq: EventSequence, decays, config: FitConfig | None = None, *, warn: bool = True
+    seq: EventSequence, decays, config: FitConfig | None = None, *, profile: _Profile | None = None
 ) -> FitResult:
     """Maximize the log-likelihood over (mu, alpha) with decays held fixed.
 
@@ -275,39 +298,34 @@ def fit_given_decays(
     gradient.  A component with zero events has an empty design block, so
     its solve stops at once with mu on the 1e-10 floor and its alpha row at
     0, and a :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
-    spectral radius >= 1 gives a :class:`StationarityWarning`.  ``warn=False``
-    leaves both warnings to the caller; :func:`fit_full` passes it at every
-    profile evaluation.  Non-convergence within the iteration budget returns
-    the best iterate with ``converged=False`` rather than raising.
+    spectral radius >= 1 gives a :class:`StationarityWarning`.  Given the
+    ``profile`` that :func:`fit_full` passes, it reuses that object's arrays
+    and leaves both warnings to fit_full.  Non-convergence within the budget
+    returns the best iterate with ``converged=False`` rather than raising.
     """
     decays = np.asarray(decays, dtype=float)
     given = FitConfig(num_decays=decays.size, decay_init=decays)  # checks the decays
     decays = np.array(given.decay_init)
     if config is None:
         config = given
-    if len(seq) == 0:
-        raise FittingError("cannot fit an empty event sequence")
+    alone = profile is None
+    if alone:
+        if len(seq) == 0:
+            raise FittingError("cannot fit an empty event sequence")
+        profile = _Profile(seq, decays.size)
+        for note in profile.pinned:
+            warnings.warn(note, DegenerateComponentWarning, stacklevel=2)
 
     m, U = seq.dim, decays.size
-    counts = seq.counts()
-    labels = [int(i + 1) for i in np.nonzero(counts == 0)[0]]
-    messages = []
-    if labels:
-        msg = f"components {labels} have no events; mu and alpha rows pinned to floors"
-        messages.append(msg)
-        if warn:
-            warnings.warn(msg, DegenerateComponentWarning, stacklevel=2)
-
-    Z, c, RZ, D = _design(seq, decays)
-    lower = np.r_[MU_FLOOR, np.zeros(U * m)]
+    messages = list(profile.pinned)
+    Z, c, RZ, D = profile.design(decays)
     # Row i: theta_i = (mu_i, alpha[:, i, :].ravel()) and dl/dtheta_i.
     # V[u, i, j] sums R_u[:, j] / lambda over component-i events.
-    theta, grad, V = np.empty((m, lower.size)), np.empty((m, lower.size)), np.empty((U, m, m))
+    theta, grad, V = np.empty((m, 1 + U * m)), np.empty((m, 1 + U * m)), np.empty((U, m, m))
     log_lik, steps = 0.0, 0
     for i in range(m):
-        start = np.r_[max(0.5 * counts[i] / seq.horizon, MU_FLOOR), lower[1:]]
         theta[i], lam, grad[i], taken, reason = _newton_component(
-            Z[i], c, lower, start, config.inner_max_iter, 0.1 * config.inner_tol
+            Z[i], c, profile.lower, profile.starts[i], config.inner_max_iter, 0.1 * config.inner_tol
         )
         log_lik += np.log(lam).sum() - c @ theta[i]
         V[:, i] = (RZ[i] @ (1.0 / lam)).reshape(U, m)
@@ -316,7 +334,7 @@ def fit_given_decays(
             messages.append(f"component {i + 1}: inner solve {reason}")
 
     # Convergence verdict on the whole problem, per the contract.
-    worst = np.max(np.abs(np.where((theta <= lower) & (grad < 0), 0.0, grad)))
+    worst = np.max(np.abs(np.where((theta <= profile.lower) & (grad < 0), 0.0, grad)))
     converged = bool(worst <= config.inner_tol * (1.0 + abs(log_lik)))
     mu = theta[:, 0].copy()
     alpha = theta[:, 1:].reshape(m, U, m).transpose(1, 0, 2).copy()
@@ -326,7 +344,7 @@ def fit_given_decays(
     return FitResult(
         model=model,
         log_lik=float(log_lik),
-        kernel_norm_matrix=kernel_norms(model) if warn else model.kernel.norms(),
+        kernel_norm_matrix=kernel_norms(model) if alone else model.kernel.norms(),
         converged=converged,
         inner_iterations=steps,
         outer_iterations=0,
@@ -365,34 +383,21 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
 
     if config.outer_max_iter == 0:
         return replace(fit_given_decays(seq, decay0, config), converged=False)
+    if len(seq) == 0:
+        raise FittingError("cannot fit an empty event sequence")
 
-    best = None
-    trace, failures = [], []
-
-    def profile(x):
-        nonlocal best
-        order = np.argsort(x)
-        decays = np.exp(x[order])
-        try:
-            inner = fit_given_decays(seq, decays, config, warn=False)
-        except (HawkesError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            failures.append(f"decays {decays.round(6).tolist()}: {exc}")
-            return np.inf, np.zeros_like(x)
-        if best is None or inner.log_lik > best.log_lik:
-            best = inner
-        trace.append((len(trace) + 1, best.log_lik))
-        return -inner.log_lik, -inner.decay_gradient[np.argsort(order)]
-
+    profile = _Profile(seq, config.num_decays)
     x, iterations, before = np.log(decay0), 0, -np.inf
     for round_ in range(RESEED_ROUNDS + 1):
         res = optimize.minimize(
-            profile, x, jac=True, method="L-BFGS-B",
+            profile, x, args=(config,), jac=True, method="L-BFGS-B",
             options={"maxiter": config.outer_max_iter - iterations,
                      "gtol": config.outer_tol, "ftol": 0.0},
         )
         iterations += res.nit
+        best = profile.best
         if best is None:
-            raise FittingError(f"every profile evaluation failed; first failure: {failures[0]}")
+            raise FittingError(f"every profile evaluation failed; first failure: {profile.failures[0]}")
         if best.log_lik <= before or round_ == RESEED_ROUNDS or iterations >= config.outer_max_iter:
             break
         before = best.log_lik
@@ -409,15 +414,15 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         x[near] -= np.log(RESEED_STEP)
 
     stationary = np.max(np.abs(best.decay_gradient)) <= config.outer_tol
-    if np.any(seq.counts() == 0):  # the pinning note leads the messages
-        warnings.warn(best.messages[0], DegenerateComponentWarning, stacklevel=2)
+    for note in profile.pinned:
+        warnings.warn(note, DegenerateComponentWarning, stacklevel=2)
     return replace(
         best,
         kernel_norm_matrix=kernel_norms(best.model),
         converged=bool(stationary) and best.converged,
         outer_iterations=iterations,
-        optimizer_trace=trace,
-        messages=best.messages + tuple(failures),
+        optimizer_trace=profile.trace,
+        messages=best.messages + tuple(profile.failures),
     )
 
 

@@ -570,13 +570,14 @@ class TestErrorBoundary:
 
 
 class TestProcessStart:
-    def test_cli_import_leaves_optimize_integrate_and_special_unloaded(self):
+    def test_cli_import_leaves_scipy_submodules_unloaded(self):
         # Each is imported by the functions that run it, so commands that
-        # never fit, integrate or test do not pay for it.
+        # never fit, solve states, integrate or test do not pay for it.
         src = str(Path(blockhawkes.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys, blockhawkes.cli; print([m for m in "
-                "('scipy.optimize', 'scipy.integrate', 'scipy.special') if m in sys.modules])")
+                "('scipy.optimize', 'scipy.integrate', 'scipy.special', 'scipy.linalg') "
+                "if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"

@@ -105,6 +105,14 @@ class TestCsvRoundTrip:
         assert back.horizon == 2.0  # last event time
         assert back.dim == 2
 
+    @pytest.mark.parametrize("first", ["nan", "inf"])
+    def test_non_finite_time_is_named_before_the_default_horizon(self, tmp_path, first):
+        # The default horizon is the largest time, so it is not finite either.
+        path = tmp_path / "events.csv"
+        path.write_text(f"time_hours,mark\n{first},1\n")
+        with pytest.raises(InvalidInputError, match="^event times must be finite$"):
+            read_events_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("time,mark\n1.0,1\n")

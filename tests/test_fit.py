@@ -451,6 +451,84 @@ class TestFitFull:
         assert abs(fitted_norm - truth_norm) / truth_norm <= 0.10
 
 
+def assert_same_fit(a, b):
+    """Every FitResult field equal, arrays bit for bit."""
+    def arrays(r):
+        return (r.model.mu, r.model.kernel.alpha, r.model.kernel.decays,
+                r.kernel_norm_matrix, r.decay_gradient, r.pair_gradient)
+
+    for x, y in zip(arrays(a), arrays(b)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    for name in ("log_lik", "converged", "inner_iterations", "outer_iterations",
+                 "optimizer_trace", "messages"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+class TestProfile:
+    def test_shared_buffers_carry_nothing_between_decays(self):
+        # Component 3 never fires, so its design block is empty and pinned.
+        from blockhawkes import fit as fit_module
+
+        model = random_sumexp_model(np.random.default_rng(7), dim=2, num_decays=2)
+        sim = thinning_simulate(SimConfig(model, 300.0, seed=11))
+        seq = EventSequence(sim.times, sim.marks, sim.horizon, 3)
+        a, b = np.array([0.7, 12.6]), np.array([0.05, 40.0])
+        profile = fit_module._Profile(seq, 2)
+        shared = [fit_given_decays(seq, d, profile=profile) for d in (a, b, a)]
+        with pytest.warns(DegenerateComponentWarning):
+            alone = [fit_given_decays(seq, d) for d in (a, b, a)]
+        assert shared[1].log_lik != shared[0].log_lik
+        for x, y in zip(shared, alone):
+            assert_same_fit(x, y)
+        assert_same_fit(shared[2], shared[0])
+        assert shared[0].messages[0].startswith("components [3] have no events")
+
+    def test_one_inner_solve_per_profile_evaluation(self, monkeypatch):
+        # Tracing wraps the module's fit_given_decays and reads the config as
+        # its third argument: each evaluation calls it once, failed or not.
+        from blockhawkes import fit as fit_module
+        from blockhawkes.errors import FittingError
+
+        _, seq = simulate_univariate(seed=15, horizon=500.0)
+        config = FitConfig(num_decays=1, decay_init=(0.5,))
+        solve, calls = fit_module.fit_given_decays, []
+
+        def third_fails(*args, **kwargs):
+            calls.append(args[2])
+            if len(calls) == 3:
+                raise FittingError("synthetic inner failure")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fit_module, "fit_given_decays", third_fails)
+        result = fit_full(seq, config)
+        failures = [msg for msg in result.messages if msg.startswith("decays ")]
+        assert len(failures) == 1 and failures[0].endswith("synthetic inner failure")
+        assert len(calls) == len(result.optimizer_trace) + len(failures)
+        assert all(c is config for c in calls)
+
+    def test_empty_sequence_fails_before_any_evaluation(self, monkeypatch):
+        from blockhawkes import fit as fit_module
+        from blockhawkes.errors import FittingError
+
+        calls = []
+        monkeypatch.setattr(fit_module, "fit_given_decays",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(FittingError, match="^cannot fit an empty event sequence$"):
+            fit_full(EventSequence([], [], 10.0, 2))
+        assert calls == []
+
+    def test_pinned_fit(self):
+        # The search path of this fit, pinned: a change that moves it must
+        # say why and record the new values.
+        model = random_sumexp_model(np.random.default_rng(7), dim=2, num_decays=2)
+        seq = thinning_simulate(SimConfig(model, 300.0, seed=11))
+        result = fit_full(seq, FitConfig(num_decays=2, decay_init=(0.5, 5.0)))
+        assert result.converged
+        np.testing.assert_allclose(result.log_lik, -352.95652833452544, rtol=1e-9)
+        np.testing.assert_allclose(result.model.kernel.decays,
+                                   [2.2021585505428463, 17.123435683907093], rtol=1e-9)
+
+
 class TestSerialization:
     def test_model_round_trip(self):
         rng = np.random.default_rng(50)
