@@ -6,10 +6,11 @@ embeds a run manifest (tool version, python/numpy/scipy versions,
 effective-config digest, input file digests, UTC timestamp); outputs are
 byte-identical across repeated runs except for that timestamp.
 
-Exit codes: 0 success, 2 input parse/config error (also an undecodable input,
-an unwritable output or a bad ``gof --model-label``), 3 numeric or fitting
-failure, 4 model-validity error.  ``main`` maps the error a command raises to
-its code through the one table ``_EXIT_CODES``.
+Exit codes: 0 success, 2 input parse/config error (also an undecodable input
+or a model file that is not JSON, each named by its path, an unwritable output
+or a bad ``gof --model-label``), 3 numeric or fitting failure, 4 model-validity
+error.  ``main`` maps the error a command raises to its code through the one
+table ``_EXIT_CODES``.  A command that fails leaves none of its outputs.
 
 Configuration precedence is flags > config file > defaults.  The config
 file (``--config``) is a flat ``key = value`` document, one option per
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -42,15 +44,15 @@ from .errors import (
     ConfigError,
     FittingError,
     HawkesError,
-    InvalidInputError,
     LikelihoodUndefinedError,
     NumericalError,
+    ParseError,
     SimulationTruncatedError,
     StabilityError,
 )
-from .events import read_events_csv, write_events_csv
+from .events import _removed_on_error, read_events_csv, read_text, write_events_csv
 from .fit import FitConfig, fit_full, fit_poisson, fit_result_to_dict, model_from_dict
-from .gof import MODEL_LABELS, gof_report, report_to_dict, write_qq_csv
+from .gof import gof_report, report_to_dict, write_qq_csv
 from .ingest import (
     JumpConfig,
     build_trivariate,
@@ -99,15 +101,14 @@ def _write_json(path, payload: dict) -> None:
 
 def _read_config_file(path) -> dict:
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip().strip("\"'")
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip().strip("\"'")
     return values
 
 
@@ -170,7 +171,7 @@ _EXIT_CODES = (
     ((StabilityError, _ModelError), EXIT_MODEL),
     ((FittingError, NumericalError, LikelihoodUndefinedError, SimulationTruncatedError),
      EXIT_NUMERIC),
-    ((HawkesError, OSError, UnicodeDecodeError, json.JSONDecodeError), EXIT_PARSE),
+    ((HawkesError, OSError), EXIT_PARSE),
 )
 
 
@@ -181,7 +182,11 @@ def _fail(exc: Exception) -> int:
     return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
-def _model(doc) -> HawkesModel:
+def _model(path) -> HawkesModel:
+    try:
+        doc = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:  # bad syntax, an integer too long, too deep
+        raise ParseError(f"{path}: not a JSON document: {exc}") from exc
     try:
         return model_from_dict(doc)
     except HawkesError as exc:
@@ -195,11 +200,12 @@ def _model(doc) -> HawkesModel:
 def cmd_clean_blocks(args) -> int:
     records = read_blocks_csv(args.in_csv)
     cleaned, report = clean_blocks(records)
-    write_blocks_csv(cleaned, args.out_csv)
     payload = report.to_dict()
     payload["counts"] = counts = report.counts()
     payload["manifest"] = _manifest("clean-blocks", {}, [args.in_csv])
-    _write_json(args.report_json, payload)
+    write_blocks_csv(cleaned, args.out_csv)
+    with _removed_on_error([args.out_csv]):
+        _write_json(args.report_json, payload)
     print(
         f"cleaned {len(records)} -> {len(cleaned)} blocks "
         f"({counts['duplicates_dropped']} duplicates dropped, {counts['reordered']} reordered)"
@@ -239,19 +245,14 @@ def cmd_build_events(args) -> int:
     return EXIT_OK
 
 
-_FIT_OPTIONS = _options(
-    FitConfig, horizon=(float, None), dim=(int, None), poisson_baseline=(_true, False)
-)
+_EVENTS_OPTIONS = {"horizon": (float, None), "dim": (int, None)}
+_FIT_OPTIONS = _options(FitConfig, **_EVENTS_OPTIONS, poisson_baseline=(_true, False))
 
 
 def cmd_fit(args) -> int:
     opts = _effective_options(args, _FIT_OPTIONS)
     seq = read_events_csv(args.events_csv, horizon=opts["horizon"], dim=opts["dim"])
-    config = _config(FitConfig, opts)
-    try:
-        result = fit_full(seq, config)
-    except (FittingError, NumericalError, LikelihoodUndefinedError) as exc:
-        raise FittingError(f"fit failed: {exc}") from exc
+    result = fit_full(seq, _config(FitConfig, opts))
     payload = fit_result_to_dict(result)
     if opts["poisson_baseline"]:
         baseline = fit_poisson(seq)
@@ -270,31 +271,24 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_GOF_OPTIONS = {
-    "horizon": (float, None),
-    "dim": (int, None),
-    "model_label": (str, None),
-}
+_GOF_OPTIONS = {**_EVENTS_OPTIONS, "model_label": (str, None)}
 
 
 def cmd_gof(args) -> int:
     opts = _effective_options(args, _GOF_OPTIONS)
     seq = read_events_csv(args.events_csv, horizon=opts["horizon"], dim=opts["dim"])
-    with open(args.model_json) as fh:
-        model = _model(json.load(fh))
+    model = _model(args.model_json)
+    if model.dim != seq.dim:
+        raise _ModelError(f"model dimension {model.dim} != sequence {seq.dim}")
     label = opts["model_label"]
     if label is None:
         label = "poisson" if np.all(model.kernel.alpha == 0) else "hawkes"
-    elif label not in MODEL_LABELS:
-        raise ConfigError(f"model_label must be one of {MODEL_LABELS}")
-    try:
-        report = gof_report(model, seq, label)
-    except InvalidInputError as exc:  # the model's dimension is not the data's
-        raise _ModelError(str(exc)) from exc
+    report = gof_report(model, seq, label)
     payload = report_to_dict(report)
     payload["manifest"] = _manifest("gof", opts, [args.events_csv, args.model_json])
     _write_json(args.out_json, payload)
-    qq_paths = write_qq_csv(report, args.out_qq_csv)
+    with _removed_on_error([args.out_json]):
+        qq_paths = write_qq_csv(report, args.out_qq_csv)
     for comp in report.components:
         if comp.degenerate:
             print(f"component {comp.component}: too few events, skipped")
@@ -312,11 +306,9 @@ _SIM_OPTIONS = _options(SimConfig, horizon=(float, None), seed=(int, None))
 
 def cmd_simulate(args) -> int:
     opts = _effective_options(args, _SIM_OPTIONS)
-    with open(args.model_json) as fh:
-        doc = json.load(fh)
     if opts["horizon"] is None or opts["seed"] is None:
         raise ConfigError("--horizon and --seed are required")
-    seq = simulate(_config(SimConfig, opts, model=_model(doc)))
+    seq = simulate(_config(SimConfig, opts, model=_model(args.model_json)))
     write_events_csv(seq, args.out_events_csv)
     print(f"simulated {len(seq)} events on [0, {seq.horizon}] h (seed {opts['seed']})")
     return EXIT_OK

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -104,6 +106,16 @@ class EventSequence:
         return self.times[self.marks == i]
 
 
+def read_text(path) -> str:
+    """The text of the file ``path``, line breaks as written.  Undecodable
+    bytes are a :class:`ParseError` that names the file."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid text: {exc}") from exc
+
+
 def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
     """Read the CSV file ``path`` into a structured array of ``dtype``.
 
@@ -115,13 +127,9 @@ def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
     ``InvalidInputError``, or a row is not valid, are the rows walked one by
     one, to raise the failing ones as one :class:`ParseError` with the 1-based
     line on which each starts and its lines as written, without the last
-    line break.  Undecodable text is a ParseError too.
+    line break.  The text is read by :func:`read_text`.
     """
-    try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid text: {exc}") from exc
+    text = read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     found = next(reader, None)
     if found is None or [h.strip() for h in found] != list(dtype.names):
@@ -155,6 +163,17 @@ def _table(rows, dtype, converters, valid):
     except _ROW_ERRORS:
         return None
     return table if valid is None or valid(table).all() else None
+
+
+@contextmanager
+def _removed_on_error(paths):
+    """Remove the outputs ``paths`` when the block raises; it may append to them."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            os.remove(path)
+        raise
 
 
 def write_csv(path, header, rows) -> None:

@@ -448,7 +448,7 @@ def model_from_dict(data: dict) -> HawkesModel:
         mu = np.asarray(data["mu"], dtype=float)
         alpha = np.asarray(data["alpha"], dtype=float)
         beta = np.asarray(data["beta"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"model document missing or malformed field: {exc}")
     return HawkesModel(mu, SumExpKernel(alpha, beta))
 

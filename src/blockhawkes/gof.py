@@ -14,14 +14,14 @@ models directly comparable on one dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import HawkesModel, _integrated_state, _sumexp_event_states, compensator
 from .errors import InvalidInputError, UndefinedSlopeError
-from .events import EventSequence, write_csv
+from .events import EventSequence, _removed_on_error, write_csv
 
 MODEL_LABELS = ("hawkes", "poisson")
 
@@ -137,25 +137,11 @@ def gof_report(model: HawkesModel, seq: EventSequence, model_label: str) -> GofR
 def report_to_dict(report: GofReport) -> dict:
     """JSON-ready representation (NaN becomes null).  The Q-Q pairs are not
     stored: :func:`write_qq_csv` derives them from the residuals."""
-
-    def _clean(v):
-        return None if isinstance(v, float) and math.isnan(v) else v
-
-    return {
-        "model_label": report.model_label,
-        "components": [
-            {
-                "component": c.component,
-                "rescaled_interarrivals": c.rescaled_interarrivals.tolist(),
-                "slope": _clean(c.slope),
-                "slope_deviation": _clean(c.slope_deviation),
-                "ks_statistic": _clean(c.ks_statistic),
-                "ks_p_value": _clean(c.ks_p_value),
-                "degenerate": c.degenerate,
-            }
-            for c in report.components
-        ],
-    }
+    doc = asdict(report)
+    for comp in doc["components"]:
+        comp.update({k: None for k, v in comp.items() if isinstance(v, float) and math.isnan(v)})
+        comp["rescaled_interarrivals"] = comp["rescaled_interarrivals"].tolist()
+    return doc
 
 
 def write_qq_csv(report: GofReport, path) -> list:
@@ -163,17 +149,19 @@ def write_qq_csv(report: GofReport, path) -> list:
 
     The rows are :func:`qq_exponential` of the component's rescaled
     interarrivals.  ``qq.csv`` becomes ``qq_c1.csv``, ``qq_c2.csv``, ...;
-    returns the paths written (degenerate components are skipped).
+    returns the paths written (degenerate components are skipped).  When one
+    cannot be written, those written before it are removed.
     """
     base = Path(path)
     suffix = base.suffix or ".csv"
     written = []
-    for comp in report.components:
-        if comp.degenerate:
-            continue
-        target = base.with_name(f"{base.stem}_c{comp.component}{suffix}")
-        pairs = qq_exponential(comp.rescaled_interarrivals).tolist()
-        rows = ((f"{theo:.12g}", f"{emp:.12g}") for theo, emp in pairs)
-        write_csv(target, ("theoretical_quantile", "empirical_quantile"), rows)
-        written.append(str(target))
+    with _removed_on_error(written):
+        for comp in report.components:
+            if comp.degenerate:
+                continue
+            target = base.with_name(f"{base.stem}_c{comp.component}{suffix}")
+            pairs = qq_exponential(comp.rescaled_interarrivals).tolist()
+            rows = ((f"{theo:.12g}", f"{emp:.12g}") for theo, emp in pairs)
+            write_csv(target, ("theoretical_quantile", "empirical_quantile"), rows)
+            written.append(str(target))
     return written

@@ -1,18 +1,23 @@
 import hashlib
+import io
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockhawkes
 from blockhawkes import (
+    EventSequence,
     HawkesModel,
     SimConfig,
     SumExpKernel,
@@ -190,7 +195,7 @@ class TestFitCommand:
         assert doc["beta"] == [0.7]
         assert doc["converged"] is False
 
-    def test_unfittable_input_exits_3(self, tmp_path, monkeypatch):
+    def test_unfittable_input_exits_3(self, tmp_path, monkeypatch, capsys):
         from blockhawkes import cli as cli_module
         from blockhawkes.errors import FittingError
 
@@ -203,6 +208,7 @@ class TestFitCommand:
         monkeypatch.setattr(cli_module, "fit_full", boom)
         code = main(["fit", str(events), str(tmp_path / "o.json"), "--horizon", "50"])
         assert code == 3
+        assert capsys.readouterr().err == "error: no usable iterate\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_inner_tol_exits_2(self, tmp_path, value):
@@ -418,6 +424,16 @@ class TestGofCommand:
         assert main([*argv, "--dim", "3"]) == 4
         assert capsys.readouterr().err == "error: model dimension 1 != sequence 3\n"
 
+    def test_unwritable_second_qq_file_leaves_no_output(self, tmp_path):
+        model_json = tmp_path / "model.json"
+        model = write_model_json(model_json, [1.0, 1.0], np.zeros((1, 2, 2)), [1.0])
+        events = tmp_path / "events.csv"
+        write_events_csv(simulate(SimConfig(model, 50.0, seed=3)), events)
+        (tmp_path / "qq_c2.csv").mkdir()
+        assert main(["gof", str(events), str(model_json), str(tmp_path / "gof.json"),
+                     str(tmp_path / "qq.csv")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "model.json", "qq_c2.csv"]
+
 
 class TestSimulateCommand:
     def test_seed_repetition_identical_files(self, tmp_path):
@@ -528,8 +544,10 @@ class TestRoundTrip:
 
 
 class TestErrorBoundary:
-    """An undecodable input of any kind, or an output in a missing directory,
-    exits 2 with one error line from every command, never a traceback."""
+    """An undecodable input of any kind, a model file that is not JSON, or an
+    output in a missing directory, exits 2 with one error line from every
+    command, never a traceback; a bad input is named by its path, and the run
+    leaves none of its outputs."""
 
     CASES = {
         "clean-blocks-blocks": "clean-blocks {bad} {d}/o.csv {d}/r.json",
@@ -547,10 +565,12 @@ class TestErrorBoundary:
         "fit-out": "fit {d}/events.csv {missing}/o.json --num-decays 1 --decay-init 1 --outer-max-iter 0",
         "gof-events": "gof {bad} {d}/model.json {d}/o.json {d}/qq.csv",
         "gof-model": "gof {d}/events.csv {bad} {d}/o.json {d}/qq.csv",
+        "gof-notjson": "gof {d}/events.csv {notjson} {d}/o.json {d}/qq.csv",
         "gof-config": "gof {d}/events.csv {d}/model.json {d}/o.json {d}/qq.csv --config {bad}",
         "gof-out": "gof {d}/events.csv {d}/model.json {missing}/o.json {d}/qq.csv",
         "gof-qq": "gof {d}/events.csv {d}/model.json {d}/o.json {missing}/qq.csv",
         "simulate-model": "simulate {bad} {d}/o.csv --horizon 5 --seed 1",
+        "simulate-notjson": "simulate {notjson} {d}/o.csv --horizon 5 --seed 1",
         "simulate-config": "simulate {d}/model.json {d}/o.csv --config {bad}",
         "simulate-out": "simulate {d}/model.json {missing}/o.csv --horizon 5 --seed 1",
     }
@@ -562,11 +582,69 @@ class TestErrorBoundary:
         model = write_model_json(tmp_path / "model.json", [1.0], [[[0.5]]], [1.0])
         write_events_csv(simulate(SimConfig(model, 50.0, seed=1)), tmp_path / "events.csv")
         (tmp_path / "bad").write_bytes(b"\xff\n")
-        places = {"d": tmp_path, "bad": tmp_path / "bad", "missing": tmp_path / "missing"}
+        (tmp_path / "notjson.json").write_text("{mu: 1")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        places = {"d": tmp_path, "bad": tmp_path / "bad", "notjson": tmp_path / "notjson.json",
+                  "missing": tmp_path / "missing"}
         assert main([word.format(**places) for word in self.CASES[case].split()]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "byte 0xff" in err or f"{tmp_path}/missing/" in err, err
+        if "{bad}" in self.CASES[case]:
+            assert err.startswith(f"error: {places['bad']}: not valid text: ") and "byte 0xff" in err
+        elif "{notjson}" in self.CASES[case]:
+            assert err.startswith(f"error: {places['notjson']}: not a JSON document: "), err
+        else:
+            assert f"{tmp_path}/missing/" in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+class TestAnyModelDocument:
+    """Whatever JSON value the model file holds, ``gof`` and ``simulate``
+    exit with one of the documented codes and, when they fail, one error line."""
+
+    DOCUMENTS = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.sampled_from(["mu", "alpha", "beta"]) | st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=DOCUMENTS)
+    def test_exit_code_and_one_error_line(self, tmp_path_factory, doc):
+        d = tmp_path_factory.mktemp("doc")
+        write_events_csv(EventSequence([0.5, 1.0, 2.5, 4.0], [1, 1, 1, 1], 5.0, 1), d / "events.csv")
+        (d / "model.json").write_text(json.dumps(doc))
+        for argv in (
+            ["gof", d / "events.csv", d / "model.json", d / "gof.json", d / "qq.csv"],
+            ["simulate", d / "model.json", d / "sim.csv", "--horizon", "5", "--seed", "1",
+             "--max-events", "50"],
+        ):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([str(a) for a in argv])
+            assert code in (0, 2, 3, 4), (argv[0], code)
+            lines = err.getvalue().splitlines()
+            if code:
+                assert lines and lines[0].startswith("error: "), (argv[0], lines)
+                assert sum(line.startswith("error:") for line in lines) == 1, (argv[0], lines)
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ('{"mu": [1' + "0" * 400 + '], "alpha": [[[0.5]]], "beta": [1.0]}', 4),
+            ('{"mu": [' + "1" * 5000 + "]}", 2),
+            ("[" * 100000, 2),
+        ],
+        ids=["integer-beyond-float", "integer-too-long", "nested-too-deep"],
+    )
+    def test_documents_past_the_parsers_limits(self, tmp_path, capsys, text, code):
+        (tmp_path / "model.json").write_text(text)
+        argv = ["simulate", str(tmp_path / "model.json"), str(tmp_path / "o.csv"),
+                "--horizon", "5", "--seed", "1"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
 
 
 class TestProcessStart:
@@ -630,11 +708,13 @@ class TestOptionTables:
 
 class TestPinnedOutputs:
     """sha256 of every file the ingest commands and ``gof`` write, on the
-    messy block fixture and a fixed-seed bar series.  The clean-blocks
-    report is hashed with its manifest (which holds a timestamp) removed."""
+    messy block fixture and a fixed-seed bar series.  The clean-blocks and
+    gof reports are hashed with their manifests (which hold a timestamp)
+    removed."""
 
     PINNED = {
         "clean.json": "6592311520feddf4a1694733670fbe7176edeb6946f808e99b55c7de07ef8865",
+        "gof.json": "471703d238d315a31279cb94613cbcc6a0459be8e798ab0405e180ab4d4d7b0f",
         "blocks.csv": "ba68a53b292a9091ce5a6311dad766da5ce45a206f134203514647e0bdbfce9d",
         "events.csv": "ddd28915b3e5bf30930b4f5bd6ba7ceb8bae30d11efd202bcfe66bb855c8b99a",
         "jumps.csv": "07c203aad46ab956d01455a9fef77857e393668819f128d6c4d6f3524f62f3f3",
@@ -656,13 +736,14 @@ class TestPinnedOutputs:
             ["clean-blocks", d["raw.csv"], d["blocks.csv"], d["clean.json"]],
             ["build-events", d["blocks.csv"], d["price.csv"], d["events.csv"], *window],
             ["extract-jumps", d["price.csv"], d["jumps.csv"]],
-            ["gof", d["events.csv"], d["model.json"], str(tmp_path / "gof.json"),
+            ["gof", d["events.csv"], d["model.json"], d["gof.json"],
              str(tmp_path / "qq.csv"), "--horizon", "60", "--dim", "3"],
         ):
             assert main(argv) == 0, argv[0]
-        report = json.loads((tmp_path / "clean.json").read_text())
-        del report["manifest"]
-        (tmp_path / "clean.json").write_text(json.dumps(report, sort_keys=True))
+        for name in ("clean.json", "gof.json"):
+            report = json.loads((tmp_path / name).read_text())
+            del report["manifest"]
+            (tmp_path / name).write_text(json.dumps(report, sort_keys=True))
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
         }
