@@ -276,7 +276,7 @@ def kernel_norms(model: HawkesModel) -> np.ndarray:
     rho = spectral_radius(norms)
     if rho >= 1.0:
         warnings.warn(
-            f"kernel-norm spectral radius {rho:.4f} >= 1: process is non-stationary",
+            f"kernel-norm spectral radius {rho:.4g} >= 1: process is non-stationary",
             StationarityWarning,
             stacklevel=2,
         )

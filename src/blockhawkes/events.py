@@ -8,9 +8,9 @@ price jump.
 :func:`read_csv` and :func:`write_csv` own the CSV row rules of every file
 the toolkit reads or writes (events, blocks, prices, Q-Q): the header check,
 skipping whitespace-only rows, and one ParseError for all malformed rows,
-each named by the line on which it starts.  :func:`read_csv` returns a numpy
-structured array and converts each column in one pass; it walks the rows one
-by one only when a cell or a row check fails.
+each named by the line on which it starts; :func:`timestamp_us` owns stamp
+cells.  :func:`read_csv` converts plain ASCII files in C and others column by
+column, walking rows only when a check fails; :func:`write_csv` uses one ``%``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import os
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 
 import numpy as np
@@ -28,6 +30,15 @@ from .errors import InvalidInputError, ParseError
 
 EVENTS_CSV_DTYPE = np.dtype([("time_hours", np.float64), ("mark", np.int64)])
 _ROW_ERRORS = (ValueError, IndexError, OverflowError, InvalidInputError)
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)  # naive stamps are UTC
+_US = timedelta(microseconds=1)
+# Years 1 to 9999, the range of datetime and of the written stamps.
+_US_MIN = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _US
+_US_MAX = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _US
+# A canonical stamp, digits as 0; cells are read one wider, so a longer one fails.
+_STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -116,11 +127,37 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: not valid text: {exc}") from exc
 
 
+def timestamp_us(text: str) -> int:
+    """UTC microseconds since the Unix epoch of ISO-8601 text or integer Unix seconds.
+
+    The text is stripped.  Text without ``:`` or ``T`` that ``int`` reads is
+    Unix seconds; anything else is ISO-8601 with ``Z``, an offset or none
+    (UTC).  Unparseable text and instants outside years 1-9999 raise
+    :class:`InvalidInputError`.
+    """
+    text = text.strip()
+    us = None
+    # No integer literal contains ":" or "T"; ISO stamps skip the failing int().
+    if ":" not in text and "T" not in text:
+        with suppress(ValueError):
+            us = int(text) * 1_000_000
+    if us is None:
+        try:
+            dt = datetime.fromisoformat(text)
+        except ValueError:
+            raise InvalidInputError(f"unparseable timestamp {text!r}") from None
+        us = (dt - (EPOCH if dt.tzinfo else _NAIVE_EPOCH)) // _US
+    if not _US_MIN <= us <= _US_MAX:
+        raise InvalidInputError(f"timestamp {text!r} out of range")
+    return us
+
+
 def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
     """Read the CSV file ``path`` into a structured array of ``dtype``.
 
     The first row must equal ``dtype.names`` (cells stripped).  Field k is
-    column k of the data rows, converted by one ``map`` of ``converters[k]``;
+    column k of the data rows, converted by ``converters[k]`` (``int``,
+    ``float`` or :func:`timestamp_us`), in C by :func:`_loaded` if it can;
     ``valid``, if given, maps the array to a mask of the rows that hold.  Rows
     whose cells are all whitespace are skipped.  Only when a conversion still
     raises ``ValueError``, ``IndexError``, ``OverflowError`` or
@@ -130,15 +167,18 @@ def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
     line break.  The text is read by :func:`read_text`.
     """
     text = read_text(path)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    body = io.StringIO(text, newline="")
+    reader = csv.reader(body)
     found = next(reader, None)
     if found is None or [h.strip() for h in found] != list(dtype.names):
         raise ParseError(f"{path}: expected header {','.join(dtype.names)!r}, got {found}")
-    rows = list(reader)
+    start = body.tell()
+    table = _loaded(text, body, dtype, converters)
+    if table is not None and (valid is None or valid(table).all()):
+        return table
+    body.seek(start)
+    rows = [row for row in reader if any(cell.strip() for cell in row)]
     table = _table(rows, dtype, converters, valid)
-    if table is None:
-        rows = [row for row in rows if any(cell.strip() for cell in row)]
-        table = _table(rows, dtype, converters, valid)
     if table is not None:
         return table
     bad = []
@@ -151,6 +191,37 @@ def read_csv(path, dtype, converters, valid=None) -> np.ndarray:
             bad.append((start, "".join(lines[start - 1:reader.line_num]).rstrip("\r\n")))
         start = reader.line_num + 1
     raise ParseError(f"{path}: {len(bad)} malformed row(s)", bad_lines=bad)
+
+
+def _loaded(text, body, dtype, converters):
+    """The data rows left in ``body``, a reader of the file ``text``, converted
+    in C by one ``np.loadtxt``, stamp columns read as bytes; None where it
+    fails, warns or could differ."""
+    # numpy reads some non-ASCII letters as digits, strips \x1c-\x1f and ends a
+    # stamp cell at a NUL in its 21st place, where the converters do not.
+    if not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f"):
+        return None
+    stamps = [convert is timestamp_us for convert in converters]
+    layout = [(n, f"S{_STAMP_FORM.size}" if s else dtype[n]) for n, s in zip(dtype.names, stamps)]
+    try:
+        with warnings.catch_warnings(action="error"):
+            cells = np.loadtxt(body, layout, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        table = np.empty(len(cells), dtype)
+        for name, stamp in zip(dtype.names, stamps):
+            table[name] = _stamps_us(cells[name]) if stamp else cells[name]
+    except (ValueError, Warning):
+        return None
+    return table
+
+
+def _stamps_us(cells):
+    """Canonical stamp cells as :func:`timestamp_us` reads them; else ValueError."""
+    codes = np.ascontiguousarray(cells).view(np.uint8).reshape(len(cells), -1)
+    us = cells.astype("S19").astype("datetime64[us]").view(np.int64)
+    if not ((np.where(codes - ord("0") < 10, ord("0"), codes) == _STAMP_FORM).all()
+            and _US_MIN <= us.min() and us.max() <= _US_MAX):  # numpy reads year 0
+        raise ValueError("not canonical stamps")
+    return us
 
 
 def _table(rows, dtype, converters, valid):
@@ -176,19 +247,22 @@ def _removed_on_error(paths):
         raise
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then ``rows`` (iterables of cells) to ``path``."""
+def write_csv(path, header, row_format, columns) -> None:
+    """Write ``header``, then one ``row_format`` line per row of ``columns``
+    (equal-length lists) to ``path``."""
+    n, k = len(columns[0]), len(columns)
+    cells = [None] * (n * k)
+    for j, column in enumerate(columns):
+        cells[j::k] = column
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n" + row_format * n % tuple(cells))
 
 
 def write_events_csv(seq: EventSequence, path) -> None:
     """Write the interchange CSV: header ``time_hours,mark``, times with
     9+ significant digits."""
-    rows = zip(seq.times.tolist(), seq.marks.tolist())
-    write_csv(path, EVENTS_CSV_DTYPE.names, ((f"{t:.12g}", d) for t, d in rows))
+    write_csv(path, EVENTS_CSV_DTYPE.names, "%.12g,%d\r\n",
+              (seq.times.tolist(), seq.marks.tolist()))
 
 
 def read_events_csv(path, horizon: float | None = None, dim: int | None = None) -> EventSequence:

@@ -160,8 +160,8 @@ def write_qq_csv(report: GofReport, path) -> list:
             if comp.degenerate:
                 continue
             target = base.with_name(f"{base.stem}_c{comp.component}{suffix}")
-            pairs = qq_exponential(comp.rescaled_interarrivals).tolist()
-            rows = ((f"{theo:.12g}", f"{emp:.12g}") for theo, emp in pairs)
-            write_csv(target, ("theoretical_quantile", "empirical_quantile"), rows)
+            pairs = qq_exponential(comp.rescaled_interarrivals)
+            write_csv(target, ("theoretical_quantile", "empirical_quantile"),
+                      "%.12g,%.12g\r\n", pairs.T.tolist())
             written.append(str(target))
     return written

@@ -11,63 +11,27 @@ Blocks, price bars and returns are numpy structured arrays
 (``BLOCKS_CSV_DTYPE``, ``PRICE_CSV_DTYPE``, ``RETURNS_DTYPE``) whose
 ``timestamp`` field holds int64 UTC microseconds since the Unix epoch, from
 the CSV reader to the event times; every stage but the jump window's loop
-works on whole columns.  :func:`timestamp_us` is the one timestamp rule, and
-naive inputs are UTC.  Event times are decimal hours since the window start.
-The block and price CSV files go through ``events.read_csv``/``write_csv``,
-which own the row rules.
+works on whole columns; naive stamps are UTC.  Event times are decimal hours
+since the window start.  The block and price CSV files go through
+``events.read_csv``/``write_csv``, which own the row and stamp rules.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError
-from .events import merge_components, read_csv, write_csv
+from .events import merge_components, read_csv, timestamp_us, write_csv
 
 BLOCKS_CSV_DTYPE = np.dtype(
     [("height", np.int64), ("timestamp", np.int64), ("tx_count", np.int64)])
 PRICE_CSV_DTYPE = np.dtype([("timestamp", np.int64), ("vwap", np.float64)])
 RETURNS_DTYPE = np.dtype([("timestamp", np.int64), ("log_return", np.float64)])
 GRID_SECONDS = 300.0  # the price bar spacing; log_returns logs wider steps as gaps
-
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_NAIVE_EPOCH = datetime(1970, 1, 1)  # naive stamps are UTC
-_US = timedelta(microseconds=1)
-# Years 1 to 9999, the range of datetime and of the written stamps.
-_US_MIN = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // _US
-_US_MAX = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _US
-
-
-def timestamp_us(text: str) -> int:
-    """UTC microseconds since the Unix epoch of ISO-8601 text or integer Unix seconds.
-
-    The text is stripped.  Text without ``:`` or ``T`` that ``int`` reads is
-    Unix seconds; anything else is ISO-8601 with ``Z``, an offset or none
-    (UTC).  Unparseable text and instants outside years 1-9999 raise
-    :class:`InvalidInputError`.
-    """
-    text = text.strip()
-    us = None
-    # No integer literal contains ":" or "T"; ISO stamps skip the failing int().
-    if ":" not in text and "T" not in text:
-        with suppress(ValueError):
-            us = int(text) * 1_000_000
-    if us is None:
-        try:
-            dt = datetime.fromisoformat(text)
-        except ValueError:
-            raise InvalidInputError(f"unparseable timestamp {text!r}") from None
-        us = (dt - (EPOCH if dt.tzinfo else _NAIVE_EPOCH)) // _US
-    if not _US_MIN <= us <= _US_MAX:
-        raise InvalidInputError(f"timestamp {text!r} out of range")
-    return us
-
 
 def format_timestamps(us) -> np.ndarray:
     """``YYYY-MM-DDTHH:MM:SSZ`` of UTC microseconds, seconds floored, four-digit years."""
@@ -304,7 +268,7 @@ def read_blocks_csv(path) -> np.ndarray:
 
 
 def write_blocks_csv(blocks, path) -> None:
-    write_csv(path, BLOCKS_CSV_DTYPE.names, zip(
+    write_csv(path, BLOCKS_CSV_DTYPE.names, "%d,%s,%d\r\n", (
         blocks["height"].tolist(), format_timestamps(blocks["timestamp"]).tolist(),
         blocks["tx_count"].tolist()))
 

@@ -80,7 +80,7 @@ def simulate(config: SimConfig) -> EventSequence:
     rho = spectral_radius(norms)
     if rho >= 1.0 and not config.allow_unstable:
         raise StabilityError(
-            f"kernel-norm spectral radius {rho:.4f} >= 1; pass allow_unstable=True "
+            f"kernel-norm spectral radius {rho:.4g} >= 1; pass allow_unstable=True "
             "to simulate a supercritical model anyway"
         )
     m = model.dim

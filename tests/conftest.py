@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from blockhawkes import EventSequence, HawkesModel, SumExpKernel
-from blockhawkes.ingest import BLOCKS_CSV_DTYPE, EPOCH
+from blockhawkes.events import EPOCH
+from blockhawkes.ingest import BLOCKS_CSV_DTYPE
 
 # Benchmark trivariate configuration (block arrivals / up jumps / down jumps)
 # used across estimation and goodness-of-fit tests.

@@ -464,6 +464,18 @@ class TestSimulateCommand:
             "--allow-unstable",
         ]) == 0
 
+    @pytest.mark.parametrize("alpha, beta, radius", [(0.5, 1e-300, "5e+299"), (1.25, 1.0, "1.25")])
+    def test_unstable_model_error_line_is_short(self, tmp_path, capsys, alpha, beta, radius):
+        # A near-zero decay makes the kernel norm 5e299: four decimals
+        # printed it in 300 digits, four significant digits do not.
+        model_json = tmp_path / "model.json"
+        write_model_json(model_json, [1.0], [[[alpha]]], [beta])
+        out = tmp_path / "events.csv"
+        assert main(["simulate", str(model_json), str(out), "--horizon", "5", "--seed", "1"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err
+        assert f"spectral radius {radius} >= 1;" in err
+
     def test_invalid_model_document_exits_4(self, tmp_path):
         model_json = tmp_path / "model.json"
         model_json.write_text(json.dumps({"mu": [-1.0], "alpha": [[[0.0]]], "beta": [1.0]}))

@@ -464,6 +464,13 @@ class TestKernelNorms:
         with pytest.warns(StationarityWarning):
             kernel_norms(model)
 
+    @pytest.mark.parametrize("alpha, beta, radius", [(0.5, 1e-300, "5e+299"), (1.25, 1.0, "1.25")])
+    def test_stationarity_warning_is_short(self, alpha, beta, radius):
+        with pytest.warns(StationarityWarning) as record:
+            kernel_norms(single_exp_model(alpha=alpha, beta=beta))
+        message = str(record[0].message)
+        assert len(message) < 200 and f"spectral radius {radius} >= 1:" in message
+
     def test_spectral_radius(self):
         np.testing.assert_allclose(spectral_radius([[0.5, 0.0], [0.0, 0.25]]), 0.5)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,11 @@ from hypothesis import strategies as st
 
 from blockhawkes import EventSequence, merge_components, read_events_csv, write_events_csv
 from blockhawkes.errors import InvalidInputError, ParseError
+from blockhawkes.events import _US_MAX, _US_MIN
+from blockhawkes.gof import ComponentGof, GofReport, write_qq_csv
+from blockhawkes.ingest import BLOCKS_CSV_DTYPE, write_blocks_csv
 
+import row_writer_oracle
 from conftest import tied_sequence
 
 
@@ -126,3 +132,54 @@ class TestCsvRoundTrip:
             read_events_csv(path)
         assert len(err.value.bad_lines) == 2
         assert err.value.bad_lines[0][0] == 3  # 1-based line numbers
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e300, 1.7976931348623157e308]
+INT64 = st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1])
+
+
+def same_bytes(tmp_path, write, oracle, *args):
+    """The writer and its ``csv.writer`` oracle write the same files, byte
+    for byte, and return the same paths (each in its own directory)."""
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    old.mkdir()
+    got, expected = write(*args, new / "out.csv"), oracle(*args, old / "out.csv")
+    assert got == (None if expected is None else [p.replace(str(old), str(new)) for p in expected])
+    assert sorted(p.name for p in new.iterdir()) == sorted(p.name for p in old.iterdir())
+    for path in old.iterdir():
+        assert (new / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+class TestWriterOracle:
+    """Each writer writes the bytes of the ``csv.writer`` bodies it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(times=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1e300), unique=True),
+           data=st.data())
+    def test_events(self, tmp_path_factory, times, data):
+        marks = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=len(times),
+                                   max_size=len(times)))
+        seq = EventSequence(sorted(times), marks, max(times, default=1.0) or 1.0,
+                            max(marks, default=1))
+        same_bytes(tmp_path_factory.mktemp("events"), write_events_csv,
+                   row_writer_oracle.write_events_csv, seq)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        INT64, st.integers(_US_MIN, _US_MAX) | st.sampled_from([_US_MIN, _US_MAX]), INT64)))
+    def test_blocks(self, tmp_path_factory, rows):
+        blocks = np.array(rows, dtype=BLOCKS_CSV_DTYPE)
+        same_bytes(tmp_path_factory.mktemp("blocks"), write_blocks_csv,
+                   row_writer_oracle.write_blocks_csv, blocks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(st.lists(
+        st.sampled_from([*EDGE_FLOATS, -1e300, math.nan, math.inf, -math.inf]) | st.floats()),
+        max_size=3), degenerate=st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_qq(self, tmp_path_factory, samples, degenerate):
+        report = GofReport("hawkes", [
+            ComponentGof(i + 1, np.array(x, dtype=float), 1.0, 0.0, 0.0, 1.0, degenerate[i])
+            for i, x in enumerate(samples)])
+        same_bytes(tmp_path_factory.mktemp("qq"), write_qq_csv, row_writer_oracle.write_qq_csv,
+                   report)

@@ -2,6 +2,7 @@ import hashlib
 import re
 import time
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from blockhawkes import (
     read_events_csv,
 )
 from blockhawkes.errors import ConfigError, InvalidInputError, ParseError
-from blockhawkes.events import EVENTS_CSV_DTYPE, read_csv
+from blockhawkes import events
+from blockhawkes.events import EPOCH, EVENTS_CSV_DTYPE, read_csv
+from blockhawkes.events import _table as table_of_rows
 from blockhawkes.ingest import (
     BLOCKS_CSV_DTYPE,
-    EPOCH,
     PRICE_CSV_DTYPE,
     RETURNS_DTYPE,
     _weibull_quantile,
@@ -683,6 +685,91 @@ def outcome(read, path):
         return str(err), err.bad_lines
 
 
+def assert_column_path_outcome(got, kind, path):
+    """``got`` is what the Python column path alone reads from ``path``."""
+    read = COLUMN_READERS[kind][2]
+    with mock.patch.object(events, "_loaded", lambda *args: None):
+        expected = outcome(read, path)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert not isinstance(got, tuple), got
+        assert got.tobytes() == expected.tobytes()
+
+
+def assert_same_outcome(got, expected, header):
+    """The same ParseError text and bad lines, or bit-identical columns."""
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert not isinstance(got, tuple), got
+        for name, column in zip(header, expected):
+            assert got[name].tobytes() == np.array(column, dtype=got[name].dtype).tobytes(), name
+
+
+# Whole files the C path should take: canonical stamps, repr floats and plain ints.
+canonical_stamps = st.datetimes(min_value=datetime(1, 1, 1)).map(
+    lambda t: t.isoformat(timespec="seconds") + "Z")
+plain_ints = st.integers(0, 2**63 - 1).map(str)
+CANONICAL_CELLS = {
+    "blocks": (plain_ints, canonical_stamps, plain_ints),
+    "price": (canonical_stamps, st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr)),
+    "events": (st.floats().map(repr), plain_ints),
+}
+NON_ASCII = ["\u0661", "\uff15", "\u01fe", "\u0906"]  # numpy reads the last two as digits
+# Traps planted in one cell: each turns the cell into something the C path
+# must refuse or read exactly as int, float and timestamp_us do.
+CELL_TRAPS = {
+    "year 0000": lambda cell: "0000" + cell[4:] if cell.endswith("Z") else cell,
+    "year 9999": lambda cell: "9999-12-31T23:59:59Z" if cell.endswith("Z") else cell,
+    "signed year": lambda cell: "+022" + cell[4:] if cell.endswith("Z") else cell,
+    "underscore": lambda cell: cell[0] + "_" + cell[1:],
+    **{f"non-ASCII {c!r}": (lambda c: lambda cell: re.sub(r"\d(?=\D*$)", c, cell))(c)
+       for c in NON_ASCII},
+    "quoted": lambda cell: f'"{cell}"',
+    "tab": lambda cell: "\t" + cell,
+    "form feed": lambda cell: cell + "\f",
+    "NUL": lambda cell: cell + "\0",
+    # fromisoformat, and so timestamp_us, ignores what follows "Z\0" where the
+    # row reader rejects it; the C path must still read it as the column path.
+    "NUL inside": lambda cell: cell + "\0" + "0",
+    "\\x1c": lambda cell: cell + "\x1c",
+}
+LINE_TRAPS = ("trailing comma", "lone CR")
+
+
+def planted(header, rows, trap, k, j, end):
+    """The text of a file of ``rows`` with ``trap`` planted in row k (column j)."""
+    rows = [list(row) for row in rows]
+    if trap in CELL_TRAPS:
+        rows[k][j] = CELL_TRAPS[trap](rows[k][j])
+    lines = [",".join(header), *map(",".join, rows)]
+    if trap == "trailing comma":
+        lines[k + 1] += ","
+    ends = [end] * len(lines)
+    if trap == "lone CR":
+        ends[k] = "\r"
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@st.composite
+def canonical_file(draw, header, cells):
+    """The text of a canonical file with at most one trap planted, and the trap."""
+    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=25,
+                         unique_by=lambda row: row[0]))
+    trap = draw(st.none() | st.sampled_from(sorted(CELL_TRAPS)) | st.sampled_from(LINE_TRAPS))
+    k = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(header) - 1))
+    return planted(header, rows, trap, k, j, draw(st.sampled_from(["\n", "\r\n"]))), trap
+
+
+CANONICAL_ROWS = {
+    "blocks": [("1", "2022-01-01T00:00:00Z", "5"), ("2", "2022-01-01T00:10:00Z", "7")],
+    "price": [("2022-01-01T00:00:00Z", "100.5"), ("2022-01-01T00:05:00Z", "101.25")],
+    "events": [("0.5", "1"), ("1.25", "2")],
+}
+
+
 class TestColumnReader:
     @pytest.mark.parametrize("kind", sorted(COLUMN_READERS))
     @settings(max_examples=200, deadline=None)
@@ -695,10 +782,40 @@ class TestColumnReader:
         rows = data.draw(csv_rows(*cells))
         path = tmp_path_factory.getbasetemp() / f"column_reader_{kind}.csv"
         path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
-        got, expected = outcome(read, path), outcome(reference, path)
-        if isinstance(expected, tuple):
-            assert got == expected
-        else:
-            assert not isinstance(got, tuple), got
-            for name, column in zip(header, expected):
-                np.testing.assert_array_equal(got[name], np.array(column, dtype=got[name].dtype))
+        assert_same_outcome(outcome(read, path), outcome(reference, path), header)
+
+    @pytest.mark.parametrize("kind", sorted(COLUMN_READERS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_canonical_files_take_the_c_path(self, tmp_path_factory, kind, data):
+        # A clean file never reaches the Python column path; a file with one
+        # trap reads as the column path alone and the per-row reference read it.
+        header, _, read, reference = COLUMN_READERS[kind]
+        text, trap = data.draw(canonical_file(header, CANONICAL_CELLS[kind]))
+        path = tmp_path_factory.getbasetemp() / f"canonical_{kind}.csv"
+        path.write_text(text, newline="")
+        column_path = []
+
+        def spy(*args):
+            column_path.append(args[0])
+            return table_of_rows(*args)
+
+        with mock.patch.object(events, "_table", spy):
+            got = outcome(read, path)
+        if trap in (None, "year 9999"):
+            assert not column_path
+        assert_column_path_outcome(got, kind, path)
+        if trap != "NUL inside":
+            assert_same_outcome(got, outcome(reference, path), header)
+
+    @pytest.mark.parametrize("trap", [*sorted(CELL_TRAPS), *LINE_TRAPS])
+    @pytest.mark.parametrize("kind", sorted(COLUMN_READERS))
+    def test_every_trap_in_every_column(self, tmp_path, kind, trap):
+        header, _, read, reference = COLUMN_READERS[kind]
+        for j in range(len(header)):
+            path = tmp_path / f"{j}.csv"
+            path.write_text(planted(header, CANONICAL_ROWS[kind], trap, 1, j, "\n"), newline="")
+            got = outcome(read, path)
+            assert_column_path_outcome(got, kind, path)
+            if trap != "NUL inside":
+                assert_same_outcome(got, outcome(reference, path), header)
