@@ -132,8 +132,8 @@ def timestamp_us(text: str) -> int:
 
     The text is stripped.  Text without ``:`` or ``T`` that ``int`` reads is
     Unix seconds; anything else is ISO-8601 with ``Z``, an offset or none
-    (UTC).  Unparseable text and instants outside years 1-9999 raise
-    :class:`InvalidInputError`.
+    (UTC).  Unparseable text (any with a NUL) and instants outside years
+    1-9999 raise :class:`InvalidInputError`.
     """
     text = text.strip()
     us = None
@@ -143,6 +143,8 @@ def timestamp_us(text: str) -> int:
             us = int(text) * 1_000_000
     if us is None:
         try:
+            if "\0" in text:  # fromisoformat stops reading at a NUL
+                raise ValueError
             dt = datetime.fromisoformat(text)
         except ValueError:
             raise InvalidInputError(f"unparseable timestamp {text!r}") from None

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HawkesModel, _integrated_state, _sumexp_event_states, compensator
+from .core import HawkesModel, _check_pair, _integrated_state, _sumexp_event_states, compensator
 from .errors import InvalidInputError, UndefinedSlopeError
 from .events import EventSequence, _removed_on_error, write_csv
 
@@ -51,8 +51,7 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     first), using the left-limit compensator.  Components with fewer than
     two events yield an empty array (flagged downstream).
     """
-    if model.dim != seq.dim:
-        raise InvalidInputError(f"model dimension {model.dim} != sequence {seq.dim}")
+    _check_pair(model, seq, 1)
     out = []
     kernel = model.kernel.sumexp()
     if kernel is not None:

@@ -1,22 +1,22 @@
 """Parametric excitation kernels for multivariate Hawkes processes.
 
 A kernel phi_ij(t) gives the boost a past event of component j adds to the
-intensity of component i after a lag of t hours.  Three families are
-supported:
+intensity of component i after a lag of t hours.  Two kernel classes:
 
-* :class:`ExponentialKernel`   phi_ij(t) = alpha_ij * exp(-beta_ij * t)
 * :class:`SumExpKernel`        phi_ij(t) = sum_u alpha^u_ij * exp(-beta^u * t),
   with decays beta^u shared across all (i, j) pairs
 * :class:`PowerLawKernel`      phi_ij(t) = alpha_ij * (c_ij + t)^(-beta_ij),
   integrable only for beta_ij > 1
 
+:func:`ExponentialKernel` builds the per-pair exponential
+phi_ij(t) = alpha_ij * exp(-beta_ij * t) as its shared-decay form, a
+:class:`SumExpKernel` with one decay per distinct beta.
+
 Each kernel answers ``phi``, its integral ``phi_integral`` over [0, lag],
 ``draw_lags`` from phi_ij normalised to a density (the simulator's offspring
-lags), and ``sumexp()``, the equivalent :class:`SumExpKernel` or ``None``.
-Only the exponential families have that finite Markov state and so admit
-O(n) recursive evaluation; :class:`ExponentialKernel` maps onto it with one
-shared decay per distinct beta.  The power-law kernel keeps the event
-history for evaluation.
+lags), and ``sumexp()``: itself for the sum of exponentials, whose finite
+Markov state admits O(n) recursive evaluation, and ``None`` for the power
+law, whose evaluation keeps the event history.
 """
 
 from __future__ import annotations
@@ -63,54 +63,6 @@ def exp_first_moment(b, lags) -> np.ndarray:
     xm = x[mid]
     ratio[mid] = (-np.expm1(-xm) - xm * np.exp(-xm)) / xm**2
     return lags**2 * ratio
-
-
-@dataclass(frozen=True)
-class ExponentialKernel:
-    """Single-exponential kernel with per-pair amplitudes and decays."""
-
-    alpha: np.ndarray  # (m, m), >= 0
-    beta: np.ndarray   # (m, m), > 0, per hour
-
-    def __post_init__(self):
-        alpha = _as_matrix(self.alpha, "alpha")
-        beta = _as_matrix(self.beta, "beta")
-        if alpha.shape != beta.shape:
-            raise InvalidInputError("alpha and beta must share a shape")
-        if np.any(alpha < 0):
-            raise InvalidInputError("alpha entries must be >= 0")
-        if np.any(beta <= 0):
-            raise InvalidInputError("beta entries must be > 0")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def dim(self) -> int:
-        return self.alpha.shape[0]
-
-    def phi(self, i: int, j, lags) -> np.ndarray:
-        """Evaluate phi_ij at nonnegative lags (1-based i; j a mark or marks)."""
-        lags = np.asarray(lags, dtype=float)
-        return self.alpha[i - 1, j - 1] * np.exp(-self.beta[i - 1, j - 1] * lags)
-
-    def phi_integral(self, i: int, j, lags) -> np.ndarray:
-        """Integral of phi_ij over [0, lag]."""
-        lags = np.asarray(lags, dtype=float)
-        return self.alpha[i - 1, j - 1] * exp_integral(self.beta[i - 1, j - 1], lags)
-
-    def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
-        """One lag per (i, j) pair from phi_ij / ||phi_ij||, that is Exp(beta_ij)."""
-        return self.sumexp().draw_lags(rng, i, j)
-
-    def norms(self) -> np.ndarray:
-        """Integral of each phi_ij over [0, inf): alpha / beta."""
-        return self.alpha / self.beta
-
-    def sumexp(self) -> SumExpKernel:
-        """The same kernel with one shared decay per distinct beta."""
-        decays = np.unique(self.beta)
-        alpha = np.where(self.beta == decays[:, None, None], self.alpha, 0.0)
-        return SumExpKernel(alpha, decays)
 
 
 @dataclass(frozen=True)
@@ -186,6 +138,19 @@ class SumExpKernel:
         return self
 
 
+def ExponentialKernel(alpha, beta) -> SumExpKernel:
+    """phi_ij(t) = alpha_ij * exp(-beta_ij * t) with per-pair decays beta > 0,
+    as a :class:`SumExpKernel` with one shared decay per distinct beta."""
+    alpha = _as_matrix(alpha, "alpha")
+    beta = _as_matrix(beta, "beta")
+    if alpha.shape != beta.shape:
+        raise InvalidInputError("alpha and beta must share a shape")
+    if np.any(beta <= 0):
+        raise InvalidInputError("beta entries must be > 0")
+    decays = np.unique(beta)
+    return SumExpKernel(np.where(beta == decays[:, None, None], alpha, 0.0), decays)
+
+
 @dataclass(frozen=True)
 class PowerLawKernel:
     """Shifted power-law kernel, capturing long-memory excitation."""
@@ -244,4 +209,4 @@ class PowerLawKernel:
         return None
 
 
-KernelSpec = Union[ExponentialKernel, SumExpKernel, PowerLawKernel]
+KernelSpec = Union[SumExpKernel, PowerLawKernel]

@@ -30,6 +30,8 @@ def parse_timestamp(text):
         except (OverflowError, OSError):
             raise InvalidInputError(f"Unix timestamp {text!r} out of range")
     try:
+        if "\0" in text:  # fromisoformat stops reading at a NUL
+            raise ValueError
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
         raise InvalidInputError(f"unparseable timestamp {text!r}")

@@ -259,6 +259,24 @@ class TestFitCommand:
             assert main(argv) == 0
             assert ("poisson" in json.loads(out.read_text())) is present
 
+    def test_config_comments_blank_lines_and_a_line_without_equals(self, tmp_path, capsys):
+        model = HawkesModel([1.0], SumExpKernel(np.zeros((1, 1, 1)), [1.0]))
+        events, _ = self._events_csv(tmp_path, model, 50.0)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o.json"
+        argv = ["fit", str(events), str(out), "--config", str(cfg)]
+        cfg.write_text("# decays\n\nnum_decays = 1  # one\ndecay_init = 2.5\nouter_max_iter = 0\n")
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["beta"] == [2.5]
+        out.unlink()
+        capsys.readouterr()
+        cfg.write_text("# decays\n\nnum_decays 1\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: expected 'key = value', got 'num_decays 1\\n'\n"
+        )
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         model = HawkesModel([1.0], SumExpKernel(np.zeros((1, 1, 1)), [1.0]))
         events, _ = self._events_csv(tmp_path, model, 50.0)

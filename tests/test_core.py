@@ -379,6 +379,22 @@ class TestLogLikelihood:
         ) - sum(compensator(model, seq, i, seq.horizon) for i in (1, 2, 3))
         np.testing.assert_allclose(log_likelihood(model, seq), slow, rtol=1e-8)
 
+    def test_power_law_sums_the_history(self):
+        # No Markov state: l is the pairwise sum of the intensities, written
+        # here, less the compensators by quadrature of those intensities.
+        rng = np.random.default_rng(37)
+        alpha, c = rng.uniform(0.05, 0.4, (2, 2)), rng.uniform(0.2, 2.0, (2, 2))
+        beta = rng.uniform(1.5, 3.0, (2, 2))
+        model = HawkesModel([0.8, 0.5], PowerLawKernel(alpha, c, beta))
+        seq = random_sequence(rng, dim=2, n=60, horizon=30.0)
+        lag = seq.times[:, None] - seq.times[None, :]
+        i, j = seq.marks[:, None] - 1, seq.marks[None, :] - 1
+        phi = np.where(lag > 0.0, alpha[i, j] * (c[i, j] + np.abs(lag)) ** -beta[i, j], 0.0)
+        lambdas = model.mu[seq.marks - 1] + phi.sum(axis=1)
+        compensators = [compensator_quadrature(model, seq, i, seq.horizon) for i in (1, 2)]
+        np.testing.assert_allclose(log_likelihood(model, seq),
+                                   np.log(lambdas).sum() - sum(compensators), rtol=1e-7)
+
     def test_zero_weight_component_extension(self):
         # Adding an inert component shifts the log-likelihood by exactly
         # -mu_new * T and leaves the original terms untouched.
@@ -407,9 +423,23 @@ class TestLogLikelihood:
         assert err.value.event_index == 0
 
 
+def per_pair_sums(alpha, beta, seq, times, rows):
+    """At each times[k], the sums over events strictly before it of
+    alpha[i, j] exp(-beta[i, j] lag) and of its integral over [0, lag], with
+    i = rows[k] and j the event's component (0-based)."""
+    lag = times[:, None] - seq.times[None, :]
+    before = lag > 0.0
+    lag = np.where(before, lag, 0.0)
+    a, b = alpha[rows[:, None], seq.marks - 1], beta[rows[:, None], seq.marks - 1]
+    phi = np.where(before, a * np.exp(-b * lag), 0.0).sum(axis=1)
+    integral = np.where(before, a * -np.expm1(-b * lag) / b, 0.0).sum(axis=1)
+    return phi, integral
+
+
 class TestPerPairExponentialPath:
-    """ExponentialKernel runs on the shared-decay recursion; the naive
-    per-pair sums (intensity_naive, compensator) are the oracle."""
+    """ExponentialKernel runs on the shared-decay recursion; sums of
+    alpha_ij exp(-beta_ij t) and its integral over the drawn matrices,
+    written in the test, are the oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -432,17 +462,16 @@ class TestPerPairExponentialPath:
         log_pool = np.maximum(log_bt - rng.uniform(0.0, 2.0, distinct_betas), -8.0)
         beta = rng.choice(10.0**log_pool / seq.horizon, (dim, dim))
         alpha = rng.uniform(0.0, 1.0, (dim, dim)) * np.maximum(beta, 1.0 / seq.horizon) / dim
-        model = HawkesModel(rng.uniform(0.3, 2.0, dim), ExponentialKernel(alpha, beta))
+        mu = rng.uniform(0.3, 2.0, dim)
+        model = HawkesModel(mu, ExponentialKernel(alpha, beta))
 
-        naive = np.array(
-            [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]
-        )
+        rows = seq.marks - 1
+        excitation, _ = per_pair_sums(alpha, beta, seq, seq.times, rows)
         lambdas, _ = intensity_recursive(model, seq)
-        np.testing.assert_allclose(lambdas, naive, rtol=1e-10)
+        np.testing.assert_allclose(lambdas, mu[rows] + excitation, rtol=1e-10)
 
-        slow = np.log(naive).sum() - sum(
-            compensator(model, seq, i, seq.horizon) for i in range(1, dim + 1)
-        )
+        _, excited = per_pair_sums(alpha, beta, seq, np.full(dim, seq.horizon), np.arange(dim))
+        slow = np.log(mu[rows] + excitation).sum() - (seq.horizon * mu + excited).sum()
         np.testing.assert_allclose(log_likelihood(model, seq), slow, rtol=1e-10)
 
         for i, rescaled in enumerate(time_rescale(model, seq), start=1):
@@ -450,8 +479,9 @@ class TestPerPairExponentialPath:
             if times_i.size < 2:
                 assert rescaled.size == 0
                 continue
-            taus = [compensator(model, seq, i, t) for t in times_i]
-            np.testing.assert_allclose(np.cumsum(rescaled), taus, rtol=1e-10)
+            _, excited = per_pair_sums(alpha, beta, seq, times_i, np.full(times_i.size, i - 1))
+            np.testing.assert_allclose(np.cumsum(rescaled), mu[i - 1] * times_i + excited,
+                                       rtol=1e-10)
 
 
 class TestKernelNorms:

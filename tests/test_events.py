@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "events.csv"
         path.write_text(f"time_hours,mark\n{first},1\n")
         with pytest.raises(InvalidInputError, match="^event times must be finite$"):
+            read_events_csv(path)
+
+    @pytest.mark.parametrize("text", ["time_hours,mark\n", "time_hours,mark\r\n\r\n  \n"])
+    def test_header_only_file_has_no_events(self, tmp_path, text):
+        path = tmp_path / "events.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no events$"):
             read_events_csv(path)
 
     def test_bad_header(self, tmp_path):

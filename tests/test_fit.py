@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blockhawkes import (
     EventSequence,
+    ExponentialKernel,
     FitConfig,
     HawkesModel,
     SimConfig,
@@ -546,6 +547,25 @@ class TestSerialization:
             assert key in doc
         assert doc["beta"] == [1.2]
         assert np.asarray(doc["alpha"]).shape == (1, 1, 1)
+
+    def test_messages_written_when_present(self):
+        # Component 2 never fires: its note goes into the document as written.
+        _, seq = simulate_univariate(seed=18, horizon=200.0)
+        assert "messages" not in fit_result_to_dict(fit_given_decays(seq, [1.2]))
+        with pytest.warns(DegenerateComponentWarning):
+            result = fit_given_decays(EventSequence(seq.times, seq.marks, seq.horizon, 2), [1.2])
+        doc = fit_result_to_dict(result)
+        assert doc["messages"] == list(result.messages)
+        assert doc["messages"][0].startswith("components [2] have no events")
+
+    def test_per_pair_model_serializes_as_its_shared_decay_form(self):
+        model = HawkesModel([0.5, 0.7], ExponentialKernel([[0.2, 0.1], [0.0, 0.3]],
+                                                          [[2.0, 0.5], [2.0, 4.0]]))
+        doc = model_to_dict(model)
+        assert doc["beta"] == [0.5, 2.0, 4.0]
+        assert doc["alpha"] == [[[0.0, 0.1], [0.0, 0.0]], [[0.2, 0.0], [0.0, 0.0]],
+                                [[0.0, 0.0], [0.0, 0.3]]]
+        np.testing.assert_array_equal(model_from_dict(doc).kernel.norms(), model.kernel.norms())
 
     def test_malformed_document_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -93,6 +93,12 @@ class TestTimeRescale:
         rescaled = time_rescale(poisson_hawkes([1.0, 1.0]), seq)
         assert rescaled[1].size == 0
 
+    def test_dimension_mismatch_reads_as_in_core(self):
+        seq = EventSequence([1.0, 2.0, 3.0], [1, 1, 2], 5.0, 2)
+        with pytest.raises(InvalidInputError,
+                           match="^model dimension 1 != sequence dimension 2$"):
+            time_rescale(poisson_hawkes([1.0]), seq)
+
     def test_rescaled_mean_near_one_under_true_model(self):
         model = HawkesModel([1.0], SumExpKernel(np.array([[[0.5]]]), [1.0]))
         seq = simulate(SimConfig(model, 1000.0, seed=19))

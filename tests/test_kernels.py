@@ -32,27 +32,52 @@ class TestExponential:
         k = ExponentialKernel([[1.0, 2.0], [0.0, 4.0]], [[2.0, 4.0], [1.0, 8.0]])
         np.testing.assert_allclose(k.norms(), [[0.5, 0.5], [0.0, 0.5]])
 
+    def test_builds_the_shared_decay_form(self):
+        # Tied betas share one decay; each pair keeps its alpha at its own decay.
+        k = ExponentialKernel([[1.0, 2.0], [0.5, 4.0]], [[2.0, 4.0], [2.0, 8.0]])
+        assert isinstance(k, SumExpKernel) and k.sumexp() is k
+        np.testing.assert_array_equal(k.decays, [2.0, 4.0, 8.0])
+        np.testing.assert_array_equal(
+            k.alpha, [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 4.0]]]
+        )
+
+    def test_sumexp_form_is_the_same_kernel(self):
+        # phi_ij(t) = alpha_ij exp(-beta_ij t), its integral and its norm,
+        # written here from the drawn matrices.
+        rng = np.random.default_rng(5)
+        lags = np.array([0.0, 1e-9, 0.03, 0.7, 2.0, 50.0])
+        for _ in range(5):
+            beta = rng.choice(rng.uniform(0.05, 20.0, 3), (3, 3))  # a pool of 3: pairs tie
+            alpha = rng.uniform(0.0, 2.0, (3, 3)) * (rng.random((3, 3)) < 0.8)
+            k = ExponentialKernel(alpha, beta)
+            np.testing.assert_array_equal(k.decays, np.unique(beta))
+            np.testing.assert_allclose(k.norms(), alpha / beta, rtol=1e-15, atol=0)
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    a, b = alpha[i - 1, j - 1], beta[i - 1, j - 1]
+                    np.testing.assert_allclose(k.phi(i, j, lags), a * np.exp(-b * lags),
+                                               rtol=1e-15)
+                    np.testing.assert_allclose(k.phi_integral(i, j, lags),
+                                               a * -np.expm1(-b * lags) / b, rtol=1e-15)
+
     def test_negative_alpha_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^alpha entries must be >= 0$"):
             ExponentialKernel([[-0.1]], [[1.0]])
 
     def test_nonpositive_beta_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ExponentialKernel([[1.0]], [[0.0]])
+        for beta in (0.0, -2.0):
+            with pytest.raises(InvalidInputError, match="^beta entries must be > 0$"):
+                ExponentialKernel([[1.0]], [[beta]])
 
-    def test_sumexp_form_is_the_same_kernel(self):
-        # Tied betas share one decay of the shared-decay form.
-        k = ExponentialKernel([[1.0, 2.0], [0.5, 4.0]], [[2.0, 4.0], [2.0, 8.0]])
-        s = k.sumexp()
-        np.testing.assert_array_equal(s.decays, [2.0, 4.0, 8.0])
-        np.testing.assert_allclose(s.norms(), k.norms(), rtol=1e-15)
-        lags = np.array([0.0, 0.3, 2.0])
-        for i in (1, 2):
-            for j in (1, 2):
-                np.testing.assert_allclose(s.phi(i, j, lags), k.phi(i, j, lags), rtol=1e-15)
-                np.testing.assert_allclose(
-                    s.phi_integral(i, j, lags), k.phi_integral(i, j, lags), rtol=1e-15
-                )
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(InvalidInputError, match="^alpha and beta must share a shape$"):
+            ExponentialKernel(np.eye(2), [[1.0]])
+
+    def test_matrices_checked(self):
+        with pytest.raises(InvalidInputError, match=r"^alpha must be a square matrix, got shape"):
+            ExponentialKernel([1.0], [[1.0]])
+        with pytest.raises(InvalidInputError, match="^beta must be finite$"):
+            ExponentialKernel([[1.0]], [[np.inf]])
 
 
 class TestSumExp:
