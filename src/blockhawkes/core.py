@@ -36,7 +36,7 @@ from .errors import (
     StationarityWarning,
     UnsupportedKernelError,
 )
-from .events import EventSequence
+from .events import EventSequence, set_fields
 from .kernels import KernelSpec, exp_integral
 
 INTENSITY_FLOOR = 1e-300
@@ -52,7 +52,7 @@ class HawkesModel:
     Parameters
     ----------
     mu : array_like, shape (m,)
-        Background rates, events per hour, all strictly positive.
+        Background rates, events per hour, all > 0; kept as a read-only copy.
     kernel : KernelSpec
         Excitation kernel with matching dimension.
     """
@@ -72,8 +72,7 @@ class HawkesModel:
             raise InvalidInputError(
                 f"kernel dimension {self.kernel.dim} != len(mu) {mu.shape[0]}"
             )
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
+        set_fields(self, mu=mu)
 
     @property
     def dim(self) -> int:

@@ -41,6 +41,16 @@ _US_MAX = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // _US
 _STAMP_FORM = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
 
 
+def set_fields(obj, **fields) -> None:
+    """Set the fields of the frozen dataclass ``obj``, each ndarray as a read-only
+    copy that it owns: the caller's arrays stay writable and never reach it."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class EventSequence:
     """Marked point-process realisation on [0, horizon].
@@ -58,7 +68,7 @@ class EventSequence:
 
     Ties across distinct marks are permitted and are canonically ordered by
     (time, mark); two events of the same component at the identical instant
-    are rejected.
+    are rejected.  ``times`` and ``marks`` are stored as read-only copies.
     """
 
     times: np.ndarray
@@ -96,12 +106,7 @@ class EventSequence:
                 raise InvalidInputError(
                     f"two events of component {marks[k]} share time {times[k]:.9g}"
                 )
-        times.flags.writeable = False
-        marks.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "dim", dim)
+        set_fields(self, times=times, marks=marks, horizon=horizon, dim=dim)
 
     def __len__(self):
         return self.times.size

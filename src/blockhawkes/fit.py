@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import HawkesModel, _horizon_moments, _sumexp_event_states, _tie_reads, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
-from .events import EventSequence
+from .events import EventSequence, set_fields
 from .kernels import SumExpKernel, exp_first_moment, exp_integral
 
 MU_FLOOR = 1e-10
@@ -50,7 +50,7 @@ RESEED_ROUNDS = 3
 class FitConfig:
     """Estimation settings.
 
-    ``decay_init`` seeds the outer decay search (canonically sorted
+    ``decay_init`` seeds the outer decay search (kept as a tuple sorted
     ascending).  ``inner_max_iter`` caps the Newton steps of each
     component's inner solve; ``inner_tol`` is the contract's stationarity
     target, a projected gradient of at most ``inner_tol * (1 + |l|)``.
@@ -82,7 +82,7 @@ class FitConfig:
             raise InvalidInputError("iteration budgets must be >= 0")
         if not all(0 < tol < np.inf for tol in (self.inner_tol, self.outer_tol)):
             raise InvalidInputError("tolerances must be finite and > 0")
-        object.__setattr__(self, "decay_init", tuple(init))
+        set_fields(self, decay_init=tuple(init))
 
 
 @dataclass
@@ -336,9 +336,8 @@ def fit_given_decays(
     # Convergence verdict on the whole problem, per the contract.
     worst = np.max(np.abs(np.where((theta <= profile.lower) & (grad < 0), 0.0, grad)))
     converged = bool(worst <= config.inner_tol * (1.0 + abs(log_lik)))
-    mu = theta[:, 0].copy()
-    alpha = theta[:, 1:].reshape(m, U, m).transpose(1, 0, 2).copy()
-    model = HawkesModel(mu, SumExpKernel(alpha, decays))
+    alpha = theta[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
+    model = HawkesModel(theta[:, 0], SumExpKernel(alpha, decays))
     # Envelope gradient at fixed (mu, alpha), per pair: alpha[u,i,j] (D[u,j] - V[u,i,j]), times b_u.
     pairs = alpha * (D[:, None, :] - V)
     return FitResult(

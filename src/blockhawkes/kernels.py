@@ -28,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError
+from .events import set_fields
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -36,7 +37,6 @@ def _as_matrix(x, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} must be finite")
-    a.flags.writeable = False
     return a
 
 
@@ -70,7 +70,8 @@ class SumExpKernel:
     """Sum-of-exponentials kernel with decays shared across pairs.
 
     The shared decays are what make the intensity a finite-dimensional
-    Markov state, enabling O(n) evaluation over an event sequence.
+    Markov state, enabling O(n) evaluation over an event sequence.  Both
+    arrays are stored as read-only copies.
     """
 
     alpha: np.ndarray   # (U, m, m), >= 0
@@ -91,10 +92,7 @@ class SumExpKernel:
             raise InvalidInputError("decays must be > 0")
         if np.any(np.diff(decays) <= 0):
             raise InvalidInputError("decays must be strictly increasing (canonical order)")
-        alpha.flags.writeable = False
-        decays.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "decays", decays)
+        set_fields(self, alpha=alpha, decays=decays)
 
     @property
     def dim(self) -> int:
@@ -153,7 +151,8 @@ def ExponentialKernel(alpha, beta) -> SumExpKernel:
 
 @dataclass(frozen=True)
 class PowerLawKernel:
-    """Shifted power-law kernel, capturing long-memory excitation."""
+    """Shifted power-law kernel, capturing long-memory excitation.  The three
+    matrices are stored as read-only copies."""
 
     alpha: np.ndarray  # (m, m), >= 0
     c: np.ndarray      # (m, m), > 0 (shift, hours)
@@ -171,9 +170,7 @@ class PowerLawKernel:
             raise InvalidInputError("c entries must be > 0")
         if np.any(beta <= 1):
             raise InvalidInputError("beta entries must be > 1 for an integrable kernel")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "beta", beta)
+        set_fields(self, alpha=alpha, c=c, beta=beta)
 
     @property
     def dim(self) -> int:

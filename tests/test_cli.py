@@ -549,6 +549,16 @@ class TestBuildEventsCommand:
         assert counts[0] == 40  # cleaned blocks
         assert counts[1] >= 1  # the spike
 
+    def test_price_bars_out_of_order_exit_2(self, tmp_path, capsys):
+        blocks_csv, price_csv = tmp_path / "blocks.csv", tmp_path / "price.csv"
+        write_blocks_csv(messy_block_fixture(), blocks_csv)
+        bars = bars_from_prices([100.0] * 80, start=T0)
+        write_price_csv_from_bars(bars[[0, 2, 1, *range(3, 80)]], price_csv)
+        out = tmp_path / "events.csv"
+        assert main(["build-events", str(blocks_csv), str(price_csv), str(out)]) == 2
+        assert capsys.readouterr().err == "error: price bars must be strictly increasing in time\n"
+        assert not out.exists()
+
 
 class TestRoundTrip:
     def test_simulate_fit_gof_loop_closes(self, tmp_path):

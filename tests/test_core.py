@@ -53,6 +53,13 @@ class TestHawkesModel:
         with pytest.raises(UnsupportedKernelError):
             HawkesModel([1.0], ForeignKernel())
 
+    def test_mu_checked_against_the_kernel(self):
+        kernel = ExponentialKernel([[0.5]], [[2.0]])
+        with pytest.raises(InvalidInputError, match=r"^mu must be a vector, got shape \(1, 1\)$"):
+            HawkesModel([[1.0]], kernel)
+        with pytest.raises(InvalidInputError, match=r"^kernel dimension 1 != len\(mu\) 2$"):
+            HawkesModel([1.0, 1.0], kernel)
+
 
 class TestIntensityNaive:
     def test_empty_sequence_gives_background(self):
@@ -92,6 +99,8 @@ class TestIntensityNaive:
         model2 = HawkesModel([1.0, 1.0], ExponentialKernel(np.zeros((2, 2)), np.ones((2, 2))))
         with pytest.raises(InvalidInputError):
             intensity_naive(model2, seq, 1, 1.0)
+        with pytest.raises(InvalidInputError, match="^component 2 not in 1..1$"):
+            intensity_naive(single_exp_model(), seq, 2, 1.0)
 
 
 class TestIntensityRecursive:
@@ -278,6 +287,7 @@ class TestCompensator:
         model = random_sumexp_model(rng)
         seq = random_sequence(rng, n=150)
         assert compensator(model, seq, 2, 0.0) == 0.0
+        assert compensator_quadrature(model, seq, 2, 0.0) == 0.0
         grid = np.linspace(0, seq.horizon, 60)
         values = [compensator(model, seq, 2, t) for t in grid]
         assert np.all(np.diff(values) >= 0)

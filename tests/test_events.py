@@ -1,12 +1,22 @@
 import math
 import re
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockhawkes import EventSequence, merge_components, read_events_csv, write_events_csv
+from blockhawkes import (
+    EventSequence,
+    ExponentialKernel,
+    HawkesModel,
+    PowerLawKernel,
+    SumExpKernel,
+    merge_components,
+    read_events_csv,
+    write_events_csv,
+)
 from blockhawkes.errors import InvalidInputError, ParseError
 from blockhawkes.events import _US_MAX, _US_MIN
 from blockhawkes.gof import ComponentGof, GofReport, write_qq_csv
@@ -71,15 +81,74 @@ class TestEventSequence:
             EventSequence([1.0], [0], 2.0, 1)
         with pytest.raises(InvalidInputError):
             EventSequence([1.0], [3], 2.0, 2)
+        with pytest.raises(InvalidInputError, match="^times and marks must be 1-D arrays of equal"):
+            EventSequence([1.0, 1.5], [1], 2.0, 1)
+        with pytest.raises(InvalidInputError, match="^component 3 not in 1..2$"):
+            EventSequence([1.0], [1], 2.0, 2).component_times(3)
 
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(InvalidInputError):
             EventSequence([], [], 0.0, 1)
+        with pytest.raises(InvalidInputError, match="^dim must be >= 1, got 0$"):
+            EventSequence([], [], 1.0, 0)
 
     def test_arrays_read_only(self):
         seq = EventSequence([1.0], [1], 2.0, 1)
         with pytest.raises(ValueError):
             seq.times[0] = 0.0
+
+
+def _arrays(obj):
+    """The ndarray fields of a frozen value, and of the values it holds."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif is_dataclass(value):
+            yield from _arrays(value)
+
+
+_PAIR, _ONES, _TWOS = [[0.5, 0.1], [0.2, 0.3]], np.ones((2, 2)), np.full((2, 2), 2.0)
+# Each constructor with one float64 argument x, of the given value, left open.
+OWNERS = {
+    "EventSequence.times": (lambda x: EventSequence(x, [1, 2], 3.0, 2), [1.0, 2.0]),
+    "EventSequence.times, empty": (lambda x: EventSequence(x, [], 3.0, 2), []),
+    "HawkesModel.mu": (lambda x: HawkesModel(x, SumExpKernel(np.zeros((1, 2, 2)), [1.0])),
+                       [1.0, 2.0]),
+    "SumExpKernel.alpha": (lambda x: SumExpKernel(x, [1.0]), [_PAIR]),
+    "SumExpKernel.decays": (lambda x: SumExpKernel(np.zeros((2, 1, 1)), x), [1.0, 2.0]),
+    "PowerLawKernel.alpha": (lambda x: PowerLawKernel(x, _ONES, _TWOS), _PAIR),
+    "PowerLawKernel.c": (lambda x: PowerLawKernel(_ONES, x, _TWOS), _PAIR),
+    "PowerLawKernel.beta": (lambda x: PowerLawKernel(_ONES, _ONES, x), [[2.0, 3.0], [4.0, 5.0]]),
+    "ExponentialKernel.alpha": (lambda x: ExponentialKernel(x, _TWOS), _PAIR),
+    "ExponentialKernel.beta": (lambda x: ExponentialKernel(_PAIR, x), [[1.0, 2.0], [2.0, 1.0]]),
+    "ExponentialKernel(a, a)": (lambda x: ExponentialKernel(x, x), _PAIR),
+}
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+@pytest.mark.parametrize("case", sorted(OWNERS))
+def test_constructors_keep_read_only_copies(case, view):
+    # The value owns its arrays: the caller's array, or the larger array it
+    # views, stays writable, and a write to either never reaches the value.
+    build, value = OWNERS[case]
+    value = np.asarray(value, dtype=np.float64)
+    if view:
+        base = np.zeros(value.size + 2)
+        argument = base[1:-1].reshape(value.shape)
+        argument[...] = value
+    else:
+        base = argument = value.copy()
+    obj = build(argument)
+    fields = list(_arrays(obj))
+    before = [field.copy() for field in fields]
+    assert argument.flags.writeable and base.flags.writeable
+    for field in fields:
+        assert not field.flags.writeable
+        assert not np.shares_memory(field, argument) and not np.shares_memory(field, base)
+    argument[...] = -1.0
+    base[...] = -2.0
+    for field, kept in zip(fields, before):
+        np.testing.assert_array_equal(field, kept)
 
 
 class TestMerge:

@@ -465,6 +465,12 @@ class TestExtractJumps:
         up, down = extract_jumps(table(RETURNS_DTYPE, rows), JumpConfig())
         assert up.size == 0
 
+    @pytest.mark.parametrize("minutes", [(0, 10, 5), (0, 5, 5)], ids=["reversed", "repeated"])
+    def test_unordered_returns_rejected(self, minutes):
+        rows = [(T0 + timedelta(minutes=k), 0.0) for k in minutes]
+        with pytest.raises(InvalidInputError, match="^returns must be strictly increasing in time$"):
+            extract_jumps(table(RETURNS_DTYPE, rows))
+
     def test_window_shorter_than_grid_rejected(self):
         returns = table(RETURNS_DTYPE, [(T0 + timedelta(hours=k), 0.1 * k) for k in range(30)])
         with pytest.raises(ConfigError):
@@ -476,6 +482,8 @@ class TestExtractJumps:
         for window in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="window_hours"):
                 JumpConfig(window_hours=window)
+        with pytest.raises(ConfigError, match="^min_history must be >= 1$"):
+            JumpConfig(min_history=0)
 
 
 class TestBuildTrivariate:

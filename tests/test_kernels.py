@@ -114,6 +114,10 @@ class TestSumExp:
             SumExpKernel(np.zeros((2, 2, 3)), [1.0, 2.0])
         with pytest.raises(InvalidInputError):
             SumExpKernel(np.zeros((2, 2, 2)), [1.0])
+        with pytest.raises(InvalidInputError, match="^kernel parameters must be finite$"):
+            SumExpKernel(np.full((1, 1, 1), np.nan), [1.0])
+        with pytest.raises(InvalidInputError, match="^decays must be > 0$"):
+            SumExpKernel(np.zeros((2, 1, 1)), [0.0, 1.0])
 
 
 class TestPowerLaw:
@@ -137,6 +141,10 @@ class TestPowerLaw:
             PowerLawKernel([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(InvalidInputError):
             PowerLawKernel([[1.0]], [[0.0]], [[2.0]])
+        with pytest.raises(InvalidInputError, match="^alpha, c, beta must share a shape$"):
+            PowerLawKernel([[1.0]], np.ones((2, 2)), [[2.0]])
+        with pytest.raises(InvalidInputError, match="^alpha entries must be >= 0$"):
+            PowerLawKernel([[-1.0]], [[1.0]], [[2.0]])
 
 
 class TestDrawLags:
