@@ -27,6 +27,7 @@ is ``build-events`` without a blocks file; its window defaults to the bars'.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -337,7 +338,10 @@ def _add_command(sub, name, summary, func, positionals, spec=None, **defaults):
     p.set_defaults(func=func, **defaults)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; its commands look up what they call
+    when they run, so a patched library function still takes effect."""
     parser = argparse.ArgumentParser(
         prog="blockhawkes",
         description="Hawkes-process modeling of block arrivals and price jumps",

@@ -115,11 +115,14 @@ class FitResult:
 
 @dataclass(frozen=True)
 class PoissonFit:
-    """Homogeneous-Poisson MLE: rates N_i(T)/T per component."""
+    """Homogeneous-Poisson MLE: rates N_i(T)/T per component, kept as a read-only copy."""
 
     rates: np.ndarray
     log_lik: float
     empty_components: tuple
+
+    def __post_init__(self):
+        set_fields(self, rates=np.asarray(self.rates, dtype=float))
 
     def to_hawkes_model(self) -> HawkesModel:
         """Zero-kernel HawkesModel view, usable for residual analysis.

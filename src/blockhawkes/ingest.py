@@ -10,19 +10,20 @@ into one :class:`~blockhawkes.events.EventSequence` with marks
 Blocks, price bars and returns are numpy structured arrays
 (``BLOCKS_CSV_DTYPE``, ``PRICE_CSV_DTYPE``, ``RETURNS_DTYPE``) whose
 ``timestamp`` field holds int64 UTC microseconds since the Unix epoch, from
-the CSV reader to the event times; every stage but the jump window's loop
-works on whole columns; naive stamps are UTC.  Event times are decimal hours
-since the window start.  The block and price CSV files go through
-``events.read_csv``/``write_csv``, which own the row and stamp rules.
+the CSV reader to the event times; every stage works on whole columns (the
+jump thresholds on sorted history rows, grouped by history length); naive
+stamps are UTC.  Event times are decimal hours since the window start.  The
+block and price CSV files go through ``events.read_csv``/``write_csv``,
+which own the row and stamp rules.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InvalidInputError, ParseError
 from .events import merge_components, read_csv, timestamp_us, write_csv
@@ -32,6 +33,7 @@ BLOCKS_CSV_DTYPE = np.dtype(
 PRICE_CSV_DTYPE = np.dtype([("timestamp", np.int64), ("vwap", np.float64)])
 RETURNS_DTYPE = np.dtype([("timestamp", np.int64), ("log_return", np.float64)])
 GRID_SECONDS = 300.0  # the price bar spacing; log_returns logs wider steps as gaps
+JUMP_CHUNK = 1 << 16  # history values extract_jumps gathers and sorts at once
 
 def format_timestamps(us) -> np.ndarray:
     """``YYYY-MM-DDTHH:MM:SSZ`` of UTC microseconds, seconds floored, four-digit years."""
@@ -76,7 +78,8 @@ class CleaningReport:
         return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The logs by field name; the lists are the report's own, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def clean_blocks(blocks) -> tuple:
@@ -150,21 +153,22 @@ def log_returns(bars) -> tuple:
     return returns, gaps
 
 
-def _weibull_quantile(ordered: list, q: float) -> float:
-    """``np.quantile(ordered, q, method="weibull")`` of an ascending list.
+def _weibull_rows(rows: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(row, q, method="weibull")`` of each ascending row of ``rows``.
 
     Same arithmetic as numpy, so the same bits: virtual index n·q + q − 1,
-    clamped to the extremes, then a two-sided linear interpolation.
+    clamped to the extremes, then a two-sided linear interpolation, whose
+    position and side are fixed by the row length n.
     """
-    n = len(ordered)
+    n = rows.shape[1]
     virtual = n * q + q - 1
     if virtual < 0:
-        return ordered[0]
+        return rows[:, 0]
     if virtual >= n - 1:
-        return ordered[-1]
+        return rows[:, -1]
     below = int(virtual)
     g = virtual - below
-    a, b = ordered[below], ordered[below + 1]
+    a, b = rows[:, below], rows[:, below + 1]
     d = b - a
     return a + d * g if g < 0.5 else b - d * (1 - g)
 
@@ -185,22 +189,24 @@ def extract_jumps(returns, config: JumpConfig | None = None) -> tuple:
     means an upward jump at t; strictly smaller than the lower one a
     downward jump.  Returns (up_times, down_times).
 
-    The history is kept as one sorted list that slides with t: values
-    leaving the window are bisect-deleted and the current return is
-    insorted after it is judged, so each return costs O(log W) compares
-    plus an O(W) list shift (W returns per window) and memory stays O(W).
-    ``returns`` is a ``RETURNS_DTYPE`` array; the jump times are its int64
-    microsecond stamps.  Non-finite returns raise :class:`InvalidInputError`.
+    The window starts come from one ``searchsorted``.  Returns with the same
+    history length n are judged together: their histories are gathered as
+    rows of at most ``JUMP_CHUNK`` values in all and each row is sorted, so
+    a return costs O(W log W) for W returns per window (level with a sliding
+    sorted list at 24 h windows of 5-minute bars) and memory stays bounded
+    by the chunk.  ``returns`` is a ``RETURNS_DTYPE`` array; the jump times
+    are its int64 microsecond stamps.  Non-finite returns raise
+    :class:`InvalidInputError`.
     """
     if config is None:
         config = JumpConfig()
     stamps = returns["timestamp"]
     if np.any(np.diff(stamps) <= 0):
         raise InvalidInputError("returns must be strictly increasing in time")
-    bad = np.flatnonzero(~np.isfinite(returns["log_return"]))
+    values = returns["log_return"]
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise InvalidInputError(f"non-finite return at {format_timestamps(stamps[bad[0]])}")
-    values = returns["log_return"].tolist()
     # Float seconds round as timedelta.total_seconds() does: exact integer
     # microseconds, then one division.
     seconds = (stamps - stamps[:1]) / 1e6
@@ -211,22 +217,25 @@ def extract_jumps(returns, config: JumpConfig | None = None) -> tuple:
                 f"window of {config.window_hours} h is shorter than the "
                 f"{grid:.0f} s grid spacing"
             )
-    seconds = seconds.tolist()
-    window = config.window_hours * 3600.0
-    up, down = [], []
-    history = []
-    start = 0
-    for k, value in enumerate(values):
-        while seconds[start] < seconds[k] - window:
-            del history[bisect_left(history, values[start])]
-            start += 1
-        if len(history) >= config.min_history:
-            if value > _weibull_quantile(history, config.q_high):
-                up.append(k)
-            elif value < _weibull_quantile(history, config.q_low):
-                down.append(k)
-        insort(history, value)
-    return stamps[np.array(up, dtype=np.intp)], stamps[np.array(down, dtype=np.intp)]
+    # The history of return k is values[k - n_k:k], from the first return
+    # no earlier than seconds[k] - window.
+    lengths = np.arange(len(values)) - np.searchsorted(
+        seconds, seconds - config.window_hours * 3600.0, side="left")
+    up = np.zeros(len(values), dtype=bool)
+    down = np.zeros(len(values), dtype=bool)
+    order = np.argsort(lengths, kind="stable")
+    sizes, firsts = np.unique(lengths[order], return_index=True)
+    for n, group in zip(sizes.tolist(), np.split(order, firsts[1:])):
+        if n < config.min_history:
+            continue
+        windows = sliding_window_view(values, n)  # row j is values[j:j + n]
+        step = max(1, JUMP_CHUNK // n)
+        for rows in (group[i:i + step] for i in range(0, group.size, step)):
+            history = windows[rows - n]
+            history.sort(axis=1)
+            up[rows] = values[rows] > _weibull_rows(history, config.q_high)
+            down[rows] = values[rows] < _weibull_rows(history, config.q_low)
+    return stamps[up], stamps[down & ~up]
 
 
 def build_trivariate(block_times, up_times, down_times, window) -> tuple:

@@ -205,10 +205,14 @@ class TestFitCommand:
         def boom(*args, **kwargs):
             raise FittingError("no usable iterate")
 
+        # The parser is built once per process, before the patch here; the
+        # command still calls the patched function.
+        parser = build_parser()
         monkeypatch.setattr(cli_module, "fit_full", boom)
         code = main(["fit", str(events), str(tmp_path / "o.json"), "--horizon", "50"])
         assert code == 3
         assert capsys.readouterr().err == "error: no usable iterate\n"
+        assert build_parser() is parser
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_inner_tol_exits_2(self, tmp_path, value):

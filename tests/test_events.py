@@ -11,6 +11,7 @@ from blockhawkes import (
     EventSequence,
     ExponentialKernel,
     HawkesModel,
+    PoissonFit,
     PowerLawKernel,
     SumExpKernel,
     merge_components,
@@ -122,6 +123,7 @@ OWNERS = {
     "ExponentialKernel.alpha": (lambda x: ExponentialKernel(x, _TWOS), _PAIR),
     "ExponentialKernel.beta": (lambda x: ExponentialKernel(_PAIR, x), [[1.0, 2.0], [2.0, 1.0]]),
     "ExponentialKernel(a, a)": (lambda x: ExponentialKernel(x, x), _PAIR),
+    "PoissonFit.rates": (lambda x: PoissonFit(x, 0.0, ()), [1.0, 2.0]),
 }
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import re
 import time
+from bisect import bisect_left, insort
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockhawkes import (
@@ -18,14 +19,14 @@ from blockhawkes import (
     read_events_csv,
 )
 from blockhawkes.errors import ConfigError, InvalidInputError, ParseError
-from blockhawkes import events
+from blockhawkes import events, ingest
 from blockhawkes.events import EPOCH, EVENTS_CSV_DTYPE, read_csv
 from blockhawkes.events import _table as table_of_rows
 from blockhawkes.ingest import (
     BLOCKS_CSV_DTYPE,
     PRICE_CSV_DTYPE,
     RETURNS_DTYPE,
-    _weibull_quantile,
+    _weibull_rows,
     read_blocks_csv,
     read_price_csv,
     timestamp_us,
@@ -330,6 +331,46 @@ def quantile_loop_oracle(returns, config):
     return np.array(up, dtype=np.int64), np.array(down, dtype=np.int64)
 
 
+def sorted_window_oracle(returns, config):
+    """The former extraction: one sorted history list that slides with the returns.
+
+    Values leaving the window are bisect-deleted and the current return is
+    insorted after it is judged; the quantiles are read from the list with
+    the scalar form of the Weibull arithmetic.
+    """
+    def weibull(ordered, q):
+        n = len(ordered)
+        virtual = n * q + q - 1
+        if virtual < 0:
+            return ordered[0]
+        if virtual >= n - 1:
+            return ordered[-1]
+        below = int(virtual)
+        g = virtual - below
+        a, b = ordered[below], ordered[below + 1]
+        d = b - a
+        return a + d * g if g < 0.5 else b - d * (1 - g)
+
+    stamps = returns["timestamp"]
+    values = returns["log_return"].tolist()
+    seconds = ((stamps - stamps[:1]) / 1e6).tolist()
+    window = config.window_hours * 3600.0
+    up, down = [], []
+    history = []
+    start = 0
+    for k, value in enumerate(values):
+        while seconds[start] < seconds[k] - window:
+            del history[bisect_left(history, values[start])]
+            start += 1
+        if len(history) >= config.min_history:
+            if value > weibull(history, config.q_high):
+                up.append(k)
+            elif value < weibull(history, config.q_low):
+                down.append(k)
+        insort(history, value)
+    return stamps[np.array(up, dtype=np.intp)], stamps[np.array(down, dtype=np.intp)]
+
+
 def assert_same_jumps(found, expected):
     assert [times.tolist() for times in found] == [times.tolist() for times in expected]
 
@@ -355,6 +396,7 @@ def jumps_digest(up, down):
 quantile_levels = st.one_of(st.sampled_from([0.0, 0.1, 0.9, 1.0]), st.floats(0.0, 1.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestWeibullQuantile:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -365,12 +407,17 @@ class TestWeibullQuantile:
         ),
         quantile_levels,
     )
+    # Weight exactly 1/2: numpy takes the upper form, 0.39999999999999997
+    # here, where the lower one gives 0.4.
+    @example([0.1, 0.7], 0.5)
     def test_matches_numpy_bit_for_bit(self, sample, q):
-        ordered = sorted(sample)
-        expected = np.quantile(np.array(ordered), q, method="weibull")
-        assert _weibull_quantile(ordered, q) == expected
+        # Two rows of the same length, so each row is read on its own.
+        rows = np.sort([sample, [-v for v in sample]], axis=1)
+        expected = np.quantile(rows, q, axis=1, method="weibull")
+        assert _weibull_rows(rows, q).tolist() == expected.tolist()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestExtractJumps:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -393,7 +440,9 @@ class TestExtractJumps:
         returns = table(RETURNS_DTYPE, [(T0 + timedelta(seconds=int(s)), v)
                                         for s, (_, v) in zip(offsets, data)])
         config = JumpConfig(window_hours, min(qs), max(qs), min_history)
-        assert_same_jumps(extract_jumps(returns, config), quantile_loop_oracle(returns, config))
+        found = extract_jumps(returns, config)
+        assert_same_jumps(found, quantile_loop_oracle(returns, config))
+        assert_same_jumps(found, sorted_window_oracle(returns, config))
 
     def test_window_closed_at_its_start(self):
         # The history of t is [t - 1 h, t): the 1.0 at exactly t - 1 h still
@@ -420,6 +469,27 @@ class TestExtractJumps:
     def test_pinned_series_matches_quantile_loop(self, config):
         returns = pinned_returns()[:4000]
         assert_same_jumps(extract_jumps(returns, config), quantile_loop_oracle(returns, config))
+
+    @pytest.mark.parametrize("chunk", [1, 100, 1000])
+    def test_length_group_split_over_chunks(self, chunk, monkeypatch):
+        # Every full 3 h window holds 36 returns, so one history length owns
+        # most rows; it is judged 1, 2 or 27 rows at a time.
+        returns = pinned_returns()[:3000]
+        expected = sorted_window_oracle(returns, JumpConfig())
+        monkeypatch.setattr(ingest, "JUMP_CHUNK", chunk)
+        assert_same_jumps(extract_jumps(returns, JumpConfig()), expected)
+
+    def test_min_history_above_every_history_flags_nothing(self):
+        # A 3 h window of 5-minute returns holds at most 36 of them.
+        returns = pinned_returns()[:500]
+        up, down = extract_jumps(returns, JumpConfig(min_history=37))
+        assert up.size == 0 and down.size == 0
+        up, down = extract_jumps(returns, JumpConfig(min_history=36))
+        assert up.size > 0 and down.size > 0
+
+    def test_empty_returns_flag_nothing(self):
+        up, down = extract_jumps(table(RETURNS_DTYPE, []))
+        assert up.dtype == down.dtype == np.int64 and up.size == down.size == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_return_rejected(self, bad):
