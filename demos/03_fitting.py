@@ -5,8 +5,10 @@
 # experiment where the truth is known:
 #   inner  -- (mu, alpha) at fixed decays splits into one concave problem
 #             per component, each solved by projected Newton steps
-#   outer  -- L-BFGS-B walks the log-decays on the profile likelihood, whose
-#             gradient comes free at each inner optimum (envelope theorem)
+#   outer  -- trust-region Newton walks the log-decays on the profile
+#             likelihood, whose gradient comes free at each inner optimum
+#             (envelope theorem) and whose Hessian is exact (implicit
+#             function theorem)
 #
 # Run:  python demos/03_fitting.py
 # =============================================================================
@@ -69,7 +71,7 @@ print(f"  converged={result.converged}, inner iters={result.inner_iterations}, "
       f"outer iters={result.outer_iterations}, "
       f"profile gradient d l/d log beta={result.decay_gradient[0]:.2e}")
 
-print("\nouter progress (best profile log-likelihood per profile evaluation):")
+print("\nouter progress (best log-likelihood among the search's iterates, per profile evaluation):")
 trace = result.optimizer_trace
 for it, value in trace[:: max(1, len(trace) // 6)]:
     print(f"  evaluation {it:>3}: {value:.3f}")

@@ -22,6 +22,7 @@ state, so concurrent calls are safe.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import get_args
@@ -107,15 +108,16 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
     return float(model.mu[i - 1] + contrib.sum())
 
 
-def _sumexp_event_states(seq: EventSequence, decays, lagged: bool = False):
-    """Exact excitation states for shared decays: yields ``(S, R)`` per decay b.
+def _sumexp_event_states(seq: EventSequence, decays, lagged: int = 0):
+    """Exact excitation states for shared decays: yields ``(S, R, Q)`` per decay b.
 
     S[k, j], shape (n + 1, m), sums exp(-b (t_k - t_l)) over component-(j+1)
     events l < k in (time, mark) order; row n is the horizon.  Tied events
     count one another there at lag 0, so event k reads row
-    ``_tie_reads(seq)[k]``, the first of its tie group.  R = -dS/db weights
-    the same sum by t_k - t_l (so is equal over a tie group); it is solved
-    only if ``lagged`` (else None), as only the decay gradient reads it.
+    ``_tie_reads(seq)[k]``, the first of its tie group.  R = -dS/db and
+    Q = d^2S/db^2 weight the same sum by t_k - t_l and its square (so are
+    equal over a tie group); ``lagged`` counts how many of them are solved
+    (else None), as only the decay gradient and Hessian read them.
 
     With f_k = exp(-b g_k), g_k = t_{k+1} - t_k (the last gap runs to T),
     S[k+1] = f_k (S[k] + e_{d_k}) is a unit lower-bidiagonal system.  One
@@ -124,7 +126,8 @@ def _sumexp_event_states(seq: EventSequence, decays, lagged: bool = False):
     a nonnegative term per entry, exact to rounding at any b * T.  On equal
     gaps every f_k carries the same rounding, so the relative error adds up
     coherently to about n u (u = 2^-53): 1.1e-11 at n = 10^6.  R[k+1] =
-    f_k R[k] + g_k S[k+1] is a second solve with the same matrix.
+    f_k R[k] + g_k S[k+1] and Q[k+1] = f_k Q[k] + g_k (f_k R[k] + R[k+1]) are
+    solves with the same matrix.
     """
     from scipy.linalg import lapack
 
@@ -133,14 +136,22 @@ def _sumexp_event_states(seq: EventSequence, decays, lagged: bool = False):
     jumps = (seq.marks - 1) * (n + 1) + np.arange(1, n + 1)  # rhs entry (k + 1, d_k), F order
     ab = np.ones((2, n + 1), order="F")  # band storage; the unit diagonal is not read
     lag = np.r_[0.0, gaps][:, None]  # R's right-hand side is g_k S[k+1]
+    solve = functools.partial(lapack.dtbtrs, ab, uplo="L", diag="U", overwrite_b=True)
     for b in np.asarray(decays, dtype=float):
         factor = np.exp(-b * gaps)
         ab[1, :n] = -factor
         rhs = np.zeros(m * (n + 1))
         rhs[jumps] = factor
-        S, _ = lapack.dtbtrs(ab, rhs.reshape(m, n + 1).T, uplo="L", diag="U", overwrite_b=True)
-        R = lapack.dtbtrs(ab, S * lag, uplo="L", diag="U", overwrite_b=True)[0] if lagged else None
-        yield S, R
+        S = solve(rhs.reshape(m, n + 1).T)[0]
+        R = solve(S * lag)[0] if lagged else None
+        Q = None
+        if lagged > 1:  # g_k (f_k R[k] + R[k+1]), built in place: temporaries cost page faults
+            rhs = np.zeros_like(R)
+            np.multiply(factor[:, None], R[:-1], out=rhs[1:])
+            rhs[1:] += R[1:]
+            rhs *= lag
+            Q = solve(rhs)[0]
+        yield S, R, Q
 
 
 def _tie_reads(seq: EventSequence) -> np.ndarray:
@@ -187,7 +198,7 @@ def intensity_recursive(model: HawkesModel, seq: EventSequence):
     reads, rows = _tie_reads(seq), seq.marks - 1
     excitation = np.zeros(len(seq))
     end_state = np.empty((k.num_decays, seq.dim))
-    for u, (S, _) in enumerate(_sumexp_event_states(seq, k.decays)):
+    for u, (S, _, _) in enumerate(_sumexp_event_states(seq, k.decays)):
         excitation += (S @ k.alpha[u].T)[reads, rows]
         end_state[u] = S[-1]
     return model.mu[rows] + excitation, end_state

@@ -10,10 +10,12 @@ The estimation is split into two nested problems:
   ``Z_i^T diag(lambda^-2) Z_i`` with ``Z_i = [1, X_i]``.  The
   box-constrained step lands alpha entries exactly on 0, reproducing
   structural zeros.
-* **outer** -- L-BFGS-B over the log-decays on the maximized (profile)
-  inner log-likelihood, whose gradient comes free at the inner optimum by
-  the envelope theorem: b_u dl/db_u at fixed (mu, alpha).  A decay left with
-  almost no kernel norm is split off the decay whose per-pair terms disagree.
+* **outer** -- trust-region Newton (scipy's ``trust-exact``) over the
+  log-decays on the maximized (profile) inner log-likelihood, whose gradient
+  comes free at the inner optimum by the envelope theorem: b_u dl/db_u at
+  fixed (mu, alpha); its Hessian is exact by the implicit function theorem.
+  A decay left with almost no kernel norm is split off the decay whose
+  per-pair terms disagree.
 
 A homogeneous-Poisson baseline fit is provided for model comparison.
 Fitting consumes no randomness: fixed data and config give identical
@@ -30,7 +32,7 @@ import numpy as np
 from .core import HawkesModel, _horizon_moments, _sumexp_event_states, _tie_reads, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence, set_fields
-from .kernels import SumExpKernel, exp_first_moment, exp_integral
+from .kernels import SumExpKernel, exp_first_moment, exp_integral, exp_second_moment
 
 MU_FLOOR = 1e-10
 ARMIJO = 1e-4
@@ -54,8 +56,9 @@ class FitConfig:
     ascending).  ``inner_max_iter`` caps the Newton steps of each
     component's inner solve; ``inner_tol`` is the contract's stationarity
     target, a projected gradient of at most ``inner_tol * (1 + |l|)``.
-    ``outer_max_iter`` caps the decay search's L-BFGS-B iterations, and
-    ``outer_tol`` bounds its projected gradient, in nats per unit log-decay.
+    ``outer_max_iter`` caps the decay search's trust-region iterations (one
+    profile evaluation each), and ``outer_tol`` bounds its gradient, in nats
+    per unit log-decay.
     """
 
     num_decays: int = 3
@@ -94,11 +97,14 @@ class FitResult:
     ``inner_max_iter`` only if a component hit the cap.  ``decay_gradient``
     is the profile gradient dl/d log b_u at the fitted decays, and
     ``pair_gradient[u, i, j]`` its per-pair terms b_u alpha[u,i,j] (D[u,j] -
-    V[u,i,j]), which sum over (i, j) to it.  ``optimizer_trace`` holds
-    (profile evaluation, best log-likelihood so far) pairs: one,
+    V[u,i,j]), which sum over (i, j) to it; ``decay_hessian`` is the profile's
+    d^2 l / d log b_u d log b_v there.  ``outer_iterations`` counts trust-region
+    iterations.  ``optimizer_trace`` holds (profile evaluation, best
+    log-likelihood so far among the search's iterates) pairs: one,
     ``(1, log_lik)``, for :func:`fit_given_decays`.  ``messages`` names
     pinned components, component solves stopped at the cap or without
-    progress, and failed profile evaluations.
+    progress, failed profile evaluations and descents stopped short of their
+    gradient test.
     """
 
     model: HawkesModel
@@ -110,6 +116,7 @@ class FitResult:
     optimizer_trace: list
     decay_gradient: np.ndarray
     pair_gradient: np.ndarray
+    decay_hessian: np.ndarray
     messages: tuple = ()
 
 
@@ -159,7 +166,8 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 class _Profile:
     """What no decay changes in fits of ``seq`` at U decays (the empty-component
     note, bounds, cold starts, read rows and :meth:`design` buffers), and, as
-    the L-BFGS-B objective over log-decays, the best inner fit, trace and failures."""
+    the trust-exact objective over log-decays, each evaluation's record and
+    the failures."""
 
     def __init__(self, seq: EventSequence, num_decays: int):
         m, U, counts = seq.dim, num_decays, seq.counts()
@@ -173,36 +181,43 @@ class _Profile:
         self.reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
         self.Z = [np.ones((1 + U * m, r.size)) for r in self.reads]
         self.RZ = [np.empty((U * m, r.size)) for r in self.reads]
-        self.best, self.trace, self.failures = None, [], []
+        self.QZ = [np.empty((U * m, r.size)) for r in self.reads]
+        self.records, self.failures = {}, []
 
-    def design(self, decays: np.ndarray):
-        """``(Z, c, RZ, D)``: Z[i], (1 + U*m, n_i), holds ones, then S_u[:, j] of
-        :func:`_sumexp_event_states` at component i's reads in row 1 + u*m + j,
-        so (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i]
-        holds R alike.  The cost c = (T, Mvec) and D = -dMvec/db hold
-        :func:`_horizon_moments` of exp_integral (raveled) and exp_first_moment."""
+    def design(self, decays: np.ndarray, lagged: int = 2):
+        """``(Z, c, RZ, QZ, D, E)``: Z[i], (1 + U*m, n_i), holds ones, then S_u[:, j]
+        of :func:`_sumexp_event_states` at component i's reads in row 1 + u*m + j,
+        so (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i] and
+        QZ[i] hold R and Q alike, if ``lagged`` is 2.  The cost c = (T, Mvec),
+        D = -dMvec/db and E = d^2Mvec/db^2 hold :func:`_horizon_moments` of
+        exp_integral (raveled), exp_first_moment and exp_second_moment."""
         seq, m = self.seq, self.seq.dim
         # Every read is in range; "clip" spares take the bounds check that buffers its output.
-        for u, (S, R) in enumerate(_sumexp_event_states(seq, decays, lagged=True)):
+        for u, states in enumerate(_sumexp_event_states(seq, decays, lagged)):
             for i, r in enumerate(self.reads):
-                np.take(S.T, r, axis=1, out=self.Z[i][1 + u * m : 1 + (u + 1) * m], mode="clip")
-                np.take(R.T, r, axis=1, out=self.RZ[i][u * m : (u + 1) * m], mode="clip")
-        Mvec, D = (_horizon_moments(seq, decays, f) for f in (exp_integral, exp_first_moment))
-        return self.Z, np.r_[seq.horizon, Mvec.ravel()], self.RZ, D
+                for X, out in zip(states, (self.Z[i][1:], self.RZ[i], self.QZ[i])):
+                    if X is not None:
+                        np.take(X.T, r, axis=1, out=out[u * m : (u + 1) * m], mode="clip")
+        moments = (exp_integral, exp_first_moment, exp_second_moment)
+        M, D, E = (_horizon_moments(seq, decays, f) for f in moments)
+        return self.Z, np.r_[seq.horizon, M.ravel()], self.RZ, self.QZ, D, E
 
     def __call__(self, x, config: FitConfig):
-        """Negated profile l and gradient over the log-decays ``x``, any order."""
-        order = np.argsort(x)
-        decays = np.exp(x[order])
-        try:
-            inner = fit_given_decays(self.seq, decays, config, profile=self)
-        except (HawkesError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            self.failures.append(f"decays {decays.round(6).tolist()}: {exc}")
-            return np.inf, np.zeros_like(x)
-        if self.best is None or inner.log_lik > self.best.log_lik:
-            self.best = inner
-        self.trace.append((len(self.trace) + 1, self.best.log_lik))
-        return -inner.log_lik, -inner.decay_gradient[np.argsort(order)]
+        """``(fit, -l, -gradient, -Hessian)`` at the log-decays ``x``, any order,
+        from one :func:`fit_given_decays` per distinct x (trust-exact asks for
+        the Hessian at each trial point before l).  A failed one scores -l = inf."""
+        key = x.tobytes()
+        if key not in self.records:
+            decays, back = np.exp(np.sort(x)), np.argsort(np.argsort(x))
+            try:
+                fit = fit_given_decays(self.seq, decays, config, profile=self)
+            except (HawkesError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                self.failures.append(f"decays {decays.round(6).tolist()}: {exc}")
+                self.records[key] = (None, np.inf, np.zeros_like(x), np.zeros((x.size, x.size)))
+            else:
+                self.records[key] = (fit, -fit.log_lik, -fit.decay_gradient[back],
+                                     -fit.decay_hessian[np.ix_(back, back)])
+        return self.records[key]
 
 
 def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
@@ -218,7 +233,7 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     m, U = seq.dim, decays.size
     if mu.shape != (m,) or alpha.shape != (U, m, m):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
-    Z, c, _, _ = _Profile(seq, U).design(decays)
+    Z, c, *_ = _Profile(seq, U).design(decays, lagged=0)
     theta = np.column_stack((mu, alpha.transpose(1, 0, 2).reshape(m, U * m)))
     ll, grad = 0.0, np.empty_like(theta)
     for i, (z, x) in enumerate(zip(Z, theta)):
@@ -289,6 +304,27 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
             t *= 0.5
 
 
+def _curvature(Z, RZ, QZ, lam, x, lower, DV, E):
+    """A component's share of d^2 l / db db^T, (U, U), at its inner optimum x.
+
+    With a = alpha[:, i, :] and rho_u = a_u . RZ_u = -dlambda/db_u, l_bb is
+    diag(a . (QZ / lambda - E)) - rho diag(lambda^-2) rho^T, and B = dl_b/dx is
+    Z diag(lambda^-2) rho^T plus DV = D - V in each decay's block.  The free
+    parameters F = {x > lower} follow the decays (implicit function theorem),
+    adding B_F^T H_FF^-1 B_F with H = Z diag(lambda^-2) Z^T, by a least-squares
+    solve: finite also where H_FF is singular (near-collinear decays).  One
+    weighted Gram matrix of the rows of Z and rho holds H, B and rho's term."""
+    (U, m), p, inv = DV.shape, Z.shape[0], 1.0 / lam
+    a = x[1:].reshape(U, m)
+    X = np.vstack((Z, np.einsum("uj,ujk->uk", a, RZ.reshape(U, m, -1))))
+    G = (X * (inv * inv)) @ X.T
+    B = G[:p, p:].copy()
+    B[1:].reshape(U, m, U)[np.arange(U), :, np.arange(U)] += DV  # rows of decay u, column u
+    free = x > lower
+    curvature = B[free].T @ np.linalg.lstsq(G[:p, :p][np.ix_(free, free)], B[free], rcond=None)[0]
+    return curvature - G[p:, p:] + np.diag(np.sum(a * ((QZ @ inv).reshape(U, m) - E), axis=1))
+
+
 def fit_given_decays(
     seq: EventSequence, decays, config: FitConfig | None = None, *, profile: _Profile | None = None
 ) -> FitResult:
@@ -297,10 +333,10 @@ def fit_given_decays(
     One loop solves each component by :func:`_newton_component`, cold-started
     at mu = 0.5 n_i / T, alpha = 0, to a projected gradient of at most
     ``0.1 * inner_tol * (1 + |l_i|)``; l, the verdict and the decay gradient
-    with its per-pair terms come from each solve's last intensities and
-    gradient.  A component with zero events has an empty design block, so
-    its solve stops at once with mu on the 1e-10 floor and its alpha row at
-    0, and a :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
+    with its per-pair terms and the decay Hessian come from each solve's last
+    iterate, intensities and gradient.  A component with zero events has an
+    empty design block, so its solve stops at once with mu on the 1e-10 floor
+    and its alpha row at 0, and a :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
     spectral radius >= 1 gives a :class:`StationarityWarning`.  Given the
     ``profile`` that :func:`fit_full` passes, it reuses that object's arrays
     and leaves both warnings to fit_full.  Non-convergence within the budget
@@ -321,17 +357,18 @@ def fit_given_decays(
 
     m, U = seq.dim, decays.size
     messages = list(profile.pinned)
-    Z, c, RZ, D = profile.design(decays)
+    Z, c, RZ, QZ, D, E = profile.design(decays)
     # Row i: theta_i = (mu_i, alpha[:, i, :].ravel()) and dl/dtheta_i.
     # V[u, i, j] sums R_u[:, j] / lambda over component-i events.
     theta, grad, V = np.empty((m, 1 + U * m)), np.empty((m, 1 + U * m)), np.empty((U, m, m))
-    log_lik, steps = 0.0, 0
+    log_lik, steps, hess = 0.0, 0, np.zeros((U, U))
     for i in range(m):
         theta[i], lam, grad[i], taken, reason = _newton_component(
             Z[i], c, profile.lower, profile.starts[i], config.inner_max_iter, 0.1 * config.inner_tol
         )
         log_lik += np.log(lam).sum() - c @ theta[i]
         V[:, i] = (RZ[i] @ (1.0 / lam)).reshape(U, m)
+        hess += _curvature(Z[i], RZ[i], QZ[i], lam, theta[i], profile.lower, D - V[:, i], E)
         steps = max(steps, taken)
         if reason is not None:
             messages.append(f"component {i + 1}: inner solve {reason}")
@@ -343,6 +380,7 @@ def fit_given_decays(
     model = HawkesModel(theta[:, 0], SumExpKernel(alpha, decays))
     # Envelope gradient at fixed (mu, alpha), per pair: alpha[u,i,j] (D[u,j] - V[u,i,j]), times b_u.
     pairs = alpha * (D[:, None, :] - V)
+    gradient = decays * np.sum(pairs, axis=(1, 2))
     return FitResult(
         model=model,
         log_lik=float(log_lik),
@@ -351,31 +389,34 @@ def fit_given_decays(
         inner_iterations=steps,
         outer_iterations=0,
         optimizer_trace=[(1, float(log_lik))],
-        decay_gradient=decays * np.sum(pairs, axis=(1, 2)),
+        decay_gradient=gradient,
         pair_gradient=decays[:, None, None] * pairs,
+        # In log-decays: d^2 l / dx_u dx_v = b_u b_v l_bb + delta_uv b_u l_b.
+        decay_hessian=np.outer(decays, decays) * hess + np.diag(gradient),
         messages=tuple(messages),
     )
 
 
 # ---------------------------------------------------------------------------
-# Outer problem: L-BFGS-B over log-decays, profile likelihood objective
+# Outer problem: trust-region Newton over log-decays, profile likelihood objective
 # ---------------------------------------------------------------------------
 
 def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
-    """Full fit: gradient search over shared decays on the profile likelihood.
+    """Full fit: Newton search over shared decays on the profile likelihood.
 
-    L-BFGS-B descends from ``decay_init`` over the log-decays, one inner
-    :func:`fit_given_decays` (with its envelope gradient) per profile
-    evaluation, to a projected gradient of at most ``outer_tol``; a stalled
-    objective never stops it.  Then a decay with at most RESEED_SHARE of the
-    kernel norm is split off the other decay whose ``pair_gradient`` spreads
-    widest (max - min), the two moving to it times RESEED_STEP ** +-1, and
-    the search descends again until a round gains nothing (one decay: at
-    once).  ``outer_max_iter`` caps the L-BFGS-B iterations over all
+    scipy's ``trust-exact`` descends from ``decay_init`` over the log-decays,
+    one inner :func:`fit_given_decays` (with its envelope gradient and exact
+    profile Hessian) per profile evaluation, to a gradient norm below
+    ``outer_tol``.  Then a decay with at most RESEED_SHARE of the kernel norm
+    is split off the other decay whose ``pair_gradient`` spreads widest (max -
+    min), the two moving to it times RESEED_STEP ** +-1, and the search
+    descends again until a round's end point gains nothing (one decay: at
+    once).  ``outer_max_iter`` caps the trust-region iterations over all
     descents; 0 returns the inner fit at ``decay_init``, ``converged=False``.
-    The best point is returned, ``converged`` if its projected gradient is at
-    most ``outer_tol`` and its inner fit converged.  A failed evaluation ends
-    its descent and is named in ``messages``.  Warnings come once, for it.
+    The end point of the best descent is returned, ``converged`` if its
+    gradient is at most ``outer_tol`` and its inner fit converged.  A descent
+    stopped by anything but its gradient test, and a failed evaluation, are
+    named in ``messages``.  Warnings come once, for the returned fit.
     """
     from scipy import optimize
 
@@ -389,20 +430,24 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         raise FittingError("cannot fit an empty event sequence")
 
     profile = _Profile(seq, config.num_decays)
-    x, iterations, before = np.log(decay0), 0, -np.inf
+    x, iterations, best, iterates, stops = np.log(decay0), 0, None, set(), []
     for round_ in range(RESEED_ROUNDS + 1):
         res = optimize.minimize(
-            profile, x, args=(config,), jac=True, method="L-BFGS-B",
+            lambda x: profile(x, config)[1:3], x, jac=True, method="trust-exact",
+            hess=lambda x: profile(x, config)[3],
             options={"maxiter": config.outer_max_iter - iterations,
-                     "gtol": config.outer_tol, "ftol": 0.0},
+                     "gtol": config.outer_tol, "return_all": True},
         )
         iterations += res.nit
-        best = profile.best
-        if best is None:
-            raise FittingError(f"every profile evaluation failed; first failure: {profile.failures[0]}")
-        if best.log_lik <= before or round_ == RESEED_ROUNDS or iterations >= config.outer_max_iter:
+        iterates.update(v.tobytes() for v in res.allvecs)
+        if res.status != 0:
+            stops.append(f"decay search descent {round_ + 1}: {res.message}")
+        end = profile.records[res.x.tobytes()][0]
+        if end is None or (best is not None and end.log_lik <= best.log_lik):
             break
-        before = best.log_lik
+        best = end
+        if round_ == RESEED_ROUNDS or iterations >= config.outer_max_iter:
+            break
         decays = best.model.kernel.decays
         norms = best.model.kernel.alpha.sum(axis=(1, 2)) / decays
         weak = int(np.argmin(norms))
@@ -414,7 +459,13 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         x = np.log(decays)
         x[weak] = x[near] + np.log(RESEED_STEP)
         x[near] -= np.log(RESEED_STEP)
+    if best is None:
+        raise FittingError(f"every profile evaluation failed; first failure: {profile.failures[0]}")
 
+    # Per successful evaluation, the best l so far among the iterates: it ends at best's.
+    reached = [fit.log_lik if key in iterates else -np.inf
+               for key, (fit, *_) in profile.records.items() if fit is not None]
+    trace = [(k, float(v)) for k, v in enumerate(np.maximum.accumulate(reached), 1)]
     stationary = np.max(np.abs(best.decay_gradient)) <= config.outer_tol
     for note in profile.pinned:
         warnings.warn(note, DegenerateComponentWarning, stacklevel=2)
@@ -423,8 +474,8 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
         kernel_norm_matrix=kernel_norms(best.model),
         converged=bool(stationary) and best.converged,
         outer_iterations=iterations,
-        optimizer_trace=profile.trace,
-        messages=best.messages + tuple(profile.failures),
+        optimizer_trace=trace,
+        messages=best.messages + tuple(profile.failures) + tuple(stops),
     )
 
 

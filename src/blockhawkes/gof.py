@@ -57,7 +57,7 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     if kernel is not None:
         excited = np.zeros((len(seq), model.dim))  # Lambda_i(t_k) - mu_i t_k at [k, i-1]
         states = _sumexp_event_states(seq, kernel.decays)
-        for b, a, (S, _) in zip(kernel.decays, kernel.alpha, states):
+        for b, a, (S, _, _) in zip(kernel.decays, kernel.alpha, states):
             excited += _integrated_state(seq, b, S)[:-1] @ a.T
     for i in range(1, model.dim + 1):
         rows = seq.marks == i

@@ -45,24 +45,43 @@ def exp_integral(b, lags) -> np.ndarray:
     return -np.expm1(-b * lags) / b
 
 
-# Taylor coefficients of (1 - exp(-x) (1 + x)) / x^2, highest first; 16 reach rounding at x <= 0.5
-_MOMENT_SERIES = [(-1) ** k * (k - 1) / math.factorial(k) for k in range(17, 1, -1)]
+def _series(k: int, terms: int) -> list:
+    """Taylor coefficients of (k + 1) int_0^1 t^k exp(-x t) dt in x, highest first."""
+    return [(k + 1) * (-1) ** j / (math.factorial(j) * (j + k + 1)) for j in reversed(range(terms))]
+
+
+# Per moment k: the series (and how many terms reach rounding) up to x = cut;
+# past x = skip, exp(-x) sum_{i<=k} x^i / i! is below rounding and not computed.
+_MOMENTS = {1: (0.5, 40.0, _series(1, 16)), 2: (2.0, 50.0, _series(2, 25))}
+
+
+def _exp_moment(k: int, b, lags) -> np.ndarray:
+    """Integral of s^k exp(-b s) over [0, lag], k! / b^(k+1) times
+    1 - exp(-x) sum_{i<=k} x^i / i! with x = b * lag.  A series serves small
+    x, where that form cancels, so it is lag^(k+1) / (k+1) as b goes to 0;
+    at large x the bracket is 1 to rounding, and skipping it skips a slow
+    underflowing exp."""
+    cut, skip, series = _MOMENTS[k]
+    x = np.asarray(b * lags, dtype=float)
+    moment = np.array(np.broadcast_to(math.factorial(k) / np.power(b, k + 1.0), x.shape))
+    small = x <= cut
+    mid = (x <= skip) & ~small
+    near = np.broadcast_to(lags, x.shape)[small]
+    moment[small] = near ** (k + 1) * np.polyval(series, x[small]) / (k + 1)
+    xm = x[mid]
+    tail = [1.0 / math.factorial(i) for i in range(k, 0, -1)] + [0.0]
+    moment[mid] *= -np.expm1(-xm) - np.exp(-xm) * np.polyval(tail, xm)
+    return moment[()]
 
 
 def exp_first_moment(b, lags) -> np.ndarray:
-    """Integral of s exp(-b s) over [0, lag], lag^2 (1 - exp(-x) (1 + x)) / x^2
-    with x = b * lag.  A series serves x <= 0.5, where that form cancels, so
-    it is lag^2 / 2 as b goes to 0; past x = 40 exp(-x) (1 + x) is below
-    rounding, and skipping it skips a slow underflowing exp."""
-    x = np.asarray(b * lags, dtype=float)
-    ratio = np.maximum(x, 40.0, out=np.empty_like(x))
-    ratio **= -2.0
-    small = x <= 0.5
-    mid = (x <= 40.0) & ~small
-    ratio[small] = np.polyval(_MOMENT_SERIES, x[small])
-    xm = x[mid]
-    ratio[mid] = (-np.expm1(-xm) - xm * np.exp(-xm)) / xm**2
-    return lags**2 * ratio
+    """Integral of s exp(-b s) over [0, lag]: lag^2 / 2 as b goes to 0."""
+    return _exp_moment(1, b, lags)
+
+
+def exp_second_moment(b, lags) -> np.ndarray:
+    """Integral of s^2 exp(-b s) over [0, lag]: lag^3 / 3 as b goes to 0."""
+    return _exp_moment(2, b, lags)
 
 
 @dataclass(frozen=True)

@@ -191,23 +191,24 @@ class TestIntensityRecursive:
 
 
 def states_as_read(seq, decay):
-    """S as each event reads it and at the horizon, R and I at the events."""
-    (S, R), = _sumexp_event_states(seq, [decay], lagged=True)
+    """S as each event reads it and at the horizon, R, I and Q at the events."""
+    (S, R, Q), = _sumexp_event_states(seq, [decay], lagged=2)
     reads = _tie_reads(seq)
-    return S[reads], S[-1], R[:-1], _integrated_state(seq, decay, S)[:-1]
+    return S[reads], S[-1], R[:-1], _integrated_state(seq, decay, S)[:-1], Q[:-1]
 
 
 def fsum_states(seq, decay, columns):
-    """Reference S, R and I at events ``columns`` by exactly rounded double
+    """Reference S, R, I and Q at events ``columns`` by exactly rounded double
     sums over the events strictly before each (for S at the horizon, all)."""
     t, m = seq.times, seq.dim
-    out = np.zeros((4, len(columns), m))
+    out = np.zeros((5, len(columns), m))
     for row, k in enumerate(columns):
         for j in range(m):
             lags = t[k] - t[(t < t[k]) & (seq.marks == j + 1)]
             out[0, row, j] = math.fsum(np.exp(-decay * lags))
             out[1, row, j] = math.fsum(lags * np.exp(-decay * lags))
             out[2, row, j] = math.fsum(-np.expm1(-decay * lags) / decay)
+            out[4, row, j] = math.fsum(lags**2 * np.exp(-decay * lags))
             ends = seq.horizon - t[seq.marks == j + 1]
             out[3, row, j] = math.fsum(np.exp(-decay * ends))
     return out
@@ -228,9 +229,9 @@ class TestStateRecursion:
         rng = np.random.default_rng(seed)
         seq = tied_sequence(rng, dim, n, float(rng.choice([0.25, 0.5, 1.0])))
         decay = 10.0**log_bt / seq.horizon
-        S, S_end, R, I = states_as_read(seq, decay)
+        S, S_end, R, I, Q = states_as_read(seq, decay)
         ref = fsum_states(seq, decay, np.arange(len(seq)))
-        for got, want in ((S, ref[0]), (R, ref[1]), (I, ref[2]), (S_end, ref[3, 0])):
+        for got, want in ((S, ref[0]), (R, ref[1]), (I, ref[2]), (S_end, ref[3, 0]), (Q, ref[4])):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
     def test_no_error_growth_over_a_long_sequence(self):
@@ -240,10 +241,10 @@ class TestStateRecursion:
         seq = tied_sequence(rng, 3, 90_000, 0.01)
         assert len(seq) >= 50_000 and np.sum(np.diff(seq.times) == 0) >= 10_000
         decay = 1e-6 / seq.horizon
-        S, S_end, R, I = states_as_read(seq, decay)
+        S, S_end, R, I, Q = states_as_read(seq, decay)
         columns = np.r_[rng.choice(len(seq), 40, replace=False), len(seq) - 1]
         ref = fsum_states(seq, decay, columns)
-        for got, want in ((S, ref[0]), (R, ref[1]), (I, ref[2])):
+        for got, want in ((S, ref[0]), (R, ref[1]), (I, ref[2]), (Q, ref[4])):
             np.testing.assert_allclose(got[columns], want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(S_end, ref[3, 0], rtol=1e-12, atol=0)
 
@@ -255,19 +256,22 @@ class TestStateRecursion:
         n, gap = 10**6, 0.01
         seq = EventSequence(np.arange(n) * gap, np.ones(n, dtype=int), n * gap, 1)
         decay = decay_horizon / seq.horizon
-        (S, _), = _sumexp_event_states(seq, [decay])
+        (S, _, _), = _sumexp_event_states(seq, [decay])
         x, k = decay * gap, np.arange(n + 1)
         closed = np.exp(-x) * np.expm1(-k * x) / np.expm1(-x)
         np.testing.assert_allclose(S[:, 0], closed, rtol=1e-10, atol=0)
 
     def test_only_the_decay_gradient_solves_for_r(self):
+        # lagged counts the derivative solves: R for the gradient, Q for the Hessian.
         seq = EventSequence([0.0, 1.0, 1.0, 2.5], [1, 1, 2, 2], 4.0, 2)
-        for (S, R), (S_lag, R_lag) in zip(
-            _sumexp_event_states(seq, [0.5, 3.0]),
-            _sumexp_event_states(seq, [0.5, 3.0], lagged=True),
+        for (S, R, Q), (S_1, R_1, Q_1), (S_2, R_2, Q_2) in zip(
+            *(_sumexp_event_states(seq, [0.5, 3.0], lagged=k) for k in (0, 1, 2))
         ):
-            assert R is None and R_lag.shape == S.shape == (5, 2)
-            np.testing.assert_array_equal(S, S_lag)
+            assert R is None and Q is None and Q_1 is None
+            assert R_1.shape == Q_2.shape == S.shape == (5, 2)
+            np.testing.assert_array_equal(S, S_1)
+            np.testing.assert_array_equal(S, S_2)
+            np.testing.assert_array_equal(R_1, R_2)
 
 
 class TestCompensator:

@@ -4,7 +4,7 @@ import pytest
 
 from blockhawkes import ExponentialKernel, PowerLawKernel, SumExpKernel
 from blockhawkes.errors import InvalidInputError
-from blockhawkes.kernels import exp_first_moment
+from blockhawkes.kernels import exp_first_moment, exp_second_moment
 
 
 class TestExpFirstMoment:
@@ -21,6 +21,25 @@ class TestExpFirstMoment:
     def test_tiny_decay_is_half_the_squared_lag(self):
         lags = np.array([0.0, 1.0, 3.0, 1416.0])
         np.testing.assert_array_equal(exp_first_moment(1e-20, lags), lags**2 / 2)
+
+
+class TestExpSecondMoment:
+    @pytest.mark.parametrize("lag", [0.3, 7.0])
+    def test_matches_quadrature(self, lag):
+        # b * lag from 1e-12 to 1e3, on both sides of the series cut (2) and
+        # of the skipped exp (50).
+        from scipy import integrate
+
+        products = np.r_[np.logspace(-12.0, 3.0, 31), np.nextafter(2.0, [0.0, 4.0]),
+                         np.nextafter(50.0, [0.0, 100.0]), 2.0, 50.0]
+        got = exp_second_moment(products / lag, lag)
+        want = [integrate.quad(lambda s, b=x / lag: s * s * np.exp(-b * s), 0.0, lag,
+                               epsabs=0.0, epsrel=1e-13, limit=200)[0] for x in products]
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
+    def test_tiny_decay_is_a_third_of_the_cubed_lag(self):
+        lags = np.array([0.0, 1.0, 3.0, 1416.0])
+        np.testing.assert_array_equal(exp_second_moment(1e-20, lags), lags**3 / 3)
 
 
 class TestExponential:
