@@ -47,7 +47,7 @@ from .ingest import (
     extract_jumps,
     log_returns,
 )
-from .kernels import ExponentialKernel, KernelSpec, PowerLawKernel, SumExpKernel
+from .kernels import ExponentialKernel, SumExpKernel
 from .sim import SimConfig, simulate
 
 __all__ = [
@@ -59,9 +59,7 @@ __all__ = [
     "GofReport",
     "HawkesModel",
     "JumpConfig",
-    "KernelSpec",
     "PoissonFit",
-    "PowerLawKernel",
     "SimConfig",
     "SumExpKernel",
     "build_trivariate",

@@ -11,10 +11,11 @@ Conventions
   order, and none excites another: like every event, each reads only the
   events strictly before its time.
 
-Exponential kernels have the O(n) state recursion of Ozaki (1979): a unit
-lower-bidiagonal system per shared decay, which :class:`_StateSolver`
-solves by LAPACK forward substitution.  Callers take only what they read:
-the states, their time integrals (residuals) or decay derivatives (fit).
+Every kernel is a sum of exponentials, with the O(n) state recursion of
+Ozaki (1979): a unit lower-bidiagonal system per shared decay, which
+:class:`_StateSolver` solves by LAPACK forward substitution.  Callers take
+only what they read: the states, their time integrals (residuals) or decay
+derivatives (fit).
 
 All functions are pure: they never mutate their inputs and hold no module
 state.  A :class:`_StateSolver` and the buffers it writes belong to one fit.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import get_args
 
 import numpy as np
 
@@ -38,12 +38,18 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .events import EventSequence, set_fields
-from .kernels import KernelSpec, exp_first_moment, exp_integral, exp_second_moment
+from .kernels import SumExpKernel, exp_first_moment, exp_integral, exp_second_moment
 
 INTENSITY_FLOOR = 1e-300
 # Tolerances of compensator_quadrature's adaptive quadrature.
 QUAD_ABS_TOL = 1e-9
 QUAD_REL_TOL = 1e-7
+# The quadrature also breaks at t_k + (1, 8, 64) / b for each decay b under a tenth of the
+# mean gap, b t > QUAD_FAST_DECAY (events before t + 1): QUADPACK steps over spikes 1/b wide.
+# Without them, events (0.5, 1, 2), T = 10 and alpha = b gave 12.0 at b = 1e4 and 10.0
+# from b = 1e5, not 13.0, and 400 events on 100 h with alpha = b/2 hit the subdivision
+# limit at b = 300.  Breaking at every decay took criterion 2 from 4.4 s to 27.6 s.
+QUAD_FAST_DECAY = 10.0
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,12 @@ class HawkesModel:
     ----------
     mu : array_like, shape (m,)
         Background rates, events per hour, all > 0; kept as a read-only copy.
-    kernel : KernelSpec
+    kernel : SumExpKernel
         Excitation kernel with matching dimension.
     """
 
     mu: np.ndarray
-    kernel: KernelSpec
+    kernel: SumExpKernel
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -67,7 +73,7 @@ class HawkesModel:
             raise InvalidInputError(f"mu must be a vector, got shape {mu.shape}")
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
             raise InvalidInputError("background rates must be finite and > 0")
-        if not isinstance(self.kernel, get_args(KernelSpec)):
+        if not isinstance(self.kernel, SumExpKernel):
             raise UnsupportedKernelError(f"unknown kernel type {type(self.kernel).__name__}")
         if self.kernel.dim != mu.shape[0]:
             raise InvalidInputError(
@@ -109,8 +115,27 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
 
 
 class _StateSolver:
-    """The per-sequence set-up of :func:`_sumexp_event_states`, built once: a call solves S
-    (R, Q if given) of decay u in place in columns u*m:(u+1)*m of F-ordered (n + 1, U*m)."""
+    """Exact excitation states for shared decays, set up once per sequence.
+
+    A call solves S (R, Q if given) of decay u in place in columns
+    u*m:(u+1)*m of F-ordered (n + 1, U*m) buffers.  S[k, j] sums
+    exp(-b (t_k - t_l)) over component-(j+1) events l < k in (time, mark)
+    order; row n is the horizon.  Tied events count one another there at
+    lag 0, so event k reads row ``_tie_reads(seq)[k]``, the first of its tie
+    group.  R = -dS/db and Q = d^2S/db^2 weight the same sum by t_k - t_l and
+    its square (so are equal over a tie group); only the decay gradient and
+    Hessian read them.
+
+    With f_k = exp(-b g_k), g_k = t_{k+1} - t_k (the last gap runs to T),
+    S[k+1] = f_k (S[k] + e_{d_k}) is a unit lower-bidiagonal system.  One
+    LAPACK forward substitution (dtbtrs) solves it for all m columns as
+    x_{k+1} = rhs_{k+1} + f_k x_k: a multiply by a factor <= 1 and an add of
+    a nonnegative term per entry, exact to rounding at any b * T.  On equal
+    gaps every f_k carries the same rounding, so the relative error adds up
+    coherently to about n u (u = 2^-53): 1.1e-11 at n = 10^6.  R[k+1] =
+    f_k R[k] + g_k S[k+1] and Q[k+1] = f_k Q[k] + g_k (f_k R[k] + R[k+1]) are
+    solves with the same matrix.
+    """
 
     def __init__(self, seq: EventSequence):
         from scipy.linalg import lapack
@@ -135,34 +160,6 @@ class _StateSolver:
                 q[0] = 0.0
                 np.add(r[1:], np.multiply(f, r[:-1], out=q[1:]), out=q[1:])
                 self.solve(np.multiply(q, self.lag, out=q))
-
-
-def _sumexp_event_states(seq: EventSequence, decays, lagged: int = 0):
-    """Exact excitation states for shared decays: yields ``(S, R, Q)`` per decay b.
-
-    S[k, j], shape (n + 1, m), sums exp(-b (t_k - t_l)) over component-(j+1)
-    events l < k in (time, mark) order; row n is the horizon.  Tied events
-    count one another there at lag 0, so event k reads row
-    ``_tie_reads(seq)[k]``, the first of its tie group.  R = -dS/db and
-    Q = d^2S/db^2 weight the same sum by t_k - t_l and its square (so are
-    equal over a tie group); ``lagged`` counts how many of them are solved
-    (else None), as only the decay gradient and Hessian read them.
-
-    With f_k = exp(-b g_k), g_k = t_{k+1} - t_k (the last gap runs to T),
-    S[k+1] = f_k (S[k] + e_{d_k}) is a unit lower-bidiagonal system.  One
-    LAPACK forward substitution (dtbtrs) solves it for all m columns as
-    x_{k+1} = rhs_{k+1} + f_k x_k: a multiply by a factor <= 1 and an add of
-    a nonnegative term per entry, exact to rounding at any b * T.  On equal
-    gaps every f_k carries the same rounding, so the relative error adds up
-    coherently to about n u (u = 2^-53): 1.1e-11 at n = 10^6.  R[k+1] =
-    f_k R[k] + g_k S[k+1] and Q[k+1] = f_k Q[k] + g_k (f_k R[k] + R[k+1]) are
-    solves with the same matrix.  One :class:`_StateSolver` fills fresh arrays.
-    """
-    solve, shape = _StateSolver(seq), (len(seq) + 1, seq.dim)
-    for b in np.asarray(decays, dtype=float):
-        S, R, Q = (np.empty(shape, order="F") if k <= lagged else None for k in range(3))
-        solve([b], S, R, Q)
-        yield S, R, Q
 
 
 def _tie_reads(seq: EventSequence) -> np.ndarray:
@@ -203,27 +200,20 @@ def _horizon_moments(seq: EventSequence, decays, counts=None) -> np.ndarray:
 def intensity_recursive(model: HawkesModel, seq: EventSequence):
     """Intensities lambda_{d_k}(t_k) at every event, in O(n m^2 U).
 
-    Works for any exponential kernel, through the states of its shared-decay
-    form ``kernel.sumexp()`` (:func:`_sumexp_event_states`).  Returns
-    ``(lambdas, end_state)`` where ``end_state[u, j]`` is the excitation
-    state of decay ``u`` of that form decayed to the horizon; ``lambdas``
-    agrees with :func:`intensity_naive` at every event time to rounding,
-    however large decay * horizon is.
+    Returns ``(lambdas, end_state)`` where ``end_state[u, j]`` is the
+    excitation state of decay ``u`` decayed to the horizon (the last row of
+    :class:`_StateSolver`'s S); ``lambdas`` agrees with
+    :func:`intensity_naive` at every event time to rounding, however large
+    decay * horizon is.
     """
-    k = model.kernel.sumexp()
-    if k is None:
-        raise UnsupportedKernelError(
-            "recursive evaluation needs an exponential kernel; "
-            f"got {type(model.kernel).__name__}"
-        )
     _check_pair(model, seq, 1)
-    reads, rows = _tie_reads(seq), seq.marks - 1
+    k, reads, rows = model.kernel, _tie_reads(seq), seq.marks - 1
+    S = np.empty((len(seq) + 1, k.num_decays * seq.dim), order="F")
+    _StateSolver(seq)(k.decays, S)
     excitation = np.zeros(len(seq))
-    end_state = np.empty((k.num_decays, seq.dim))
-    for u, (S, _, _) in enumerate(_sumexp_event_states(seq, k.decays)):
-        excitation += (S @ k.alpha[u].T)[reads, rows]
-        end_state[u] = S[-1]
-    return model.mu[rows] + excitation, end_state
+    for a, S_u in zip(k.alpha, np.hsplit(S, k.num_decays)):
+        excitation += (S_u @ a.T)[reads, rows]
+    return model.mu[rows] + excitation, S[-1].reshape(k.num_decays, seq.dim)
 
 
 def compensator(model: HawkesModel, seq: EventSequence, i: int, t: float) -> float:
@@ -242,22 +232,26 @@ def compensator_quadrature(model: HawkesModel, seq: EventSequence, i: int, t: fl
     """Lambda_i(t) by adaptive quadrature of :func:`intensity_naive`.
 
     Serves as the independent cross-check for the closed forms.  Event times
-    are passed as break points since the intensity jumps there.
+    are passed as break points since the intensity jumps there, and so are
+    points on the decay of each event's spike for fast decays.
     """
     from scipy import integrate
 
     t = _check_pair(model, seq, i, t)
     if t == 0.0:
         return 0.0
-    interior = seq.times[(seq.times > 0.0) & (seq.times < t)]
+    past, decays = seq.times[seq.times < t], model.kernel.decays
+    fast = decays[decays * t > QUAD_FAST_DECAY * (past.size + 1)]
+    spikes = np.add.outer(past, np.outer((1, 8, 64), 1 / fast)).ravel()  # t_k + s / b
+    points = np.r_[past[past > 0.0], spikes[spikes < t]]
     # full_output returns QUADPACK's complaint, if any, instead of warning it.
     value, abserr, _, *trouble = integrate.quad(
         lambda s: intensity_naive(model, seq, i, s),
         0.0,
         t,
         full_output=1,
-        points=interior,
-        limit=max(200, 2 * interior.size + 50),
+        points=points,
+        limit=max(200, 2 * points.size + 50),
         epsabs=QUAD_ABS_TOL,
         epsrel=QUAD_REL_TOL,
     )
@@ -273,23 +267,14 @@ def compensator_quadrature(model: HawkesModel, seq: EventSequence, i: int, t: fl
 def log_likelihood(model: HawkesModel, seq: EventSequence) -> float:
     """Log-likelihood: sum_k ln lambda_{d_k}(t_k) - sum_i Lambda_i(T).
 
-    Uses the O(n) recursive evaluator for any exponential kernel and direct
-    summation otherwise.  Raises
-    :class:`~blockhawkes.errors.LikelihoodUndefinedError` if any event's
-    intensity falls below the 1e-300 floor (surfacing optimizer
+    Uses the O(n) recursive evaluator and the closed-form horizon moments.
+    Raises :class:`~blockhawkes.errors.LikelihoodUndefinedError` if any
+    event's intensity falls below the 1e-300 floor (surfacing optimizer
     pathologies instead of returning -inf).
     """
-    _check_pair(model, seq, 1)
-    kernel = model.kernel.sumexp()
-    if kernel is None:
-        lambdas = np.array(
-            [intensity_naive(model, seq, int(d), float(t)) for t, d in zip(seq.times, seq.marks)]
-        )
-        total_comp = sum(compensator(model, seq, i, seq.horizon) for i in range(1, model.dim + 1))
-    else:
-        lambdas, _ = intensity_recursive(model, seq)
-        excited = np.einsum("uij,uj->", kernel.alpha, _horizon_moments(seq, kernel.decays)[0])
-        total_comp = seq.horizon * model.mu.sum() + excited
+    lambdas, _ = intensity_recursive(model, seq)
+    M = _horizon_moments(seq, model.kernel.decays)[0]
+    total_comp = seq.horizon * model.mu.sum() + np.einsum("uij,uj->", model.kernel.alpha, M)
     if lambdas.size:
         bad = np.nonzero(lambdas < INTENSITY_FLOOR)[0]
         if bad.size:

@@ -15,7 +15,7 @@ class DomainError(HawkesError):
 
 
 class UnsupportedKernelError(HawkesError):
-    """Operation requires a kernel family the given kernel does not belong to."""
+    """The kernel is not a :class:`~blockhawkes.kernels.SumExpKernel`."""
 
 
 class LikelihoodUndefinedError(HawkesError):

@@ -192,7 +192,7 @@ class _Profile:
 
     def design(self, decays: np.ndarray, lagged: bool = True):
         """``(Z, c, RZ, QZ, D, E)``: Z[i], (1 + U*m, n_i), holds ones, then S_u[:, j]
-        of :func:`_sumexp_event_states` at component i's reads in row 1 + u*m + j,
+        of :class:`_StateSolver` at component i's reads in row 1 + u*m + j,
         so (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i] and
         QZ[i] hold R and Q alike if ``lagged`` (else None).  The cost c = (T, Mvec),
         D = -dMvec/db and E = d^2Mvec/db^2 hold :func:`_horizon_moments` (M raveled)."""
@@ -483,13 +483,10 @@ def fit_full(seq: EventSequence, config: FitConfig | None = None) -> FitResult:
 
 def model_to_dict(model: HawkesModel) -> dict:
     """Serialize a sum-of-exponentials model as plain lists."""
-    kernel = model.kernel
-    if not isinstance(kernel, SumExpKernel):
-        raise InvalidInputError("only sum-of-exponentials models serialize to JSON")
     return {
         "mu": model.mu.tolist(),
-        "alpha": kernel.alpha.tolist(),
-        "beta": kernel.decays.tolist(),
+        "alpha": model.kernel.alpha.tolist(),
+        "beta": model.kernel.decays.tolist(),
     }
 
 

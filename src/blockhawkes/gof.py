@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HawkesModel, _check_pair, _integrated_state, _sumexp_event_states, compensator
+from .core import HawkesModel, _check_pair, _integrated_state, _StateSolver
 from .errors import InvalidInputError, UndefinedSlopeError
 from .events import EventSequence, _removed_on_error, write_csv
 
@@ -52,22 +52,19 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     two events yield an empty array (flagged downstream).
     """
     _check_pair(model, seq, 1)
+    kernel, m = model.kernel, model.dim
+    S = np.empty((len(seq) + 1, kernel.num_decays * m), order="F")
+    _StateSolver(seq)(kernel.decays, S)
+    excited = np.zeros((len(seq), m))  # Lambda_i(t_k) - mu_i t_k at [k, i-1]
+    for b, a, S_u in zip(kernel.decays, kernel.alpha, np.hsplit(S, kernel.num_decays)):
+        excited += _integrated_state(seq, b, S_u)[:-1] @ a.T
     out = []
-    kernel = model.kernel.sumexp()
-    if kernel is not None:
-        excited = np.zeros((len(seq), model.dim))  # Lambda_i(t_k) - mu_i t_k at [k, i-1]
-        states = _sumexp_event_states(seq, kernel.decays)
-        for b, a, (S, _, _) in zip(kernel.decays, kernel.alpha, states):
-            excited += _integrated_state(seq, b, S)[:-1] @ a.T
-    for i in range(1, model.dim + 1):
+    for i in range(1, m + 1):
         rows = seq.marks == i
         if rows.sum() < 2:
             out.append(np.empty(0))
             continue
-        if kernel is None:
-            taus = np.array([compensator(model, seq, i, t) for t in seq.times[rows]])
-        else:
-            taus = model.mu[i - 1] * seq.times[rows] + excited[rows, i - 1]
+        taus = model.mu[i - 1] * seq.times[rows] + excited[rows, i - 1]
         out.append(np.diff(taus, prepend=0.0))
     return out
 

@@ -1,29 +1,22 @@
 """Parametric excitation kernels for multivariate Hawkes processes.
 
 A kernel phi_ij(t) gives the boost a past event of component j adds to the
-intensity of component i after a lag of t hours.  Two kernel classes:
+intensity of component i after a lag of t hours.  One kernel family,
+:class:`SumExpKernel`: phi_ij(t) = sum_u alpha^u_ij * exp(-beta^u * t), with
+decays beta^u shared across all (i, j) pairs, whose finite Markov state
+admits O(n) recursive evaluation.  :func:`ExponentialKernel` builds the
+per-pair exponential phi_ij(t) = alpha_ij * exp(-beta_ij * t) as its
+shared-decay form, with one decay per distinct beta.
 
-* :class:`SumExpKernel`        phi_ij(t) = sum_u alpha^u_ij * exp(-beta^u * t),
-  with decays beta^u shared across all (i, j) pairs
-* :class:`PowerLawKernel`      phi_ij(t) = alpha_ij * (c_ij + t)^(-beta_ij),
-  integrable only for beta_ij > 1
-
-:func:`ExponentialKernel` builds the per-pair exponential
-phi_ij(t) = alpha_ij * exp(-beta_ij * t) as its shared-decay form, a
-:class:`SumExpKernel` with one decay per distinct beta.
-
-Each kernel answers ``phi``, its integral ``phi_integral`` over [0, lag],
+The kernel answers ``phi``, its integral ``phi_integral`` over [0, lag] and
 ``draw_lags`` from phi_ij normalised to a density (the simulator's offspring
-lags), and ``sumexp()``: itself for the sum of exponentials, whose finite
-Markov state admits O(n) recursive evaluation, and ``None`` for the power
-law, whose evaluation keeps the event history.
+lags).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -151,9 +144,6 @@ class SumExpKernel:
         """sum_u alpha^u / beta^u."""
         return np.tensordot(1.0 / self.decays, self.alpha, axes=(0, 0))
 
-    def sumexp(self) -> SumExpKernel:
-        return self
-
 
 def ExponentialKernel(alpha, beta) -> SumExpKernel:
     """phi_ij(t) = alpha_ij * exp(-beta_ij * t) with per-pair decays beta > 0,
@@ -166,63 +156,3 @@ def ExponentialKernel(alpha, beta) -> SumExpKernel:
         raise InvalidInputError("beta entries must be > 0")
     decays = np.unique(beta)
     return SumExpKernel(np.where(beta == decays[:, None, None], alpha, 0.0), decays)
-
-
-@dataclass(frozen=True)
-class PowerLawKernel:
-    """Shifted power-law kernel, capturing long-memory excitation.  The three
-    matrices are stored as read-only copies."""
-
-    alpha: np.ndarray  # (m, m), >= 0
-    c: np.ndarray      # (m, m), > 0 (shift, hours)
-    beta: np.ndarray   # (m, m), > 1 (integrability)
-
-    def __post_init__(self):
-        alpha = _as_matrix(self.alpha, "alpha")
-        c = _as_matrix(self.c, "c")
-        beta = _as_matrix(self.beta, "beta")
-        if alpha.shape != c.shape or alpha.shape != beta.shape:
-            raise InvalidInputError("alpha, c, beta must share a shape")
-        if np.any(alpha < 0):
-            raise InvalidInputError("alpha entries must be >= 0")
-        if np.any(c <= 0):
-            raise InvalidInputError("c entries must be > 0")
-        if np.any(beta <= 1):
-            raise InvalidInputError("beta entries must be > 1 for an integrable kernel")
-        set_fields(self, alpha=alpha, c=c, beta=beta)
-
-    @property
-    def dim(self) -> int:
-        return self.alpha.shape[0]
-
-    def phi(self, i: int, j, lags) -> np.ndarray:
-        lags = np.asarray(lags, dtype=float)
-        a = self.alpha[i - 1, j - 1]
-        return a * (self.c[i - 1, j - 1] + lags) ** (-self.beta[i - 1, j - 1])
-
-    def phi_integral(self, i: int, j, lags) -> np.ndarray:
-        """alpha/(beta-1) * (c^(1-beta) - (c + lag)^(1-beta))."""
-        lags = np.asarray(lags, dtype=float)
-        a, c, b = self.alpha[i - 1, j - 1], self.c[i - 1, j - 1], self.beta[i - 1, j - 1]
-        return a / (b - 1.0) * (c ** (1.0 - b) - (c + lags) ** (1.0 - b))
-
-    def draw_lags(self, rng: np.random.Generator, i, j) -> np.ndarray:
-        """One lag per (i, j) pair from phi_ij / ||phi_ij|| (1-based marks, broadcast).
-
-        The inverse CDF at a uniform V, c * ((1 - V)^(-1/(beta - 1)) - 1), in
-        expm1/log1p form so that short lags keep their relative precision.
-        """
-        i, j = np.broadcast_arrays(np.asarray(i) - 1, np.asarray(j) - 1)
-        v = rng.random(i.shape)
-        return self.c[i, j] * np.expm1(-np.log1p(-v) / (self.beta[i, j] - 1.0))
-
-    def norms(self) -> np.ndarray:
-        """alpha * c^(1-beta) / (beta - 1)."""
-        return self.alpha * self.c ** (1.0 - self.beta) / (self.beta - 1.0)
-
-    def sumexp(self) -> None:
-        """No finite Markov state: evaluation keeps the event history."""
-        return None
-
-
-KernelSpec = Union[SumExpKernel, PowerLawKernel]

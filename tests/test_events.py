@@ -12,7 +12,6 @@ from blockhawkes import (
     ExponentialKernel,
     HawkesModel,
     PoissonFit,
-    PowerLawKernel,
     SumExpKernel,
     merge_components,
     read_events_csv,
@@ -108,7 +107,7 @@ def _arrays(obj):
             yield from _arrays(value)
 
 
-_PAIR, _ONES, _TWOS = [[0.5, 0.1], [0.2, 0.3]], np.ones((2, 2)), np.full((2, 2), 2.0)
+_PAIR, _TWOS = [[0.5, 0.1], [0.2, 0.3]], np.full((2, 2), 2.0)
 # Each constructor with one float64 argument x, of the given value, left open.
 OWNERS = {
     "EventSequence.times": (lambda x: EventSequence(x, [1, 2], 3.0, 2), [1.0, 2.0]),
@@ -117,9 +116,6 @@ OWNERS = {
                        [1.0, 2.0]),
     "SumExpKernel.alpha": (lambda x: SumExpKernel(x, [1.0]), [_PAIR]),
     "SumExpKernel.decays": (lambda x: SumExpKernel(np.zeros((2, 1, 1)), x), [1.0, 2.0]),
-    "PowerLawKernel.alpha": (lambda x: PowerLawKernel(x, _ONES, _TWOS), _PAIR),
-    "PowerLawKernel.c": (lambda x: PowerLawKernel(_ONES, x, _TWOS), _PAIR),
-    "PowerLawKernel.beta": (lambda x: PowerLawKernel(_ONES, _ONES, x), [[2.0, 3.0], [4.0, 5.0]]),
     "ExponentialKernel.alpha": (lambda x: ExponentialKernel(x, _TWOS), _PAIR),
     "ExponentialKernel.beta": (lambda x: ExponentialKernel(_PAIR, x), [[1.0, 2.0], [2.0, 1.0]]),
     "ExponentialKernel(a, a)": (lambda x: ExponentialKernel(x, x), _PAIR),

@@ -12,7 +12,6 @@ from blockhawkes import (
     ExponentialKernel,
     FitConfig,
     HawkesModel,
-    PowerLawKernel,
     SimConfig,
     SumExpKernel,
     fit_full,
@@ -806,6 +805,3 @@ class TestSerialization:
     def test_malformed_document_rejected(self):
         with pytest.raises(InvalidInputError):
             model_from_dict({"mu": [1.0]})
-        power_law = HawkesModel([1.0], PowerLawKernel([[0.5]], [[1.0]], [[2.0]]))
-        with pytest.raises(InvalidInputError, match="^only sum-of-exponentials models serialize"):
-            model_to_dict(power_law)

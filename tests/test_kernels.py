@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from blockhawkes import ExponentialKernel, PowerLawKernel, SumExpKernel
+from blockhawkes import ExponentialKernel, SumExpKernel
 from blockhawkes.errors import InvalidInputError
 from blockhawkes.kernels import exp_first_moment, exp_second_moment
 
@@ -54,7 +54,7 @@ class TestExponential:
     def test_builds_the_shared_decay_form(self):
         # Tied betas share one decay; each pair keeps its alpha at its own decay.
         k = ExponentialKernel([[1.0, 2.0], [0.5, 4.0]], [[2.0, 4.0], [2.0, 8.0]])
-        assert isinstance(k, SumExpKernel) and k.sumexp() is k
+        assert isinstance(k, SumExpKernel)
         np.testing.assert_array_equal(k.decays, [2.0, 4.0, 8.0])
         np.testing.assert_array_equal(
             k.alpha, [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 4.0]]]
@@ -120,10 +120,6 @@ class TestSumExp:
         exp_k = ExponentialKernel(alpha, np.full((2, 2), beta))
         np.testing.assert_allclose(sum_k.norms(), exp_k.norms())
 
-    def test_sumexp_form_is_itself(self):
-        k = SumExpKernel(np.array([[[1.0]]]), [2.0])
-        assert k.sumexp() is k
-
     def test_decays_must_increase(self):
         with pytest.raises(InvalidInputError, match="increasing"):
             SumExpKernel(np.zeros((2, 1, 1)), [2.0, 2.0])
@@ -139,33 +135,6 @@ class TestSumExp:
             SumExpKernel(np.zeros((2, 1, 1)), [0.0, 1.0])
 
 
-class TestPowerLaw:
-    def test_phi_values(self):
-        k = PowerLawKernel([[1.5]], [[0.5]], [[2.0]])
-        np.testing.assert_allclose(k.phi(1, 1, 1.0), 1.5 * 1.5**-2.0)
-
-    def test_norms_closed_form(self):
-        # integral of a (c+t)^-b over [0, inf) = a c^(1-b) / (b-1)
-        a, c, b = 2.0, 0.5, 3.0
-        k = PowerLawKernel([[a]], [[c]], [[b]])
-        np.testing.assert_allclose(k.norms(), [[a * c ** (1 - b) / (b - 1)]])
-        # cross-check against numerical quadrature
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda t: a * (c + t) ** -b, 0, np.inf)
-        np.testing.assert_allclose(k.norms()[0, 0], val, rtol=1e-10)
-
-    def test_integrability_enforced(self):
-        with pytest.raises(InvalidInputError, match="> 1"):
-            PowerLawKernel([[1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(InvalidInputError):
-            PowerLawKernel([[1.0]], [[0.0]], [[2.0]])
-        with pytest.raises(InvalidInputError, match="^alpha, c, beta must share a shape$"):
-            PowerLawKernel([[1.0]], np.ones((2, 2)), [[2.0]])
-        with pytest.raises(InvalidInputError, match="^alpha entries must be >= 0$"):
-            PowerLawKernel([[-1.0]], [[1.0]], [[2.0]])
-
-
 class TestDrawLags:
     """Each kernel's lag draws follow phi_ij / ||phi_ij||, pair by pair."""
 
@@ -175,8 +144,6 @@ class TestDrawLags:
             [0.5, 4.0, 30.0],
         ),
         "exponential": ExponentialKernel([[0.3, 0.1], [0.2, 0.4]], [[1.0, 2.0], [1.5, 3.0]]),
-        "power_law": PowerLawKernel([[0.3, 0.2], [0.1, 0.4]], [[1.0, 0.5], [2.0, 1.0]],
-                                    [[2.0, 2.5], [3.0, 1.8]]),
     }
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -206,12 +173,3 @@ class TestDrawLags:
         a = kernel.draw_lags(np.random.default_rng(5), 1, np.array([2, 1]))
         b = kernel.draw_lags(np.random.default_rng(5), 1, np.array([2, 1]))
         np.testing.assert_array_equal(a, b)
-
-    def test_power_law_short_lags_keep_precision(self):
-        # V tiny: the lag is c * V / (beta - 1) to first order, not rounded to 0.
-        class Tiny:
-            def random(self, shape):
-                return np.full(shape, 1e-18)
-
-        k = PowerLawKernel([[1.0]], [[2.0]], [[3.0]])
-        np.testing.assert_allclose(k.draw_lags(Tiny(), 1, np.array([1])), [1e-18], rtol=1e-12)

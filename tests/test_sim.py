@@ -8,7 +8,6 @@ from blockhawkes import (
     EventSequence,
     ExponentialKernel,
     HawkesModel,
-    PowerLawKernel,
     SimConfig,
     SumExpKernel,
     simulate,
@@ -37,12 +36,11 @@ class TestDeterminism:
     @staticmethod
     def pinned_digest(simulator):
         # SHA-256 of the times and marks for fixed seeds, one model per
-        # kernel family; any change to the draws moves it.
+        # kernel constructor; any change to the draws moves it.
         exponential = ExponentialKernel([[0.3, 0.1], [0.0, 0.4]], [[1.0, 2.0], [1.5, 3.0]])
         cases = [
             (HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS)), 20.0, (1, 2)),
             (HawkesModel([0.8, 0.5], exponential), 200.0, (3,)),
-            (HawkesModel([1.0], PowerLawKernel([[0.5]], [[1.0]], [[2.0]])), 100.0, (4,)),
         ]
         digest = hashlib.sha256()
         for model, horizon, seeds in cases:
@@ -55,11 +53,11 @@ class TestDeterminism:
     def test_outputs_pinned(self):
         # Recorded on the branching simulator; the thinning simulator it
         # replaced gave the digest pinned in the next test.
-        expected = "1fe708d74e9511bbd4915aa88ec830d39f4cf3b05bef78185687c8fea86de8fd"
+        expected = "73b70c56303c2822bd334528801721cf212c47a54b340dc37ffc97104cb07f1c"
         assert self.pinned_digest(simulate) == expected
 
     def test_thinning_oracle_is_the_former_simulator(self):
-        expected = "6bcc69568c91460bcd9fa15adeac2e7fe3b15bf61421342e5b95177adb83543e"
+        expected = "223b827b258dadb5803de0cc56613f86d85bdbf3d3e66b8f4696aa20372f23bc"
         assert self.pinned_digest(thinning_simulate) == expected
 
     def test_different_seeds_differ(self):
@@ -116,19 +114,11 @@ class TestLaw:
             counts += simulate(SimConfig(model, 1500.0, seed=seed)).counts()
         np.testing.assert_allclose(counts / (6 * 1500.0), expected, rtol=0.07)
 
-    def test_power_law_kernel_path(self):
-        model = HawkesModel(
-            [1.0], PowerLawKernel([[0.5]], [[1.0]], [[2.0]])
-        )
-        # norm = 0.5 * 1^{-1} / 1 = 0.5 -> stationary rate 2
-        counts = sum(len(simulate(SimConfig(model, 500.0, seed=s))) for s in range(6))
-        assert abs(counts / (6 * 500.0) - 2.0) / 2.0 < 0.1
-
 
 class TestAgainstThinning:
     """Branching and thinning draws agree in law, seed set against seed set.
 
-    For each kernel family: two-sample KS tests on the per-component counts,
+    For each model: two-sample KS tests on the per-component counts,
     on the per-seed KS p-values of the rescaled residuals, and on the
     residuals pooled over seeds.  The pooled residuals are compared with
     the thinning draws' and not with Exp(1): on a 40 h window the censored
@@ -146,11 +136,6 @@ class TestAgainstThinning:
         ),
         "exponential": HawkesModel(
             [0.8, 0.5], ExponentialKernel([[0.3, 0.1], [0.0, 0.4]], [[1.0, 2.0], [1.5, 3.0]])
-        ),
-        "power_law": HawkesModel(
-            [0.6, 0.4],
-            PowerLawKernel([[0.3, 0.2], [0.1, 0.4]], [[1.0, 0.5], [2.0, 1.0]],
-                           [[2.0, 2.5], [3.0, 1.8]]),
         ),
     }
     SEEDS = range(300)

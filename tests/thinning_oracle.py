@@ -2,18 +2,17 @@
 before the branching construction, kept verbatim as an oracle.
 
 It draws a candidate from the current total intensity (a valid dominating
-rate, since every supported kernel is nonincreasing in the lag), accepts it
-with probability lambda(t-)/bound and picks its component from the
-intensities.  Its output on a seed is bitwise what ``simulate`` gave before;
+rate, since the kernel is nonincreasing in the lag), accepts it with
+probability lambda(t-)/bound and picks its component from the intensities.  Its output on a seed is bitwise what ``simulate`` gave before;
 the tests compare the two simulators in law, not draw for draw.
 """
 
 import numpy as np
 
-from blockhawkes.core import HawkesModel, spectral_radius
+from blockhawkes.core import spectral_radius
 from blockhawkes.errors import SimulationTruncatedError, StabilityError
 from blockhawkes.events import EventSequence
-from blockhawkes.kernels import PowerLawKernel, SumExpKernel
+from blockhawkes.kernels import SumExpKernel
 from blockhawkes.sim import SimConfig
 
 
@@ -37,36 +36,6 @@ class _SumExpState:
         self.last_t = t
 
 
-class _PowerLawState:
-    """Power-law excitation has no finite Markov state; keep the history."""
-
-    def __init__(self, kernel: PowerLawKernel, mu: np.ndarray):
-        self.kernel = kernel
-        self.mu = mu
-        self.times: list[float] = []
-        self.marks: list[int] = []
-
-    def intensities_at(self, t: float) -> np.ndarray:
-        lam = self.mu.copy()
-        if self.times:
-            lags = t - np.asarray(self.times)
-            marks = np.asarray(self.marks)
-            for i in range(lam.size):
-                lam[i] += np.sum(self.kernel.phi(i + 1, marks, lags))
-        return lam
-
-    def register(self, t: float, mark: int):
-        self.times.append(t)
-        self.marks.append(mark)
-
-
-def _make_state(model: HawkesModel):
-    kernel = model.kernel.sumexp()
-    if kernel is None:
-        return _PowerLawState(model.kernel, model.mu)
-    return _SumExpState(kernel, model.mu)
-
-
 def thinning_simulate(config: SimConfig) -> EventSequence:
     """Draw one realisation of the model on [0, horizon] by Ogata thinning.
 
@@ -87,7 +56,7 @@ def thinning_simulate(config: SimConfig) -> EventSequence:
             "to simulate a supercritical model anyway"
         )
     rng = np.random.default_rng(int(config.seed))
-    state = _make_state(model)
+    state = _SumExpState(model.kernel, model.mu)
     m = model.dim
     horizon = float(config.horizon)
 
