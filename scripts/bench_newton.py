@@ -37,7 +37,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,18 +147,12 @@ def layer_times(paths: list) -> dict:
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             result = inner(*args, **kwargs)
-            if isinstance(result, types.GeneratorType):  # the parent's states: time every step
-                result = iter(list(result))
             spent[layer] += time.perf_counter() - start
             return result
         setattr(owner, name, wrapper)
 
-    # The state solves are the generator's steps at the parent and the solver's calls here.
-    if hasattr(core, "_StateSolver"):
-        timed(core._StateSolver, "__call__", "states")
-    else:
-        timed(fit, "_sumexp_event_states", "states")
-    for owner, name, layer in ((fit, "_horizon_moments", "moments"), (fit._Profile, "design", "design"),
+    for owner, name, layer in ((core._StateSolver, "__call__", "states"),
+                               (fit, "_horizon_moments", "moments"), (fit._Profile, "design", "design"),
                                (fit, "_newton_component", "newton"), (fit, "_curvature", "curvature"),
                                (fit, "fit_given_decays", "evaluation")):
         timed(owner, name, layer)

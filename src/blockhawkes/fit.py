@@ -24,14 +24,15 @@ results.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HawkesModel, _horizon_moments, _StateSolver, _tie_reads, kernel_norms
-from .errors import DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError
+from .core import (INTENSITY_FLOOR, HawkesModel, _horizon_moments, _StateSolver, _tie_reads,
+                   kernel_norms)
+from .errors import (DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError,
+                     LikelihoodUndefinedError)
 from .events import EventSequence, set_fields
 from .kernels import SumExpKernel
 
@@ -166,9 +167,10 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 
 class _Profile:
     """What no decay changes in fits of ``seq`` at U decays (the empty-component
-    note, bounds, cold starts, read rows, state solver and workspaces), and, as
-    the trust-exact objective over log-decays, each evaluation's record and
-    the failures."""
+    note, bounds, cold starts, read rows, state solver, and every workspace an
+    evaluation writes: S, R, Q, their gathers Z, RZ, QZ and the Newton W per
+    component), and, as the trust-exact objective over log-decays, each
+    evaluation's record and the failures."""
 
     def __init__(self, seq: EventSequence, num_decays: int):
         m, U, counts = seq.dim, num_decays, seq.counts()
@@ -180,31 +182,24 @@ class _Profile:
         self.starts = [np.r_[max(0.5 * n / seq.horizon, MU_FLOOR), self.lower[1:]] for n in counts]
         tie_reads = _tie_reads(seq)
         self.reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
-        self.solve, self.S = _StateSolver(seq), np.empty((len(seq) + 1, U * m), order="F")
-        self.Z = [np.ones((1 + U * m, r.size)) for r in self.reads]
+        self.solve, self.Z = _StateSolver(seq), [np.ones((1 + U * m, r.size)) for r in self.reads]
+        self.S, self.R, self.Q = (np.empty((len(seq) + 1, U * m), order="F") for _ in range(3))
+        self.RZ, self.QZ, self.W = ([np.empty_like(z[k:]) for z in self.Z] for k in (1, 1, 0))
         self.records, self.failures = {}, []
 
-    @functools.cached_property
-    def work(self):
-        """R, Q, their gathers RZ, QZ and the Newton W per component, made on first use."""
-        R, Q = np.empty_like(self.S), np.empty_like(self.S)
-        return R, Q, *([np.empty_like(z[k:]) for z in self.Z] for k in (1, 1, 0))
-
-    def design(self, decays: np.ndarray, lagged: bool = True):
-        """``(Z, c, RZ, QZ, D, E)``: Z[i], (1 + U*m, n_i), holds ones, then S_u[:, j]
-        of :class:`_StateSolver` at component i's reads in row 1 + u*m + j,
-        so (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i] and
-        QZ[i] hold R and Q alike if ``lagged`` (else None).  The cost c = (T, Mvec),
-        D = -dMvec/db and E = d^2Mvec/db^2 hold :func:`_horizon_moments` (M raveled)."""
-        R, Q, RZ, QZ, _ = self.work if lagged else (None,) * 5
-        self.solve(decays, self.S, R, Q)
+    def design(self, decays: np.ndarray):
+        """Solve S, R, Q of :class:`_StateSolver` at ``decays`` into Z, RZ, QZ: Z[i], (1 + U*m,
+        n_i), holds ones, then S_u[:, j] at component i's reads in row 1 + u*m + j, so
+        (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i] and QZ[i] hold R and
+        Q alike.  Returns ``(c, D, E)``: the cost c = (T, Mvec), D = -dMvec/db and E =
+        d^2Mvec/db^2 of :func:`_horizon_moments` (M raveled)."""
+        self.solve(decays, self.S, self.R, self.Q)
         # One take per component and state; reads are in range, and "clip" skips a buffered check.
-        for i, r in enumerate(self.reads):
-            outs = (self.Z[i][1:], RZ[i], QZ[i]) if lagged else (self.Z[i][1:],)
-            for X, out in zip((self.S, R, Q), outs):
+        for r, *outs in zip(self.reads, (z[1:] for z in self.Z), self.RZ, self.QZ):
+            for X, out in zip((self.S, self.R, self.Q), outs):
                 np.take(X.T, r, axis=1, out=out, mode="clip")
         M, D, E = _horizon_moments(self.seq, decays, self.counts)
-        return self.Z, np.r_[self.seq.horizon, M.ravel()], RZ, QZ, D, E
+        return np.r_[self.seq.horizon, M.ravel()], D, E
 
     def __call__(self, x, config: FitConfig):
         """``(fit, -l, -gradient, -Hessian)`` at the log-decays ``x``, any order,
@@ -227,19 +222,25 @@ class _Profile:
 def loglik_and_grad(seq: EventSequence, decays, mu, alpha):
     """Log-likelihood and its analytic gradient at fixed decays.
 
-    ``alpha`` has shape (U, m, m).  Returns ``(l, dl_dmu, dl_dalpha)``; the
-    gradient reuses the same recursion states as the recursive intensity
-    evaluator, so it is exact up to accumulation error.
+    ``alpha`` has shape (U, m, m).  Returns ``(l, dl_dmu, dl_dalpha)`` from the design
+    a fit reads (:meth:`_Profile.design`), exact up to accumulation error.  Invalid
+    parameters raise as in :class:`HawkesModel`, and an event intensity below the
+    1e-300 floor as in :func:`log_likelihood`.
     """
     decays, mu, alpha = (np.asarray(v, dtype=float) for v in (decays, mu, alpha))
     m, U = seq.dim, decays.size
     if mu.shape != (m,) or alpha.shape != (U, m, m):
         raise InvalidInputError("parameter shapes do not match the sequence/decays")
-    Z, c, *_ = _Profile(seq, U).design(decays, lagged=False)
+    HawkesModel(mu, SumExpKernel(alpha, decays))  # checks the values
+    profile = _Profile(seq, U)
+    c = profile.design(decays)[0]
     theta = np.column_stack((mu, alpha.transpose(1, 0, 2).reshape(m, U * m)))
     ll, grad = 0.0, np.empty_like(theta)
-    for i, (z, x) in enumerate(zip(Z, theta)):
+    for i, (z, x) in enumerate(zip(profile.Z, theta)):
         lam = x @ z
+        low = np.flatnonzero(lam < INTENSITY_FLOOR)
+        if low.size:
+            raise LikelihoodUndefinedError(np.flatnonzero(seq.marks == i + 1)[low[0]], lam[low[0]])
         ll += np.log(lam).sum() - c @ x
         grad[i] = z @ (1.0 / lam) - c
     return float(ll), grad[:, 0], grad[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
@@ -305,12 +306,12 @@ def _newton_component(Z, c, lower, x, max_steps, tol, W):
             t *= 0.5
 
 
-def _curvature(Z, RZ, QZ, lam, x, lower, DV, E, work=None):
+def _curvature(Z, RZ, QZ, lam, x, lower, DV, E, work):
     """A component's share of d^2 l / db db^T, (U, U), at its inner optimum x.
 
     With a = alpha[:, i, :] and rho_u = a_u . RZ_u = -dlambda/db_u, l_bb is diag(a .
     (QZ / lambda - E)) - rho diag(lambda^-2) rho^T; B = dl_b/dx is Y rho^T, Y = Z
-    diag(lambda^-2) (formed in ``work`` if given), plus DV = D - V in each decay's block.
+    diag(lambda^-2) (formed in ``work``), plus DV = D - V in each decay's block.
     The free parameters F = {x > lower} follow the decays (implicit function theorem),
     adding B_F^T H_FF^-1 B_F with H = Y Z^T, by a least-squares solve: finite also where
     H_FF is singular (near-collinear decays)."""
@@ -337,9 +338,9 @@ def fit_given_decays(
     iterate, intensities and gradient.  A component with zero events has an
     empty design block, so its solve stops at once with mu on the 1e-10 floor
     and its alpha row at 0, and a :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
-    spectral radius >= 1 gives a :class:`StationarityWarning`.  Given the
-    ``profile`` that :func:`fit_full` passes, it reuses that object's arrays
-    and leaves both warnings to fit_full.  Non-convergence within the budget
+    spectral radius >= 1 gives a :class:`StationarityWarning`.  It refills the
+    design of its own :class:`_Profile` or of the ``profile`` :func:`fit_full` passes
+    (then leaving both warnings to fit_full).  Non-convergence within the budget
     returns the best iterate with ``converged=False`` rather than raising.
     """
     decays = np.asarray(decays, dtype=float)
@@ -356,18 +357,18 @@ def fit_given_decays(
 
     m, U = seq.dim, decays.size
     messages = list(profile.pinned)
-    Z, c, RZ, QZ, D, E = profile.design(decays)
+    c, D, E = profile.design(decays)
     # Row i: theta_i = (mu_i, alpha[:, i, :].ravel()) and dl/dtheta_i.
     # V[u, i, j] sums R_u[:, j] / lambda over component-i events.
     theta, grad, V = np.empty((m, 1 + U * m)), np.empty((m, 1 + U * m)), np.empty((U, m, m))
-    log_lik, steps, hess, W = 0.0, 0, np.zeros((U, U)), profile.work[-1]
-    for i in range(m):
+    log_lik, steps, hess = 0.0, 0, np.zeros((U, U))
+    for i, (z, rz, qz, w) in enumerate(zip(profile.Z, profile.RZ, profile.QZ, profile.W)):
         theta[i], lam, grad[i], taken, reason = _newton_component(
-            Z[i], c, profile.lower, profile.starts[i], config.inner_max_iter,
-            0.1 * config.inner_tol, W[i])
+            z, c, profile.lower, profile.starts[i], config.inner_max_iter,
+            0.1 * config.inner_tol, w)
         log_lik += np.log(lam).sum() - c @ theta[i]
-        V[:, i] = (RZ[i] @ (1.0 / lam)).reshape(U, m)
-        hess += _curvature(Z[i], RZ[i], QZ[i], lam, theta[i], profile.lower, D - V[:, i], E, W[i])
+        V[:, i] = (rz @ (1.0 / lam)).reshape(U, m)
+        hess += _curvature(z, rz, qz, lam, theta[i], profile.lower, D - V[:, i], E, w)
         steps = max(steps, taken)
         if reason is not None:
             messages.append(f"component {i + 1}: inner solve {reason}")

@@ -67,7 +67,8 @@ def simulate(config: SimConfig) -> EventSequence:
         is not set.
     InvalidInputError
         If sum_i mu_i * horizon or a kernel-norm column sum, the mean of a
-        Poisson count, exceeds ``POISSON_MEAN_MAX``.
+        Poisson count, exceeds ``POISSON_MEAN_MAX``, or numpy refuses to
+        allocate a generation's children.
     SimulationTruncatedError
         If the realisation has more than ``max_events`` events.  Its
         ``partial`` holds the first ``max_events`` of them, an exact
@@ -114,7 +115,12 @@ def simulate(config: SimConfig) -> EventSequence:
             early, keep = all_times <= cutoff, times <= cutoff
             events, kept = [(all_times[early], all_marks[early])], early.sum()
             times, marks = times[keep], marks[keep]
-        parent = np.repeat(np.arange(times.size), rng.poisson(type_cum[-1, marks - 1]))
+        children = rng.poisson(type_cum[-1, marks - 1])
+        try:  # numpy refuses a generation past memory or address space before allocating it
+            parent = np.repeat(np.arange(times.size), children)
+        except (MemoryError, ValueError):
+            raise InvalidInputError(f"a generation of {children.sum(dtype=float):.4g} children "
+                                    "is too large to allocate") from None
         cum = type_cum[:, marks[parent] - 1]
         pick = rng.random(parent.size) * cum[-1]
         child_marks = np.sum(cum[:-1] <= pick, axis=0) + 1

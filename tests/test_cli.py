@@ -530,6 +530,22 @@ class TestSimulateCommand:
         assert "numpy's limit" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha, flags", [
+        ([[[0.0, 1e18], [0.0, 0.0]]], []), ([[[1e18]]], ["--allow-unstable"])],
+        ids=["stable", "unstable"])
+    def test_generation_numpy_cannot_allocate_exits_2(self, tmp_path, capsys, alpha, flags):
+        # numpy refuses the generation before it allocates it: one error line, no traceback.
+        model_json = tmp_path / "model.json"
+        write_model_json(model_json, np.ones(len(alpha[0])), alpha, [1.0])
+        out = tmp_path / "o.csv"
+        argv = ["simulate", str(model_json), str(out), "--horizon", "1", "--seed", "1",
+                "--max-events", "10", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: a generation of \de\+18 children is too large to allocate\n",
+                            err), err
+        assert not out.exists()
+
 
 class TestBuildEventsCommand:
     def test_pipeline_produces_trivariate_csv(self, tmp_path):

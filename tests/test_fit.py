@@ -26,7 +26,12 @@ from blockhawkes import (
     simulate,
     spectral_radius,
 )
-from blockhawkes.errors import DegenerateComponentWarning, InvalidInputError, StationarityWarning
+from blockhawkes.errors import (
+    DegenerateComponentWarning,
+    InvalidInputError,
+    LikelihoodUndefinedError,
+    StationarityWarning,
+)
 
 from conftest import (
     BENCH_ALPHA,
@@ -86,6 +91,27 @@ class TestGradient:
         np.testing.assert_allclose(dalpha, [[[1.0 / 1.5 + 1.0 - 23.0]]], rtol=1e-14)
         with pytest.raises(InvalidInputError, match="^parameter shapes do not match"):
             loglik_and_grad(seq, [1.0], [1.0], [[0.5]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu, decay", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (1.0, -1.0),
+                                           (1.0, 0.0), (1.0, np.inf)])
+    def test_invalid_parameters_rejected(self, mu, decay):
+        # These returned -inf, nan or a finite l, where every other public function raises.
+        seq = EventSequence([1.0, 2.0, 4.0], [1, 1, 1], 10.0, 1)
+        with pytest.raises(InvalidInputError):
+            loglik_and_grad(seq, [decay], [mu], [[[0.0]]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_intensity_below_the_floor_raises_as_log_likelihood_does(self):
+        # mu = 1e-310 is a valid rate, but no event intensity reaches the
+        # 1e-300 floor: l came back as -2141.40 with an infinite gradient.
+        seq = EventSequence([1.0, 2.0, 4.0], [1, 1, 1], 10.0, 1)
+        with pytest.raises(LikelihoodUndefinedError) as got:
+            loglik_and_grad(seq, [1.0], [1e-310], [[[0.0]]])
+        with pytest.raises(LikelihoodUndefinedError) as want:
+            log_likelihood(HawkesModel([1e-310], SumExpKernel([[[0.0]]], [1.0])), seq)
+        assert (got.value.event_index, got.value.intensity) == (0, 1e-310)
+        assert str(got.value) == str(want.value)
     def test_matches_central_differences(self):
         rng = np.random.default_rng(41)
         seq = random_sequence(rng, dim=2, n=200, horizon=80.0)
@@ -175,7 +201,7 @@ class TestProfileHessian:
         Z, RZ, QZ = np.vstack([np.ones(50), s, s]), np.vstack([r, r]), np.vstack([q, q])
         x, DV, E = np.array([1.0, 0.3, 0.5]), np.array([[0.2], [0.2]]), np.array([[0.4], [0.4]])
         a, inv = x[1:, None], 1.0 / (x @ Z)
-        got = fit_module._curvature(Z, RZ, QZ, x @ Z, x, np.zeros(3), DV, E)
+        got = fit_module._curvature(Z, RZ, QZ, x @ Z, x, np.zeros(3), DV, E, np.empty_like(Z))
         rho = a * RZ
         B = Z @ (rho * inv**2).T + np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]])
         W = Z * inv
@@ -678,6 +704,7 @@ class TestProfile:
         seq = tie_heavy_sequence()
         config = FitConfig(num_decays=2, decay_init=(0.7, 12.6))
         profile = fit_module._Profile(seq, 2)
+        made = list(arrays(list(vars(profile).values())))
         a, b = np.log([0.7, 12.6]), np.log([0.05, 40.0])
         first = profile(a, config)
         kept = copy.deepcopy(first)
@@ -688,9 +715,11 @@ class TestProfile:
         assert_same_fit(again, first[0])
         for x, y in zip(first[1:], kept[1:]):
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
-        workspaces = list(arrays(list(vars(profile.solve).values()), profile.S, profile.Z,
-                                 profile.work))
-        assert len(workspaces) == 5 + 1 + 3 + 2 + 3 * 3
+        workspaces = list(arrays(list(vars(profile.solve).values()), profile.S, profile.R,
+                                 profile.Q, profile.Z, profile.RZ, profile.QZ, profile.W))
+        assert len(workspaces) == 5 + 3 + 3 * 4
+        # Every workspace an evaluation writes was made with the profile.
+        assert all(any(w is x for x in made) for w in workspaces[5:])
         for record in profile.records.values():
             fit, *rest = record
             for x in arrays(fit.model.mu, fit.model.kernel.alpha, fit.model.kernel.decays,
@@ -698,24 +727,27 @@ class TestProfile:
                             fit.decay_hessian, rest):
                 assert not any(np.shares_memory(x, w) for w in workspaces)
 
-    def test_loglik_and_grad_makes_no_derivative_workspaces(self, monkeypatch):
-        # R, Q, their gathers and the Newton workspaces are made on first use,
-        # and loglik_and_grad never uses them.
-        from blockhawkes import fit as fit_module
-
-        made = []
-
-        class Recorded(fit_module._Profile):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(fit_module, "_Profile", Recorded)
-        seq = tie_heavy_sequence()
-        loglik_and_grad(seq, [0.7, 12.6], [1.0, 1.0, 1.0], np.zeros((2, 3, 3)))
-        assert len(made) == 1 and "work" not in vars(made[0])
-        fit_given_decays(seq, [0.7, 12.6], profile=made[0])
-        assert "work" in vars(made[0])
+    @pytest.mark.parametrize("case", ["published", "ties", "pinned"])
+    def test_loglik_and_grad_is_the_fits_log_likelihood(self, case):
+        # Both read _Profile.design, so they agree bit for bit: the published
+        # parameters over 60 h (10,120 events), the tie-heavy sequence, and a
+        # sample read as dim 3, whose empty component 3 is pinned.
+        if case == "published":
+            model = HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS))
+            seq, decays = simulate(SimConfig(model, 60.0, seed=3)), (1.0, 8.0, 30.0)
+        elif case == "ties":
+            seq, decays = tie_heavy_sequence(), (0.7, 12.6)
+        else:
+            model = random_sumexp_model(np.random.default_rng(7), dim=2, num_decays=2)
+            sim = thinning_simulate(SimConfig(model, 300.0, seed=11))
+            seq, decays = EventSequence(sim.times, sim.marks, sim.horizon, 3), (0.7, 12.6)
+        config = FitConfig(num_decays=len(decays), decay_init=decays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fits = [fit_given_decays(seq, decays, config), fit_full(seq, config)]
+        for fit in fits:
+            got = loglik_and_grad(seq, fit.model.kernel.decays, fit.model.mu, fit.model.kernel.alpha)
+            assert got[0] == fit.log_lik
 
     def test_one_inner_solve_per_profile_evaluation(self, monkeypatch):
         # Tracing wraps the module's fit_given_decays and reads the config as

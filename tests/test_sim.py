@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,20 @@ class TestGuards:
             simulate(SimConfig(huge, 1.0, seed=1))
         with pytest.raises(InvalidInputError, match="numpy's limit"):
             simulate(SimConfig(huge, 1.0, seed=1, allow_unstable=True))
+
+    @pytest.mark.parametrize("alpha, unstable, children", [
+        ([[[0.0, 1e18], [0.0, 0.0]]], False, "1e+18"), ([[[1e18]]], True, "2e+18")],
+        ids=["stable", "unstable"])
+    def test_generation_numpy_cannot_allocate_rejected(self, alpha, unstable, children):
+        # Kernel-norm column sums of 1e18, under POISSON_MEAN_MAX: the first
+        # generation's parent index needs 8e18 or 1.6e19 bytes, which numpy
+        # refuses (MemoryError, ValueError) before it allocates anything.
+        alpha = np.array(alpha)
+        model = HawkesModel(np.ones(alpha.shape[1]), SumExpKernel(alpha, [1.0]))
+        config = SimConfig(model, 1.0, seed=1, max_events=10, allow_unstable=unstable)
+        with pytest.raises(InvalidInputError, match=(
+                f"^a generation of {re.escape(children)} children is too large to allocate$")):
+            simulate(config)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
