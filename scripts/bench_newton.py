@@ -6,12 +6,16 @@ exports of ``perfbench/workloads.py`` for seeds 1-8, six per seed, on the
 ``fit_full`` fits every file with the default config in its own process;
 the processes alternate (parent first on odd rounds), and a file's time is
 the median over the rounds.  ``fit_given_decays`` calls are counted as
-profile evaluations.  Criterion 5's fit (published parameters, 480 h,
-seed 1) is run once per side.  Each side also reports, from fresh processes,
-the per-layer times of one profile evaluation of ``s1_0`` (pcli1/0) at its
-fitted decays (states, gathers, moments, Newton, curvature; the median over
-``EVALUATIONS`` evaluations) and the minor page faults and wall time of the
-six seed-1 fits.
+profile evaluations, and the steps ``_newton_component`` reports as Newton
+steps.  Criterion 5's fit (published parameters, 480 h, seed 1) is run once
+per side.  Each side also reports, from fresh processes, the per-layer times
+of one profile evaluation of ``s1_0`` (pcli1/0) (states, gathers, moments,
+Newton, curvature; the median over at least ``EVALUATIONS`` evaluations) and
+the minor page faults and wall time of the six seed-1 fits.  The timed
+evaluations replay the decays that file's fit evaluates, in order, each
+replay from a fresh ``_Profile``: every evaluation starts its inner solves as
+it does inside the fit (from the continuation state where the checkout keeps
+one), so the Newton layer is timed at the steps a fit takes.
 
     python scripts/bench_newton.py --parent PARENT_CHECKOUT --out BENCH_newton.json \
         [--pairs DIR ...]
@@ -66,6 +70,19 @@ def make_files(workdir: Path) -> list:
     return paths
 
 
+def count_newton_steps(fit) -> list:
+    """Wrap ``fit._newton_component`` so that every solve appends its steps to the list returned."""
+    newton, steps = fit._newton_component, []
+
+    def stepped(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        steps.append(result[3])
+        return result
+
+    fit._newton_component = stepped
+    return steps
+
+
 def fit_rows(paths: list, criterion_5: bool) -> dict:
     """Fit every file with the blockhawkes on sys.path; runs in a child process."""
     import warnings
@@ -76,7 +93,7 @@ def fit_rows(paths: list, criterion_5: bool) -> dict:
     from blockhawkes.events import read_events_csv
 
     warnings.simplefilter("ignore")
-    solve, calls = fit.fit_given_decays, []
+    solve, calls, steps = fit.fit_given_decays, [], count_newton_steps(fit)
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -86,6 +103,7 @@ def fit_rows(paths: list, criterion_5: bool) -> dict:
 
     def one(seq):
         calls.clear()
+        steps.clear()
         start = time.perf_counter()
         result = fit.fit_full(seq, FitConfig())
         seconds = time.perf_counter() - start
@@ -96,6 +114,7 @@ def fit_rows(paths: list, criterion_5: bool) -> dict:
             "converged": result.converged,
             "max_abs_gradient": float(np.max(np.abs(result.decay_gradient))),
             "evaluations": len(calls),
+            "newton_steps": sum(steps),
             "outer_iterations": result.outer_iterations,
             "messages": list(result.messages),
             "fit_full_s": seconds,
@@ -116,9 +135,9 @@ def fit_rows(paths: list, criterion_5: bool) -> dict:
 
 
 def layer_times(paths: list) -> dict:
-    """Per-layer seconds of one profile evaluation of the first file at its
-    fitted decays, and the faults and time of fitting them all; runs in a
-    child process, so the fits start from a fresh heap."""
+    """Per-layer seconds of one profile evaluation of the first file along its
+    fit's path, and the faults and time of fitting them all; runs in a child
+    process, so the fits start from a fresh heap."""
     import collections
     import resource
     import warnings
@@ -156,14 +175,25 @@ def layer_times(paths: list) -> dict:
                                (fit, "_newton_component", "newton"), (fit, "_curvature", "curvature"),
                                (fit, "fit_given_decays", "evaluation")):
         timed(owner, name, layer)
-    seq, decays = seqs[0], fits[0].model.kernel.decays
-    profile, rows = fit._Profile(seq, decays.size), []
-    for _ in range(EVALUATIONS):
-        spent.clear()
-        fit.fit_given_decays(seq, decays, profile=profile)
-        rows.append(dict(spent, gathers=spent["design"] - spent["states"] - spent["moments"]))
-    out["evaluation"] = {"file": Path(paths[0]).name, "decays": decays.tolist(),
-                         "evaluations": EVALUATIONS}
+    seq, config, solve, path = seqs[0], fit.FitConfig(), fit.fit_given_decays, []
+
+    def recorded(seq, decays, *args, **kwargs):
+        result = solve(seq, decays, *args, **kwargs)
+        path.append(decays)  # the decays of each successful evaluation, in order
+        return result
+
+    fit.fit_given_decays = recorded
+    fit.fit_full(seq, config)
+    fit.fit_given_decays, steps, rows = solve, count_newton_steps(fit), []
+    for _ in range(-(-EVALUATIONS // len(path))):
+        profile = fit._Profile(seq, config.num_decays)
+        steps.clear()
+        for decays in path:
+            spent.clear()
+            fit.fit_given_decays(seq, decays, config, profile=profile)
+            rows.append(dict(spent, gathers=spent["design"] - spent["states"] - spent["moments"]))
+    out["evaluation"] = {"file": Path(paths[0]).name, "path_evaluations": len(path),
+                         "newton_steps_per_path": sum(steps), "evaluations": len(rows)}
     for layer in ("evaluation", "states", "gathers", "moments", "newton", "curvature"):
         out["evaluation"][f"{layer}_ms"] = 1e3 * float(np.median([r[layer] for r in rows]))
     return out
@@ -191,7 +221,7 @@ def combine(sides: dict) -> dict:
         for side, runs in sides.items():
             r = first[side][name]
             for key in ("log_lik", "decays", "converged", "max_abs_gradient", "evaluations",
-                        "outer_iterations", "messages"):
+                        "newton_steps", "outer_iterations", "messages"):
                 row[f"{side}_{key}"] = r[key]
             row[f"{side}_fit_full_s"] = float(np.median([run["files"][name]["fit_full_s"]
                                                          for run in runs]))
@@ -202,6 +232,7 @@ def combine(sides: dict) -> dict:
     for side in sides:
         totals[side] = {
             "evaluations": sum(r[f"{side}_evaluations"] for r in files.values()),
+            "newton_steps": sum(r[f"{side}_newton_steps"] for r in files.values()),
             "outer_iterations": sum(r[f"{side}_outer_iterations"] for r in files.values()),
             "fit_full_s": sum(r[f"{side}_fit_full_s"] for r in files.values()),
             "converged": sum(r[f"{side}_converged"] for r in files.values()),
@@ -297,11 +328,13 @@ def main(argv=None) -> int:
                  "(seeds 1-8, six exports each, 1416 h window), parent against change, "
                  "one process per side and round, alternating which side runs first; "
                  "fit_full_s is the median over rounds.  Evaluations count "
-                 "fit_given_decays calls.  perfbench_pairs summarizes alternating "
+                 "fit_given_decays calls, and newton_steps the steps "
+                 "_newton_component takes.  perfbench_pairs summarizes alternating "
                  "perfbench/run.py --seconds 40 runs of both sides (odd pairs: parent "
                  "first), one entry per workload, seed and trace setting.  in_process "
                  "holds, per side, the medians over rounds of one evaluation's layer "
-                 "times (s1_0 at its fitted decays) and of the six seed-1 fits' time "
+                 "times (s1_0 along its fit's path, replayed from a fresh profile, so "
+                 "each evaluation starts as inside the fit) and of the six seed-1 fits' time "
                  "and minor page faults in a fresh process."),
         "command": " ".join(["python scripts/bench_newton.py --parent PARENT_CHECKOUT",
                              f"--out {args.out.name}", *(["--pairs DIR ..."] * bool(args.pairs))]),

@@ -2,24 +2,22 @@
 
 The estimation is split into two nested problems:
 
-* **inner** -- with the shared decays held fixed, the log-likelihood
-  splits into one concave problem per component i,
-  ``sum_k log(mu_i + X_i[k] . a_i) - mu_i T - a_i . M`` in
-  ``(mu_i, a_i = alpha[:, i, :])`` with 1 + U*m parameters.  Each is
-  solved by a projected Newton method on its exact Hessian
-  ``Z_i^T diag(lambda^-2) Z_i`` with ``Z_i = [1, X_i]``.  The
-  box-constrained step lands alpha entries exactly on 0, reproducing
-  structural zeros.
-* **outer** -- trust-region Newton (scipy's ``trust-exact``) over the
-  log-decays on the maximized (profile) inner log-likelihood, whose gradient
-  comes free at the inner optimum by the envelope theorem: b_u dl/db_u at
-  fixed (mu, alpha); its Hessian is exact by the implicit function theorem.
-  A decay left with almost no kernel norm is split off the decay whose
-  per-pair terms disagree.
+* **inner** -- with the shared decays held fixed, the log-likelihood splits into one
+  concave problem per component i, ``sum_k log(mu_i + X_i[k] . a_i) - mu_i T - a_i . M``
+  in ``(mu_i, a_i = alpha[:, i, :])`` with 1 + U*m parameters.  Each is solved by a
+  projected Newton method on its exact Hessian ``Z_i^T diag(lambda^-2) Z_i`` with
+  ``Z_i = [1, X_i]``, whose box-constrained step lands alpha entries exactly on 0,
+  reproducing structural zeros.  Within a fit each solve starts from a predictor: the
+  last evaluation's optimum moved along its slope in the log-decays (implicit function
+  theorem), clipped to the bounds.
+* **outer** -- trust-region Newton (scipy's ``trust-exact``) over the log-decays on the
+  maximized (profile) inner log-likelihood, whose gradient comes free at the inner
+  optimum by the envelope theorem: b_u dl/db_u at fixed (mu, alpha); its Hessian is
+  exact by the implicit function theorem.  A decay left with almost no kernel norm is
+  split off the decay whose per-pair terms disagree.
 
-A homogeneous-Poisson baseline fit is provided for model comparison.
-Fitting consumes no randomness: fixed data and config give identical
-results.
+A homogeneous-Poisson baseline fit is provided for model comparison.  Fitting consumes
+no randomness: fixed data and config give identical results, warm starts included.
 """
 
 from __future__ import annotations
@@ -94,8 +92,8 @@ class FitConfig:
 class FitResult:
     """Fitted model plus optimizer diagnostics.
 
-    ``inner_iterations`` is the largest Newton step count over the
-    components (at the returned decays, for :func:`fit_full`): it reaches
+    ``inner_iterations`` is the largest Newton step count over the components
+    (for :func:`fit_full`, warm-started at the returned decays): it reaches
     ``inner_max_iter`` only if a component hit the cap.  ``decay_gradient``
     is the profile gradient dl/d log b_u at the fitted decays, and
     ``pair_gradient[u, i, j]`` its per-pair terms b_u alpha[u,i,j] (D[u,j] -
@@ -166,11 +164,12 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 # ---------------------------------------------------------------------------
 
 class _Profile:
-    """What no decay changes in fits of ``seq`` at U decays (the empty-component
-    note, bounds, cold starts, read rows, state solver, and every workspace an
-    evaluation writes: S, R, Q, their gathers Z, RZ, QZ and the Newton W per
-    component), and, as the trust-exact objective over log-decays, each
-    evaluation's record and the failures."""
+    """What no decay changes in fits of ``seq`` at U decays (the empty-component note, bounds,
+    read rows, state solver, and every workspace an evaluation writes: S, R, Q, their gathers
+    Z, RZ, QZ and the Newton W per component); the continuation state, the last successful
+    evaluation's rows theta = (mu_i, alpha[:, i, :]), slopes dtheta/dx and sorted log-decays
+    x, from which the next starts at max(theta + slope (log b - x), lower) (at first the cold
+    starts); and, as the trust-exact objective over log-decays, each record and the failures."""
 
     def __init__(self, seq: EventSequence, num_decays: int):
         m, U, counts = seq.dim, num_decays, seq.counts()
@@ -179,7 +178,8 @@ class _Profile:
         note = f"components {empty} have no events; mu and alpha rows pinned to floors"
         self.pinned = (note,) if empty else ()
         self.lower = np.r_[MU_FLOOR, np.zeros(U * m)]
-        self.starts = [np.r_[max(0.5 * n / seq.horizon, MU_FLOOR), self.lower[1:]] for n in counts]
+        self.theta = np.c_[np.maximum(0.5 * counts / seq.horizon, MU_FLOOR), np.zeros((m, U * m))]
+        self.slope, self.x = np.zeros((m, 1 + U * m, U)), np.zeros(U)
         tie_reads = _tie_reads(seq)
         self.reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
         self.solve, self.Z = _StateSolver(seq), [np.ones((1 + U * m, r.size)) for r in self.reads]
@@ -307,23 +307,24 @@ def _newton_component(Z, c, lower, x, max_steps, tol, W):
 
 
 def _curvature(Z, RZ, QZ, lam, x, lower, DV, E, work):
-    """A component's share of d^2 l / db db^T, (U, U), at its inner optimum x.
+    """A component's share of d^2 l / db db^T, (U, U), at its inner optimum x, and dx/db.
 
     With a = alpha[:, i, :] and rho_u = a_u . RZ_u = -dlambda/db_u, l_bb is diag(a .
     (QZ / lambda - E)) - rho diag(lambda^-2) rho^T; B = dl_b/dx is Y rho^T, Y = Z
     diag(lambda^-2) (formed in ``work``), plus DV = D - V in each decay's block.
     The free parameters F = {x > lower} follow the decays (implicit function theorem),
     adding B_F^T H_FF^-1 B_F with H = Y Z^T, by a least-squares solve: finite also where
-    H_FF is singular (near-collinear decays)."""
+    H_FF is singular (near-collinear decays).  It is dx_F/db, returned as (1 + U*m, U) dx/db."""
     (U, m), inv = DV.shape, 1.0 / lam
     a, inv2 = x[1:].reshape(U, m), inv * inv
     rho = np.einsum("uj,ujk->uk", a, RZ.reshape(U, m, -1))
     Y = np.multiply(Z, inv2, out=work)
     B = Y @ rho.T
     B[1:].reshape(U, m, U)[np.arange(U), :, np.arange(U)] += DV  # rows of decay u, column u
-    free = x > lower
+    free, slope = x > lower, np.zeros((x.size, U))
     l_bb = np.diag(np.sum(a * ((QZ @ inv).reshape(U, m) - E), axis=1)) - (rho * inv2) @ rho.T
-    return l_bb + B[free].T @ np.linalg.lstsq((Y @ Z.T)[np.ix_(free, free)], B[free], rcond=None)[0]
+    slope[free] = np.linalg.lstsq((Y @ Z.T)[np.ix_(free, free)], B[free], rcond=None)[0]
+    return l_bb + B[free].T @ slope[free], slope
 
 
 def fit_given_decays(
@@ -331,13 +332,15 @@ def fit_given_decays(
 ) -> FitResult:
     """Maximize the log-likelihood over (mu, alpha) with decays held fixed.
 
-    One loop solves each component by :func:`_newton_component`, cold-started
-    at mu = 0.5 n_i / T, alpha = 0, to a projected gradient of at most
-    ``0.1 * inner_tol * (1 + |l_i|)``; l, the verdict and the decay gradient
-    with its per-pair terms and the decay Hessian come from each solve's last
-    iterate, intensities and gradient.  A component with zero events has an
-    empty design block, so its solve stops at once with mu on the 1e-10 floor
-    and its alpha row at 0, and a :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
+    One loop solves each component by :func:`_newton_component` from the profile's
+    predictor (its last successful fit moved along the slope dtheta/d log b to these
+    decays, clipped to the bounds; a fresh profile, as without ``profile``, starts cold
+    at mu = 0.5 n_i / T, alpha = 0) to a projected gradient of at most ``0.1 *
+    inner_tol * (1 + |l_i|)``; l, the verdict and the decay gradient with its per-pair
+    terms and the decay Hessian come from each solve's last iterate, intensities and
+    gradient.  A component with zero events has an empty design block, so its solve
+    stops at once with mu on the 1e-10 floor and its alpha row at 0, and a
+    :class:`DegenerateComponentWarning` names it.  A fitted kernel-norm
     spectral radius >= 1 gives a :class:`StationarityWarning`.  It refills the
     design of its own :class:`_Profile` or of the ``profile`` :func:`fit_full` passes
     (then leaving both warnings to fit_full).  Non-convergence within the budget
@@ -361,14 +364,14 @@ def fit_given_decays(
     # Row i: theta_i = (mu_i, alpha[:, i, :].ravel()) and dl/dtheta_i.
     # V[u, i, j] sums R_u[:, j] / lambda over component-i events.
     theta, grad, V = np.empty((m, 1 + U * m)), np.empty((m, 1 + U * m)), np.empty((U, m, m))
-    log_lik, steps, hess = 0.0, 0, np.zeros((U, U))
+    log_lik, steps, hess, slope = 0.0, 0, np.empty((m, U, U)), np.empty((m, 1 + U * m, U))
+    starts = np.maximum(profile.theta + profile.slope @ (np.log(decays) - profile.x), profile.lower)
     for i, (z, rz, qz, w) in enumerate(zip(profile.Z, profile.RZ, profile.QZ, profile.W)):
         theta[i], lam, grad[i], taken, reason = _newton_component(
-            z, c, profile.lower, profile.starts[i], config.inner_max_iter,
-            0.1 * config.inner_tol, w)
+            z, c, profile.lower, starts[i], config.inner_max_iter, 0.1 * config.inner_tol, w)
         log_lik += np.log(lam).sum() - c @ theta[i]
         V[:, i] = (rz @ (1.0 / lam)).reshape(U, m)
-        hess += _curvature(z, rz, qz, lam, theta[i], profile.lower, D - V[:, i], E, w)
+        hess[i], slope[i] = _curvature(z, rz, qz, lam, theta[i], profile.lower, D - V[:, i], E, w)
         steps = max(steps, taken)
         if reason is not None:
             messages.append(f"component {i + 1}: inner solve {reason}")
@@ -378,6 +381,7 @@ def fit_given_decays(
     converged = bool(worst <= config.inner_tol * (1.0 + abs(log_lik)))
     alpha = theta[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
     model = HawkesModel(theta[:, 0], SumExpKernel(alpha, decays))
+    profile.theta, profile.slope, profile.x = theta, slope * decays, np.log(decays)  # b d/db = d/dx
     # Envelope gradient at fixed (mu, alpha), per pair: alpha[u,i,j] (D[u,j] - V[u,i,j]), times b_u.
     pairs = alpha * (D[:, None, :] - V)
     gradient = decays * np.sum(pairs, axis=(1, 2))
@@ -392,7 +396,7 @@ def fit_given_decays(
         decay_gradient=gradient,
         pair_gradient=decays[:, None, None] * pairs,
         # In log-decays: d^2 l / dx_u dx_v = b_u b_v l_bb + delta_uv b_u l_b.
-        decay_hessian=np.outer(decays, decays) * hess + np.diag(gradient),
+        decay_hessian=np.outer(decays, decays) * hess.sum(axis=0) + np.diag(gradient),
         messages=tuple(messages),
     )
 

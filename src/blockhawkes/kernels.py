@@ -38,9 +38,10 @@ def exp_integral(b, lags) -> np.ndarray:
     return -np.expm1(-b * lags) / b
 
 
-def _series(k: int, terms: int) -> list:
+def _series(k: int, terms: int) -> np.ndarray:
     """Taylor coefficients of (k + 1) int_0^1 t^k exp(-x t) dt in x, highest first."""
-    return [(k + 1) * (-1) ** j / (math.factorial(j) * (j + k + 1)) for j in reversed(range(terms))]
+    return np.array([(k + 1) * (-1) ** j / (math.factorial(j) * (j + k + 1))
+                     for j in reversed(range(terms))])
 
 
 # Per moment k: the series (and how many terms reach rounding) up to x = cut;
@@ -49,18 +50,17 @@ _MOMENTS = {1: (0.5, 40.0, _series(1, 16)), 2: (2.0, 50.0, _series(2, 25))}
 
 
 def _exp_moment(k: int, b, lags) -> np.ndarray:
-    """Integral of s^k exp(-b s) over [0, lag], k! / b^(k+1) times
-    1 - exp(-x) sum_{i<=k} x^i / i! with x = b * lag.  A series serves small
-    x, where that form cancels, so it is lag^(k+1) / (k+1) as b goes to 0;
-    at large x the bracket is 1 to rounding, and skipping it skips a slow
-    underflowing exp."""
+    """Integral of s^k exp(-b s) over [0, lag], k! / b^(k+1) times 1 - exp(-x) sum_{i<=k}
+    x^i / i! with x = b * lag.  A series, one product with the powers of x, serves small x,
+    where that form cancels, so it is lag^(k+1) / (k+1) as b goes to 0; at large x the
+    bracket is 1 to rounding, and skipping it skips a slow underflowing exp."""
     cut, skip, series = _MOMENTS[k]
     x = np.asarray(b * lags, dtype=float)
     moment = np.array(np.broadcast_to(math.factorial(k) / np.power(b, k + 1.0), x.shape))
     small = x <= cut
     mid = (x <= skip) & ~small
     near = np.broadcast_to(lags, x.shape)[small]
-    moment[small] = near ** (k + 1) * np.polyval(series, x[small]) / (k + 1)
+    moment[small] = near ** (k + 1) * (np.vander(x[small], series.size) @ series) / (k + 1)
     xm = x[mid]
     tail = [1.0 / math.factorial(i) for i in range(k, 0, -1)] + [0.0]
     moment[mid] *= -np.expm1(-xm) - np.exp(-xm) * np.polyval(tail, xm)
