@@ -13,9 +13,10 @@ Conventions
 
 Every kernel is a sum of exponentials, with the O(n) state recursion of
 Ozaki (1979): a unit lower-bidiagonal system per shared decay, which
-:class:`_StateSolver` solves by LAPACK forward substitution.  Callers take
-only what they read: the states, their time integrals (residuals) or decay
-derivatives (fit).
+:class:`_StateSolver` solves by LAPACK forward substitution.  It also holds
+the row each event reads and integrates the states over time, so callers take
+only what they read: the states at the reads, their time integrals
+(residuals) or decay derivatives (fit).
 
 All functions are pure: they never mutate their inputs and hold no module
 state.  A :class:`_StateSolver` and the buffers it writes belong to one fit.
@@ -121,10 +122,10 @@ class _StateSolver:
     u*m:(u+1)*m of F-ordered (n + 1, U*m) buffers.  S[k, j] sums
     exp(-b (t_k - t_l)) over component-(j+1) events l < k in (time, mark)
     order; row n is the horizon.  Tied events count one another there at
-    lag 0, so event k reads row ``_tie_reads(seq)[k]``, the first of its tie
-    group.  R = -dS/db and Q = d^2S/db^2 weight the same sum by t_k - t_l and
-    its square (so are equal over a tie group); only the decay gradient and
-    Hessian read them.
+    lag 0, so event k reads row ``reads[k]``, the first of its tie group.
+    R = -dS/db and Q = d^2S/db^2 weight the same sum by t_k - t_l and its
+    square (so are equal over a tie group); only the decay gradient and
+    Hessian read them, and only the residuals read :meth:`integral`.
 
     With f_k = exp(-b g_k), g_k = t_{k+1} - t_k (the last gap runs to T),
     S[k+1] = f_k (S[k] + e_{d_k}) is a unit lower-bidiagonal system.  One
@@ -141,6 +142,7 @@ class _StateSolver:
         from scipy.linalg import lapack
 
         n, self.m, self.gaps = len(seq), seq.dim, np.diff(seq.times, append=seq.horizon)[:, None]
+        self.reads = np.maximum.accumulate(np.arange(n) * np.r_[1, self.gaps[:-1, 0] != 0.0])
         self.jumps = np.asfortranarray(np.eye(seq.dim)[seq.marks - 1])  # S's rhs is f_k e_{d_k}
         self.ab = np.ones((2, n + 1), order="F")  # band storage; the unit diagonal is not read
         self.lag, self.f = np.r_[[[0.0]], self.gaps], np.empty_like(self.gaps)  # R's rhs: g_k S[k+1]
@@ -161,23 +163,12 @@ class _StateSolver:
                 np.add(r[1:], np.multiply(f, r[:-1], out=q[1:]), out=q[1:])
                 self.solve(np.multiply(q, self.lag, out=q))
 
-
-def _tie_reads(seq: EventSequence) -> np.ndarray:
-    """Row of the states each event reads: the first event of its tie group."""
-    first = np.arange(len(seq))
-    first[1:][np.diff(seq.times) == 0.0] = 0
-    return np.maximum.accumulate(first)
-
-
-def _integrated_state(seq: EventSequence, decay: float, S: np.ndarray) -> np.ndarray:
-    """The integral over [0, t_k] of the states S of ``decay``, at each row of
-    S: one cumulative sum of exp_integral(b, g_k) (S[k] + e_{d_k})."""
-    I = np.zeros_like(S)
-    I[1:] = S[:-1]
-    I[np.arange(1, len(seq) + 1), seq.marks - 1] += 1.0
-    I[1:] *= exp_integral(decay, np.diff(seq.times, append=seq.horizon))[:, None]
-    np.cumsum(I[1:], axis=0, out=I[1:])
-    return I
+    def integral(self, decay, S):
+        """The integral over [0, t_k] of the states S of ``decay`` at each row k of S: a
+        cumulative sum of exp_integral(b, g_k) (S[k] + e_{d_k}) after a zero first row."""
+        I = np.zeros_like(S)
+        np.multiply(np.add(S[:-1], self.jumps, out=I[1:]), exp_integral(decay, self.gaps), out=I[1:])
+        return np.cumsum(I, axis=0, out=I)
 
 
 def _horizon_moments(seq: EventSequence, decays, counts=None) -> np.ndarray:
@@ -207,12 +198,12 @@ def intensity_recursive(model: HawkesModel, seq: EventSequence):
     decay * horizon is.
     """
     _check_pair(model, seq, 1)
-    k, reads, rows = model.kernel, _tie_reads(seq), seq.marks - 1
+    k, rows, solve = model.kernel, seq.marks - 1, _StateSolver(seq)
     S = np.empty((len(seq) + 1, k.num_decays * seq.dim), order="F")
-    _StateSolver(seq)(k.decays, S)
+    solve(k.decays, S)
     excitation = np.zeros(len(seq))
     for a, S_u in zip(k.alpha, np.hsplit(S, k.num_decays)):
-        excitation += (S_u @ a.T)[reads, rows]
+        excitation += (S_u @ a.T)[solve.reads, rows]
     return model.mu[rows] + excitation, S[-1].reshape(k.num_decays, seq.dim)
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (INTENSITY_FLOOR, HawkesModel, _horizon_moments, _StateSolver, _tie_reads,
-                   kernel_norms)
+from .core import INTENSITY_FLOOR, HawkesModel, _horizon_moments, _StateSolver, kernel_norms
 from .errors import (DegenerateComponentWarning, FittingError, HawkesError, InvalidInputError,
                      LikelihoodUndefinedError)
 from .events import EventSequence, set_fields
@@ -180,9 +179,9 @@ class _Profile:
         self.lower = np.r_[MU_FLOOR, np.zeros(U * m)]
         self.theta = np.c_[np.maximum(0.5 * counts / seq.horizon, MU_FLOOR), np.zeros((m, U * m))]
         self.slope, self.x = np.zeros((m, 1 + U * m, U)), np.zeros(U)
-        tie_reads = _tie_reads(seq)
-        self.reads = [tie_reads[seq.marks == i + 1] for i in range(m)]
-        self.solve, self.Z = _StateSolver(seq), [np.ones((1 + U * m, r.size)) for r in self.reads]
+        self.solve = _StateSolver(seq)
+        self.reads = [self.solve.reads[seq.marks == i + 1] for i in range(m)]
+        self.Z = [np.ones((1 + U * m, r.size)) for r in self.reads]
         self.S, self.R, self.Q = (np.empty((len(seq) + 1, U * m), order="F") for _ in range(3))
         self.RZ, self.QZ, self.W = ([np.empty_like(z[k:]) for z in self.Z] for k in (1, 1, 0))
         self.records, self.failures = {}, []

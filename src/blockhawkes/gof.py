@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HawkesModel, _check_pair, _integrated_state, _StateSolver
+from .core import HawkesModel, _check_pair, _StateSolver
 from .errors import InvalidInputError, UndefinedSlopeError
 from .events import EventSequence, _removed_on_error, write_csv
 
@@ -52,12 +52,12 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     two events yield an empty array (flagged downstream).
     """
     _check_pair(model, seq, 1)
-    kernel, m = model.kernel, model.dim
+    kernel, m, solve = model.kernel, model.dim, _StateSolver(seq)
     S = np.empty((len(seq) + 1, kernel.num_decays * m), order="F")
-    _StateSolver(seq)(kernel.decays, S)
+    solve(kernel.decays, S)
     excited = np.zeros((len(seq), m))  # Lambda_i(t_k) - mu_i t_k at [k, i-1]
     for b, a, S_u in zip(kernel.decays, kernel.alpha, np.hsplit(S, kernel.num_decays)):
-        excited += _integrated_state(seq, b, S_u)[:-1] @ a.T
+        excited += solve.integral(b, S_u)[:-1] @ a.T
     out = []
     for i in range(1, m + 1):
         rows = seq.marks == i

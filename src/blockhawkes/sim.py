@@ -15,11 +15,13 @@ law as independent counts per type), then the kernel's lag draws.  Past
 ``max_events + 1`` immigrants, only the first ``max_events + 1`` in time
 order are drawn.  One PCG64 generator seeded from the config is consumed in
 that order, so equal configs give bitwise-equal output.  For independent
-replicates, pass distinct seeds, e.g. ``SeedSequence(master).spawn(n)``.
+replicates, pass distinct integer seeds, e.g. ``int(s.generate_state(1)[0])``
+for each child ``s`` of ``SeedSequence(master).spawn(n)``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +53,13 @@ class SimConfig:
     def __post_init__(self):
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise InvalidInputError(f"horizon must be positive, got {self.horizon}")
-        if self.max_events < 1:
+        try:  # numpy integers pass; floats are not truncated
+            seed, max_events = operator.index(self.seed), operator.index(self.max_events)
+        except TypeError as exc:
+            raise InvalidInputError(f"seed and max_events must be integers: {exc}") from exc
+        if max_events < 1:
             raise InvalidInputError("max_events must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= seed < 2**64:
             raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
 
 

@@ -295,3 +295,22 @@ class TestGuards:
             SimConfig(poisson_model(), horizon=1.0, seed=1, max_events=0)
         with pytest.raises(InvalidInputError):
             SimConfig(poisson_model(), horizon=1.0, seed=-1)
+
+    @pytest.mark.parametrize("fields", [
+        {"seed": 1, "max_events": 2.5},
+        {"seed": 1.7},
+        {"seed": np.random.SeedSequence(5).spawn(1)[0]},
+    ], ids=["fractional-max-events", "fractional-seed", "seed-sequence"])
+    def test_integer_fields_reject_non_integers(self, fields):
+        # Neither field is truncated: a float or a SeedSequence is a typed error.
+        with pytest.raises(InvalidInputError, match="^seed and max_events must be integers: "):
+            SimConfig(poisson_model(), 10.0, **fields)
+
+    def test_numpy_integer_fields_and_spawned_seeds(self):
+        # The module docstring's replicate seeds: one integer per spawned child.
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(5).spawn(2)]
+        model = poisson_model(mu=3.0)
+        a = simulate(SimConfig(model, 50.0, seed=np.uint64(seeds[0]), max_events=np.int64(10**4)))
+        b = simulate(SimConfig(model, 50.0, seed=seeds[0], max_events=10**4))
+        np.testing.assert_array_equal(a.times, b.times)
+        assert not np.array_equal(simulate(SimConfig(model, 50.0, seed=seeds[1])).times, a.times)
