@@ -13,8 +13,9 @@ Conventions
 
 Every kernel is a sum of exponentials, with the O(n) state recursion of
 Ozaki (1979): a unit lower-bidiagonal system per shared decay, which
-:class:`_StateSolver` solves by LAPACK forward substitution.  It also holds
-the row each event reads and integrates the states over time, so callers take
+:class:`_StateSolver` solves by LAPACK forward substitution into (n + 1, m)
+buffers, one decay per call.  It also holds the row each event reads and
+integrates the states over time, so callers loop over the decays and take
 only what they read: the states at the reads, their time integrals
 (residuals) or decay derivatives (fit).
 
@@ -116,16 +117,16 @@ def intensity_naive(model: HawkesModel, seq: EventSequence, i: int, t: float) ->
 
 
 class _StateSolver:
-    """Exact excitation states for shared decays, set up once per sequence.
+    """Exact excitation states of one decay at a time, set up once per sequence.
 
-    A call solves S (R, Q if given) of decay u in place in columns
-    u*m:(u+1)*m of F-ordered (n + 1, U*m) buffers.  S[k, j] sums
-    exp(-b (t_k - t_l)) over component-(j+1) events l < k in (time, mark)
-    order; row n is the horizon.  Tied events count one another there at
-    lag 0, so event k reads row ``reads[k]``, the first of its tie group.
-    R = -dS/db and Q = d^2S/db^2 weight the same sum by t_k - t_l and its
-    square (so are equal over a tie group); only the decay gradient and
-    Hessian read them, and only the residuals read :meth:`integral`.
+    A call solves S (R, Q if given) of decay b in place in F-ordered (n + 1, m)
+    buffers.  S[k, j] sums exp(-b (t_k - t_l)) over component-(j+1) events
+    l < k in (time, mark) order; row n is the horizon.  Tied events count one
+    another there at lag 0, so event k reads row ``reads[k]``, the first of its
+    tie group.  R = -dS/db and Q = d^2S/db^2 weight the same sum by t_k - t_l
+    and its square (so are equal over a tie group); only the decay gradient and
+    Hessian read them, and only the residuals read :meth:`integral`.  Callers
+    loop over their decays, each reading one decay's states before the next.
 
     With f_k = exp(-b g_k), g_k = t_{k+1} - t_k (the last gap runs to T),
     S[k+1] = f_k (S[k] + e_{d_k}) is a unit lower-bidiagonal system.  One
@@ -141,27 +142,25 @@ class _StateSolver:
     def __init__(self, seq: EventSequence):
         from scipy.linalg import lapack
 
-        n, self.m, self.gaps = len(seq), seq.dim, np.diff(seq.times, append=seq.horizon)[:, None]
+        n, self.gaps = len(seq), np.diff(seq.times, append=seq.horizon)[:, None]
         self.reads = np.maximum.accumulate(np.arange(n) * np.r_[1, self.gaps[:-1, 0] != 0.0])
         self.jumps = np.asfortranarray(np.eye(seq.dim)[seq.marks - 1])  # S's rhs is f_k e_{d_k}
         self.ab = np.ones((2, n + 1), order="F")  # band storage; the unit diagonal is not read
         self.lag, self.f = np.r_[[[0.0]], self.gaps], np.empty_like(self.gaps)  # R's rhs: g_k S[k+1]
         self.solve = functools.partial(lapack.dtbtrs, self.ab, uplo="L", diag="U", overwrite_b=True)
 
-    def __call__(self, decays, S, R=None, Q=None):
-        for u, b in enumerate(decays):
-            s, r, q = (X if X is None else X[:, u * self.m : (u + 1) * self.m] for X in (S, R, Q))
-            f = np.exp(np.multiply(self.gaps, -b, out=self.f), out=self.f)  # 2x a strided exp
-            np.negative(f, out=self.ab[1, :-1, None])  # the band's subdiagonal is -f_k
-            s[0] = 0.0
-            np.multiply(self.jumps, f, out=s[1:])
-            self.solve(s)
-            if r is not None:
-                self.solve(np.multiply(s, self.lag, out=r))
-            if q is not None:  # g_k (f_k R[k] + R[k+1]), built in place: temporaries cost faults
-                q[0] = 0.0
-                np.add(r[1:], np.multiply(f, r[:-1], out=q[1:]), out=q[1:])
-                self.solve(np.multiply(q, self.lag, out=q))
+    def __call__(self, b, S, R=None, Q=None):
+        f = np.exp(np.multiply(self.gaps, -b, out=self.f), out=self.f)  # 2x a strided exp
+        np.negative(f, out=self.ab[1, :-1, None])  # the band's subdiagonal is -f_k
+        S[0] = 0.0
+        np.multiply(self.jumps, f, out=S[1:])
+        self.solve(S)
+        if R is not None:
+            self.solve(np.multiply(S, self.lag, out=R))
+        if Q is not None:  # g_k (f_k R[k] + R[k+1]), built in place: temporaries cost faults
+            Q[0] = 0.0
+            np.add(R[1:], np.multiply(f, R[:-1], out=Q[1:]), out=Q[1:])
+            self.solve(np.multiply(Q, self.lag, out=Q))
 
     def integral(self, decay, S):
         """The integral over [0, t_k] of the states S of ``decay`` at each row k of S: a
@@ -171,16 +170,15 @@ class _StateSolver:
         return np.cumsum(I, axis=0, out=I)
 
 
-def _horizon_moments(seq: EventSequence, decays, counts=None) -> np.ndarray:
+def _horizon_moments(seq: EventSequence, decays) -> np.ndarray:
     """``(M, D, E)``, (U, m) each: exp_integral, exp_first_moment and exp_second_moment of
-    (b_u, T - t_k) summed over component-(j+1) events k, given ``seq.counts()`` if held.  Past
-    b (T - t_k) = 50 each is its limit 1/b, 1/b^2 or 2/b^3 (at lag inf), counted, not summed."""
+    (b_u, T - t_k) summed over component-(j+1) events k.  Past b (T - t_k) = 50 each is its
+    limit 1/b, 1/b^2 or 2/b^3 (at lag inf), counted, not summed."""
     decays, (n, m) = np.asarray(decays, dtype=float), (len(seq), seq.dim)
     U, starts = decays.size, np.searchsorted(seq.times, seq.horizon - 50.0 / decays)
     tail = np.concatenate([np.arange(k, n) for k in starts])
     bins = np.repeat(np.arange(U) * m, n - starts) + seq.marks[tail] - 1  # u m + j, in time order
-    counts = seq.counts() if counts is None else counts
-    head = counts - np.bincount(bins, minlength=U * m).reshape(U, m)
+    head = seq.counts() - np.bincount(bins, minlength=U * m).reshape(U, m)
     b = np.append(np.repeat(decays, n - starts), decays)
     lags = np.append(seq.horizon - seq.times[tail], [np.inf] * U)
     values = [f(b, lags) for f in (exp_integral, exp_first_moment, exp_second_moment)]
@@ -192,19 +190,20 @@ def intensity_recursive(model: HawkesModel, seq: EventSequence):
     """Intensities lambda_{d_k}(t_k) at every event, in O(n m^2 U).
 
     Returns ``(lambdas, end_state)`` where ``end_state[u, j]`` is the
-    excitation state of decay ``u`` decayed to the horizon (the last row of
-    :class:`_StateSolver`'s S); ``lambdas`` agrees with
+    excitation state of decay ``u`` decayed to the horizon (the last row of its
+    :class:`_StateSolver` S); ``lambdas`` agrees with
     :func:`intensity_naive` at every event time to rounding, however large
     decay * horizon is.
     """
     _check_pair(model, seq, 1)
     k, rows, solve = model.kernel, seq.marks - 1, _StateSolver(seq)
-    S = np.empty((len(seq) + 1, k.num_decays * seq.dim), order="F")
-    solve(k.decays, S)
+    S, end_state = np.empty((len(seq) + 1, seq.dim), order="F"), np.empty((k.num_decays, seq.dim))
     excitation = np.zeros(len(seq))
-    for a, S_u in zip(k.alpha, np.hsplit(S, k.num_decays)):
-        excitation += (S_u @ a.T)[solve.reads, rows]
-    return model.mu[rows] + excitation, S[-1].reshape(k.num_decays, seq.dim)
+    for b, a, end in zip(k.decays, k.alpha, end_state):
+        solve(b, S)
+        excitation += (S @ a.T)[solve.reads, rows]
+        end[:] = S[-1]
+    return model.mu[rows] + excitation, end_state
 
 
 def compensator(model: HawkesModel, seq: EventSequence, i: int, t: float) -> float:

@@ -164,16 +164,15 @@ def fit_poisson(seq: EventSequence) -> PoissonFit:
 
 class _Profile:
     """What no decay changes in fits of ``seq`` at U decays (the empty-component note, bounds,
-    read rows, state solver, and every workspace an evaluation writes: S, R, Q, their gathers
-    Z, RZ, QZ and the Newton W per component); the continuation state, the last successful
-    evaluation's rows theta = (mu_i, alpha[:, i, :]), slopes dtheta/dx and sorted log-decays
-    x, from which the next starts at max(theta + slope (log b - x), lower) (at first the cold
-    starts); and, as the trust-exact objective over log-decays, each record and the failures."""
+    read rows, state solver, and every workspace an evaluation writes: one decay's states S, R,
+    Q, (n + 1, m) each, their gathers Z, RZ, QZ of all decays and the Newton W per component);
+    the continuation state, the last successful evaluation's rows theta = (mu_i, alpha[:, i, :]),
+    slopes dtheta/dx and sorted log-decays x, from which the next starts at max(theta + slope
+    (log b - x), lower), cold at first; and, as trust-exact's objective, records and failures."""
 
     def __init__(self, seq: EventSequence, num_decays: int):
         m, U, counts = seq.dim, num_decays, seq.counts()
         empty = [int(i + 1) for i in np.nonzero(counts == 0)[0]]
-        self.seq, self.counts = seq, counts
         note = f"components {empty} have no events; mu and alpha rows pinned to floors"
         self.pinned = (note,) if empty else ()
         self.lower = np.r_[MU_FLOOR, np.zeros(U * m)]
@@ -182,22 +181,24 @@ class _Profile:
         self.solve = _StateSolver(seq)
         self.reads = [self.solve.reads[seq.marks == i + 1] for i in range(m)]
         self.Z = [np.ones((1 + U * m, r.size)) for r in self.reads]
-        self.S, self.R, self.Q = (np.empty((len(seq) + 1, U * m), order="F") for _ in range(3))
+        self.states = [np.empty((len(seq) + 1, m), order="F") for _ in range(3)]  # S, R, Q
         self.RZ, self.QZ, self.W = ([np.empty_like(z[k:]) for z in self.Z] for k in (1, 1, 0))
-        self.records, self.failures = {}, []
+        self.seq, self.records, self.failures = seq, {}, []
 
     def design(self, decays: np.ndarray):
-        """Solve S, R, Q of :class:`_StateSolver` at ``decays`` into Z, RZ, QZ: Z[i], (1 + U*m,
-        n_i), holds ones, then S_u[:, j] at component i's reads in row 1 + u*m + j, so
-        (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity there; RZ[i] and QZ[i] hold R and
-        Q alike.  Returns ``(c, D, E)``: the cost c = (T, Mvec), D = -dMvec/db and E =
-        d^2Mvec/db^2 of :func:`_horizon_moments` (M raveled)."""
-        self.solve(decays, self.S, self.R, self.Q)
-        # One take per component and state; reads are in range, and "clip" skips a buffered check.
-        for r, *outs in zip(self.reads, (z[1:] for z in self.Z), self.RZ, self.QZ):
-            for X, out in zip((self.S, self.R, self.Q), outs):
-                np.take(X.T, r, axis=1, out=out, mode="clip")
-        M, D, E = _horizon_moments(self.seq, decays, self.counts)
+        """Solve S, R, Q of :class:`_StateSolver` at one decay b_u at a time and gather them
+        into Z, RZ, QZ: Z[i], (1 + U*m, n_i), holds ones, then S[:, j] of b_u at component i's
+        reads in row 1 + u*m + j, so (mu_i, alpha[:, i, :].ravel()) @ Z[i] is the intensity
+        there; RZ[i] and QZ[i] hold R and Q alike, in row u*m + j.  Returns ``(c, D, E)``: the
+        cost c = (T, Mvec), D = -dMvec/db and E = d^2Mvec/db^2 of :func:`_horizon_moments`."""
+        m = self.seq.dim
+        for u, b in enumerate(decays):
+            self.solve(b, *self.states)
+            # One take per component and state; reads are in range, "clip" skips a buffered check.
+            for r, *outs in zip(self.reads, (z[1:] for z in self.Z), self.RZ, self.QZ):
+                for X, out in zip(self.states, outs):
+                    np.take(X.T, r, axis=1, out=out[u * m : (u + 1) * m], mode="clip")
+        M, D, E = _horizon_moments(self.seq, decays)
         return np.r_[self.seq.horizon, M.ravel()], D, E
 
     def __call__(self, x, config: FitConfig):

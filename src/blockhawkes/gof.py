@@ -53,11 +53,11 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     """
     _check_pair(model, seq, 1)
     kernel, m, solve = model.kernel, model.dim, _StateSolver(seq)
-    S = np.empty((len(seq) + 1, kernel.num_decays * m), order="F")
-    solve(kernel.decays, S)
+    S = np.empty((len(seq) + 1, m), order="F")
     excited = np.zeros((len(seq), m))  # Lambda_i(t_k) - mu_i t_k at [k, i-1]
-    for b, a, S_u in zip(kernel.decays, kernel.alpha, np.hsplit(S, kernel.num_decays)):
-        excited += solve.integral(b, S_u)[:-1] @ a.T
+    for b, a in zip(kernel.decays, kernel.alpha):
+        solve(b, S)
+        excited += solve.integral(b, S)[:-1] @ a.T
     out = []
     for i in range(1, m + 1):
         rows = seq.marks == i

@@ -183,13 +183,20 @@ class TestIntensityRecursive:
         seq = EventSequence([1.0], [1], 3.0, 1)
         _, end_state = intensity_recursive(model, seq)
         np.testing.assert_allclose(end_state, [[np.exp(-1.5 * 2.0)]])
+        # Two decays and two components: row u holds decay u's states at T.
+        model = HawkesModel([1.0, 1.0], SumExpKernel(np.full((2, 2, 2), 0.3), [0.4, 1.5]))
+        seq = EventSequence([1.0, 2.0, 2.5], [1, 2, 1], 3.0, 2)
+        _, end_state = intensity_recursive(model, seq)
+        lags = {1: np.array([2.0, 0.5]), 2: np.array([1.0])}
+        np.testing.assert_allclose(end_state, [[np.exp(-b * lags[j]).sum() for j in (1, 2)]
+                                               for b in (0.4, 1.5)], rtol=1e-15)
 
 
 def states_as_read(seq, decay):
     """S as each event reads it and at the horizon, R, I and Q at the events."""
     S, R, Q = (np.empty((len(seq) + 1, seq.dim), order="F") for _ in range(3))
     solve = _StateSolver(seq)
-    solve([decay], S, R, Q)
+    solve(decay, S, R, Q)
     return S[solve.reads], S[-1], R[:-1], solve.integral(decay, S)[:-1], Q[:-1]
 
 
@@ -253,24 +260,25 @@ class TestStateRecursion:
         seq = EventSequence(np.arange(n) * gap, np.ones(n, dtype=int), n * gap, 1)
         decay = decay_horizon / seq.horizon
         S = np.empty((n + 1, 1), order="F")
-        _StateSolver(seq)([decay], S)
+        _StateSolver(seq)(decay, S)
         x, k = decay * gap, np.arange(n + 1)
         closed = np.exp(-x) * np.expm1(-k * x) / np.expm1(-x)
         np.testing.assert_allclose(S[:, 0], closed, rtol=1e-10, atol=0)
 
     def test_only_the_decay_gradient_solves_for_r(self):
-        # R (the gradient) and Q (the Hessian) are solved only when given, and
-        # solving them moves neither S nor, for Q, R.
+        # R (the gradient) and Q (the Hessian) of one decay are solved only when
+        # given, and solving them moves neither S nor, for Q, R.
         seq = EventSequence([0.0, 1.0, 1.0, 2.5], [1, 1, 2, 2], 4.0, 2)
-        S, S_1, R_1, S_2, R_2, Q_2 = (np.full((5, 4), np.nan, order="F") for _ in range(6))
         solve = _StateSolver(seq)
-        solve([0.5, 3.0], S)
-        solve([0.5, 3.0], S_1, R_1)
-        solve([0.5, 3.0], S_2, R_2, Q_2)
-        assert not np.isnan(np.c_[S, R_1, Q_2]).any()
-        np.testing.assert_array_equal(S, S_1)
-        np.testing.assert_array_equal(S, S_2)
-        np.testing.assert_array_equal(R_1, R_2)
+        for decay in (0.5, 3.0):
+            S, S_1, R_1, S_2, R_2, Q_2 = (np.full((5, 2), np.nan, order="F") for _ in range(6))
+            solve(decay, S)
+            solve(decay, S_1, R_1)
+            solve(decay, S_2, R_2, Q_2)
+            assert not np.isnan(np.c_[S, R_1, Q_2]).any()
+            np.testing.assert_array_equal(S, S_1)
+            np.testing.assert_array_equal(S, S_2)
+            np.testing.assert_array_equal(R_1, R_2)
 
 
 MOMENTS = (exp_integral, exp_first_moment, exp_second_moment)
@@ -340,7 +348,7 @@ class TestHorizonMoments:
         seq, decay = tied_sequence(rng, dim, n, float(rng.choice([0.25, 0.5, 1.0]))), 10**log_decay
         S = np.empty((len(seq) + 1, dim), order="F")
         solve = _StateSolver(seq)
-        solve([decay], S)
+        solve(decay, S)
         moment = _horizon_moments(seq, [decay])[0, 0]
         np.testing.assert_allclose(solve.integral(decay, S)[-1], moment, rtol=1e-14, atol=0)
 

@@ -813,8 +813,8 @@ class TestProfile:
         assert len(profile.records) == 2
         for x, y in zip(first[1:], kept[1:]):
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
-        workspaces = list(arrays(list(vars(profile.solve).values()), profile.S, profile.R,
-                                 profile.Q, profile.Z, profile.RZ, profile.QZ, profile.W))
+        workspaces = list(arrays(list(vars(profile.solve).values()), profile.states, profile.Z,
+                                 profile.RZ, profile.QZ, profile.W))
         assert len(workspaces) == 6 + 3 + 3 * 4
         # Every workspace an evaluation writes was made with the profile.
         assert all(any(w is x for x in made) for w in workspaces[6:])
@@ -825,6 +825,30 @@ class TestProfile:
                             fit.kernel_norm_matrix, fit.decay_gradient, fit.pair_gradient,
                             fit.decay_hessian, rest):
                 assert not any(np.shares_memory(x, w) for w in workspaces)
+
+    def test_working_set_per_event(self):
+        # Every array a three-decay profile of a trivariate sample holds, the state
+        # solver's included, grows by at most 456 B per event: 72 B of solver
+        # arrays, 72 B for one decay's S, R and Q, 8 B of reads, and the gathers
+        # Z, RZ, QZ and W, (1 + U*m) or U*m rows of 8 B each.  U*m-wide states
+        # would add 144 B more.
+        from blockhawkes import fit as fit_module
+
+        def nbytes(profile):
+            def arrays(obj):
+                if isinstance(obj, np.ndarray):
+                    yield obj
+                elif isinstance(obj, (list, tuple)):
+                    for x in obj:
+                        yield from arrays(x)
+            found = [x for obj in (vars(profile), vars(profile.solve)) for v in obj.values()
+                     for x in arrays(v)]
+            return sum(x.nbytes for x in found)
+
+        model = HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS))
+        seqs = [simulate(SimConfig(model, horizon, seed=1)) for horizon in (10.0, 40.0)]
+        sizes = [nbytes(fit_module._Profile(seq, 3)) for seq in seqs]
+        assert (sizes[1] - sizes[0]) / (len(seqs[1]) - len(seqs[0])) <= 456
 
     def test_failed_evaluation_leaves_the_continuation_state(self, monkeypatch):
         # An evaluation whose last component fails replaces neither theta, the
