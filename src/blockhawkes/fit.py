@@ -94,11 +94,12 @@ class FitResult:
     ``inner_iterations`` is the largest Newton step count over the components
     (for :func:`fit_full`, warm-started at the returned decays): it reaches
     ``inner_max_iter`` only if a component hit the cap.  ``decay_gradient``
-    is the profile gradient dl/d log b_u at the fitted decays, and
-    ``pair_gradient[u, i, j]`` its per-pair terms b_u alpha[u,i,j] (D[u,j] -
-    V[u,i,j]), which sum over (i, j) to it; ``decay_hessian`` is the profile's
-    d^2 l / d log b_u d log b_v there.  ``outer_iterations`` counts trust-region
-    iterations.  ``optimizer_trace`` holds (profile evaluation, best
+    is the profile gradient dl/d log b_u at the fitted decays: the envelope
+    terms ``pair_gradient[u, i, j]`` = b_u alpha[u,i,j] (D[u,j] - V[u,i,j])
+    summed over (i, j), plus the inner solves' last gradient dl/dtheta, not
+    quite 0 where they stop, along dtheta/d log b_u; ``decay_hessian`` is the
+    profile's d^2 l / d log b_u d log b_v there.  ``outer_iterations`` counts
+    trust-region iterations.  ``optimizer_trace`` holds (profile evaluation, best
     log-likelihood so far among the search's iterates) pairs: one,
     ``(1, log_lik)``, for :func:`fit_given_decays`.  ``messages`` names
     pinned components, component solves stopped at the cap or without
@@ -382,9 +383,10 @@ def fit_given_decays(
     alpha = theta[:, 1:].reshape(m, U, m).transpose(1, 0, 2)
     model = HawkesModel(theta[:, 0], SumExpKernel(alpha, decays))
     profile.theta, profile.slope, profile.x = theta, slope * decays, np.log(decays)  # b d/db = d/dx
-    # Envelope gradient at fixed (mu, alpha), per pair: alpha[u,i,j] (D[u,j] - V[u,i,j]), times b_u.
+    # Envelope gradient at fixed (mu, alpha), per pair: alpha[u,i,j] (D[u,j] - V[u,i,j]), times b_u,
+    # plus what the inner solves' last gradients add along their slopes dtheta/db.
     pairs = alpha * (D[:, None, :] - V)
-    gradient = decays * np.sum(pairs, axis=(1, 2))
+    gradient = decays * (np.sum(pairs, axis=(1, 2)) + np.einsum("ipu,ip->u", slope, grad))
     return FitResult(
         model=model,
         log_lik=float(log_lik),
