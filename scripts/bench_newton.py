@@ -18,7 +18,17 @@ it does inside the fit (from the continuation state where the checkout keeps
 one), so the Newton layer is timed at the steps a fit takes.
 
     python scripts/bench_newton.py --parent PARENT_CHECKOUT --out BENCH_newton.json \
-        [--pairs DIR ...]
+        [--pairs DIR ...] [--memory]
+
+With ``--memory``, each side also fits criterion 5's parameters (seed 1) at
+each of ``MEMORY_HORIZONS`` and runs ``time_rescale`` and
+``intensity_recursive`` of those parameters on the same sample, each reader
+in a fresh process per round.  A row holds the reader's peak-RSS rise (the
+peak ``ru_maxrss`` after the call less the resident set before it, the
+sample simulated and the imports loaded), how far the peak already stood
+above that resident set (the simulation's temporaries: a smaller rise would
+read as that), its wall time and the events; fit rows add the profile
+evaluations, trust-region iterations and verdict.
 
 Each ``--pairs`` directory holds the records of alternating
 ``perfbench/run.py`` runs of one workload and seed, copied from
@@ -47,6 +57,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
 HORIZON = 1416.0
 EVALUATIONS = 200
+MEMORY_HORIZONS = (480.0, 1920.0)
+READERS = ("fit_full", "time_rescale", "intensity_recursive")
 
 
 def make_files(workdir: Path) -> list:
@@ -199,15 +211,73 @@ def layer_times(paths: list) -> dict:
     return out
 
 
-def run_side(src: Path, paths: list, criterion_5: bool, layers: bool = False) -> dict:
+def reader_memory(reader: str, horizon: float) -> dict:
+    """Peak-RSS rise, wall time and counts of one reader on criterion 5's sample at
+    ``horizon`` (seed 1); runs in a child process, so the reader starts from a fresh heap."""
+    import resource
+    import warnings
+
+    import numpy as np
+    import scipy.linalg  # noqa: F401  (the readers' lazy imports, kept out of the rise)
+    import scipy.optimize  # noqa: F401
+
+    from blockhawkes import HawkesModel, SimConfig, SumExpKernel, core, fit, gof, simulate
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from conftest import BENCH_ALPHA, BENCH_DECAYS, BENCH_MU
+
+    warnings.simplefilter("ignore")
+    model = HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS))
+    seq = simulate(SimConfig(model, horizon, seed=1))
+    solve, calls = fit.fit_given_decays, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    fit.fit_given_decays = counted
+    call = {"fit_full": lambda: fit.fit_full(seq), "time_rescale": lambda: gof.time_rescale(model, seq),
+            "intensity_recursive": lambda: core.intensity_recursive(model, seq)}[reader]
+    page = os.sysconf("SC_PAGE_SIZE")
+    with open("/proc/self/statm") as statm:
+        before = int(statm.read().split()[1]) * page / 2**20
+    peak_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    start = time.perf_counter()
+    result = call()
+    row = {"reader": reader, "horizon": horizon, "events": len(seq),
+           "wall_s": time.perf_counter() - start,
+           "peak_rss_rise_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 - before,
+           "prior_peak_over_rss_mb": peak_before - before}
+    if reader == "fit_full":
+        row.update(evaluations=len(calls), iterations=result.outer_iterations,
+                   converged=result.converged,
+                   max_abs_gradient=float(np.max(np.abs(result.decay_gradient))))
+    return row
+
+
+def run_side(src: Path, paths: list, criterion_5: bool, layers: bool = False,
+             memory: tuple = ()) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     argv = [sys.executable, __file__, "--child", *map(str, paths)]
     if criterion_5:
         argv.append("--criterion-5")
     if layers:
         argv.append("--layers")
+    if memory:
+        argv += ["--reader", memory[0], "--horizon", str(memory[1])]
     done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
+
+
+def summarize_memory(runs: list) -> dict:
+    """Each rung's first row, with the medians over the rounds of its rise and wall time."""
+    import numpy as np
+
+    out = dict(runs[0])
+    for key in ("peak_rss_rise_mb", "wall_s"):
+        out[key] = float(np.median([r[key] for r in runs]))
+        out[f"{key}_runs"] = [r[key] for r in runs]
+    return out
 
 
 def combine(sides: dict) -> dict:
@@ -299,9 +369,18 @@ def main(argv=None) -> int:
     parser.add_argument("--child", nargs="*", help=argparse.SUPPRESS)
     parser.add_argument("--criterion-5", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--memory", action="store_true",
+                        help="also measure each reader's peak-RSS rise on criterion 5's sample")
+    parser.add_argument("--reader", choices=READERS, help=argparse.SUPPRESS)
+    parser.add_argument("--horizon", type=float, default=MEMORY_HORIZONS[0], help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        rows = layer_times(args.child) if args.layers else fit_rows(args.child, args.criterion_5)
+        if args.reader is not None:
+            rows = reader_memory(args.reader, args.horizon)
+        elif args.layers:
+            rows = layer_times(args.child)
+        else:
+            rows = fit_rows(args.child, args.criterion_5)
         print(json.dumps(rows))
         return 0
     if args.parent is None:
@@ -320,6 +399,13 @@ def main(argv=None) -> int:
         for k in range(args.rounds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 layers[side].append(run_side(srcs[side], seed_1, False, layers=True))
+    memory = {side: {} for side in sides}
+    rungs = [(reader, h) for h in MEMORY_HORIZONS for reader in READERS] if args.memory else []
+    for k in range(args.rounds):
+        for rung in rungs:
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                memory[side].setdefault(f"{rung[0]}@{rung[1]:g}h", []).append(
+                    run_side(srcs[side], [], False, memory=rung))
     import numpy as np
     import scipy
 
@@ -335,9 +421,14 @@ def main(argv=None) -> int:
                  "holds, per side, the medians over rounds of one evaluation's layer "
                  "times (s1_0 along its fit's path, replayed from a fresh profile, so "
                  "each evaluation starts as inside the fit) and of the six seed-1 fits' time "
-                 "and minor page faults in a fresh process."),
+                 "and minor page faults in a fresh process.  memory (with --memory) holds, "
+                 "per side and reader@horizon, criterion 5's sample (seed 1) read by one "
+                 "reader in a fresh process per round: the peak ru_maxrss after the call "
+                 "less the resident set before it (median over rounds), its wall time, and "
+                 "for fit_full the evaluations, iterations and verdict."),
         "command": " ".join(["python scripts/bench_newton.py --parent PARENT_CHECKOUT",
-                             f"--out {args.out.name}", *(["--pairs DIR ..."] * bool(args.pairs))]),
+                             f"--out {args.out.name}", *(["--pairs DIR ..."] * bool(args.pairs)),
+                             *(["--memory"] * args.memory)]),
         "rounds": args.rounds,
         "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
@@ -346,6 +437,9 @@ def main(argv=None) -> int:
         "in_process": {side: summarize_layers(runs) for side, runs in layers.items()},
         "perfbench_pairs": [summarize_pairs(d) for d in args.pairs],
     }
+    if args.memory:
+        record["memory"] = {side: {rung: summarize_memory(runs) for rung, runs in rows.items()}
+                            for side, rows in memory.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["totals"], indent=1))
     print(json.dumps(record["criterion_5"], indent=1))
