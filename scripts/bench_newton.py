@@ -95,6 +95,18 @@ def count_newton_steps(fit) -> list:
     return steps
 
 
+def count_evaluations(fit) -> list:
+    """Wrap ``fit.fit_given_decays``; each profile evaluation appends to the list returned."""
+    solve, calls = fit.fit_given_decays, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    fit.fit_given_decays = counted
+    return calls
+
+
 def fit_rows(paths: list, criterion_5: bool) -> dict:
     """Fit every file with the blockhawkes on sys.path; runs in a child process."""
     import warnings
@@ -105,13 +117,7 @@ def fit_rows(paths: list, criterion_5: bool) -> dict:
     from blockhawkes.events import read_events_csv
 
     warnings.simplefilter("ignore")
-    solve, calls, steps = fit.fit_given_decays, [], count_newton_steps(fit)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    fit.fit_given_decays = counted
+    calls, steps = count_evaluations(fit), count_newton_steps(fit)
 
     def one(seq):
         calls.clear()
@@ -228,15 +234,9 @@ def reader_memory(reader: str, horizon: float) -> dict:
 
     warnings.simplefilter("ignore")
     model = HawkesModel(BENCH_MU, SumExpKernel(BENCH_ALPHA, BENCH_DECAYS))
-    seq = simulate(SimConfig(model, horizon, seed=1))
-    solve, calls = fit.fit_given_decays, []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    fit.fit_given_decays = counted
-    call = {"fit_full": lambda: fit.fit_full(seq), "time_rescale": lambda: gof.time_rescale(model, seq),
+    seq, calls = simulate(SimConfig(model, horizon, seed=1)), count_evaluations(fit)
+    call = {"fit_full": lambda: fit.fit_full(seq),
+            "time_rescale": lambda: gof.time_rescale(model, seq),
             "intensity_recursive": lambda: core.intensity_recursive(model, seq)}[reader]
     page = os.sysconf("SC_PAGE_SIZE")
     with open("/proc/self/statm") as statm:

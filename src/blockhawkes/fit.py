@@ -12,7 +12,8 @@ The estimation is split into two nested problems:
   theorem), clipped to the bounds.
 * **outer** -- trust-region Newton (scipy's ``trust-exact``) over the log-decays on the
   maximized (profile) inner log-likelihood, whose gradient comes free at the inner
-  optimum by the envelope theorem: b_u dl/db_u at fixed (mu, alpha); its Hessian is
+  optimum by the envelope theorem: b_u dl/db_u at fixed (mu, alpha), plus the inner
+  solves' last gradient along dtheta/d log b_u, as they stop short of it; its Hessian is
   exact by the implicit function theorem.  A decay left with almost no kernel norm is
   split off the decay whose per-pair terms disagree.
 
