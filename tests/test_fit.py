@@ -888,8 +888,7 @@ class TestProfile:
         # Every array a three-decay profile of a trivariate sample holds, the state
         # solver's included, grows by at most 456 B per event: 72 B of solver
         # arrays, 72 B for one decay's S, R and Q, 8 B of reads, and the gathers
-        # Z, RZ, QZ and W, (1 + U*m) or U*m rows of 8 B each.  U*m-wide states
-        # would add 144 B more.
+        # Z, RZ, QZ and W, (1 + U*m) or U*m rows of 8 B each.
         from blockhawkes import fit as fit_module
 
         def nbytes(profile):
