@@ -162,10 +162,10 @@ class _StateSolver:
             np.add(R[1:], np.multiply(f, R[:-1], out=Q[1:]), out=Q[1:])
             self.solve(np.multiply(Q, self.lag, out=Q))
 
-    def integral(self, decay, S):
-        """The integral over [0, t_k] of the states S of ``decay`` at each row k of S: a
-        cumulative sum of exp_integral(b, g_k) (S[k] + e_{d_k}) after a zero first row."""
-        I = np.zeros_like(S)
+    def integral(self, decay, S, I):
+        """The integral over [0, t_k] of the states S of ``decay`` at each row k of S, into I
+        (S's shape): a cumulative sum of exp_integral(b, g_k) (S[k] + e_{d_k}) after a zero row."""
+        I[0] = 0.0
         np.multiply(np.add(S[:-1], self.jumps, out=I[1:]), exp_integral(decay, self.gaps), out=I[1:])
         return np.cumsum(I, axis=0, out=I)
 

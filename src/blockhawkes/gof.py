@@ -53,11 +53,11 @@ def time_rescale(model: HawkesModel, seq: EventSequence) -> list:
     """
     _check_pair(model, seq, 1)
     kernel, m, solve = model.kernel, model.dim, _StateSolver(seq)
-    S = np.empty((len(seq) + 1, m), order="F")
+    S, I = (np.empty((len(seq) + 1, m), order="F") for _ in range(2))  # states, integral
     excited = np.zeros((len(seq), m))  # Lambda_i(t_k) - mu_i t_k at [k, i-1]
     for b, a in zip(kernel.decays, kernel.alpha):
         solve(b, S)
-        excited += solve.integral(b, S)[:-1] @ a.T
+        excited += solve.integral(b, S, I)[:-1] @ a.T
     out = []
     for i in range(1, m + 1):
         rows = seq.marks == i

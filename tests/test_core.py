@@ -194,10 +194,10 @@ class TestIntensityRecursive:
 
 def states_as_read(seq, decay):
     """S as each event reads it and at the horizon, R, I and Q at the events."""
-    S, R, Q = (np.empty((len(seq) + 1, seq.dim), order="F") for _ in range(3))
+    S, R, Q, I = (np.empty((len(seq) + 1, seq.dim), order="F") for _ in range(4))
     solve = _StateSolver(seq)
     solve(decay, S, R, Q)
-    return S[solve.reads], S[-1], R[:-1], solve.integral(decay, S)[:-1], Q[:-1]
+    return S[solve.reads], S[-1], R[:-1], solve.integral(decay, S, I)[:-1], Q[:-1]
 
 
 def fsum_states(seq, decay, columns):
@@ -346,11 +346,11 @@ class TestHorizonMoments:
         # Measured worst over 3,000 draws of these sizes: 2.4e-15 relative.
         rng = np.random.default_rng(seed)
         seq, decay = tied_sequence(rng, dim, n, float(rng.choice([0.25, 0.5, 1.0]))), 10**log_decay
-        S = np.empty((len(seq) + 1, dim), order="F")
+        S, I = (np.empty((len(seq) + 1, dim), order="F") for _ in range(2))
         solve = _StateSolver(seq)
         solve(decay, S)
         moment = _horizon_moments(seq, [decay])[0, 0]
-        np.testing.assert_allclose(solve.integral(decay, S)[-1], moment, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(solve.integral(decay, S, I)[-1], moment, rtol=1e-14, atol=0)
 
 
 class TestCompensator:
