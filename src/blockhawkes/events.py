@@ -83,8 +83,7 @@ class EventSequence:
             raise InvalidInputError("times and marks must be 1-D arrays of equal length")
         if not np.all(np.isfinite(times)):
             raise InvalidInputError("event times must be finite")
-        horizon = float(self.horizon)
-        dim = int(self.dim)
+        horizon, dim = float(self.horizon), int(self.dim)
         if not np.isfinite(horizon) or horizon <= 0:
             raise InvalidInputError(f"horizon must be positive, got {horizon}")
         if dim < 1:
@@ -98,8 +97,7 @@ class EventSequence:
                 raise InvalidInputError(f"marks must lie in 1..{dim}")
             # Canonical order: ties across components sorted by mark.
             order = np.lexsort((marks, times))
-            times = times[order]
-            marks = marks[order]
+            times, marks = times[order], marks[order]
             same = (np.diff(times) == 0) & (np.diff(marks) == 0)
             if np.any(same):
                 k = int(np.nonzero(same)[0][0])
@@ -112,8 +110,10 @@ class EventSequence:
         return self.times.size
 
     def counts(self) -> np.ndarray:
-        """Per-component event counts N_i(horizon), shape (dim,)."""
-        return np.bincount(self.marks - 1, minlength=self.dim)
+        """Per-component event counts N_i(horizon), shape (dim,), counted at the first call."""
+        if not hasattr(self, "_counts"):
+            set_fields(self, _counts=np.bincount(self.marks - 1, minlength=self.dim))
+        return self._counts.copy()
 
     def component_times(self, i: int) -> np.ndarray:
         """Event times of component ``i`` (1-based)."""
