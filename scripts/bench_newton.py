@@ -18,10 +18,10 @@ it does inside the fit (from the continuation state where the checkout keeps
 one), so the Newton layer is timed at the steps a fit takes.
 
     python scripts/bench_newton.py --parent PARENT_CHECKOUT --out BENCH_newton.json \
-        [--pairs DIR ...] [--memory]
+        [--pairs DIR ...]
 
-With ``--memory``, each side also fits criterion 5's parameters (seed 1) at
-each of ``MEMORY_HORIZONS`` and runs ``time_rescale`` and
+Each side also fits criterion 5's parameters (seed 1) at each of
+``MEMORY_HORIZONS`` and runs ``time_rescale`` and
 ``intensity_recursive`` of those parameters on the same sample, each reader
 in a fresh process per round.  A row holds the reader's peak-RSS rise (the
 peak ``ru_maxrss`` after the call less the resident set before it, the
@@ -369,11 +369,11 @@ def main(argv=None) -> int:
     parser.add_argument("--child", nargs="*", help=argparse.SUPPRESS)
     parser.add_argument("--criterion-5", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--memory", action="store_true",
-                        help="also measure each reader's peak-RSS rise on criterion 5's sample")
     parser.add_argument("--reader", choices=READERS, help=argparse.SUPPRESS)
-    parser.add_argument("--horizon", type=float, default=MEMORY_HORIZONS[0], help=argparse.SUPPRESS)
+    parser.add_argument("--horizon", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if (args.reader is None) != (args.horizon is None):
+        parser.error("--reader and --horizon go together")
     if args.child is not None:
         if args.reader is not None:
             rows = reader_memory(args.reader, args.horizon)
@@ -400,9 +400,8 @@ def main(argv=None) -> int:
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 layers[side].append(run_side(srcs[side], seed_1, False, layers=True))
     memory = {side: {} for side in sides}
-    rungs = [(reader, h) for h in MEMORY_HORIZONS for reader in READERS] if args.memory else []
     for k in range(args.rounds):
-        for rung in rungs:
+        for rung in [(reader, h) for h in MEMORY_HORIZONS for reader in READERS]:
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 memory[side].setdefault(f"{rung[0]}@{rung[1]:g}h", []).append(
                     run_side(srcs[side], [], False, memory=rung))
@@ -421,14 +420,13 @@ def main(argv=None) -> int:
                  "holds, per side, the medians over rounds of one evaluation's layer "
                  "times (s1_0 along its fit's path, replayed from a fresh profile, so "
                  "each evaluation starts as inside the fit) and of the six seed-1 fits' time "
-                 "and minor page faults in a fresh process.  memory (with --memory) holds, "
+                 "and minor page faults in a fresh process.  memory holds, "
                  "per side and reader@horizon, criterion 5's sample (seed 1) read by one "
                  "reader in a fresh process per round: the peak ru_maxrss after the call "
                  "less the resident set before it (median over rounds), its wall time, and "
                  "for fit_full the evaluations, iterations and verdict."),
         "command": " ".join(["python scripts/bench_newton.py --parent PARENT_CHECKOUT",
-                             f"--out {args.out.name}", *(["--pairs DIR ..."] * bool(args.pairs)),
-                             *(["--memory"] * args.memory)]),
+                             f"--out {args.out.name}", *(["--pairs DIR ..."] * bool(args.pairs))]),
         "rounds": args.rounds,
         "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
@@ -436,10 +434,9 @@ def main(argv=None) -> int:
         **combine(sides),
         "in_process": {side: summarize_layers(runs) for side, runs in layers.items()},
         "perfbench_pairs": [summarize_pairs(d) for d in args.pairs],
+        "memory": {side: {rung: summarize_memory(runs) for rung, runs in rows.items()}
+                   for side, rows in memory.items()},
     }
-    if args.memory:
-        record["memory"] = {side: {rung: summarize_memory(runs) for rung, runs in rows.items()}
-                            for side, rows in memory.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["totals"], indent=1))
     print(json.dumps(record["criterion_5"], indent=1))
